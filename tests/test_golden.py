@@ -1,0 +1,51 @@
+"""Golden CLI corpus: every README example plus the field-valued
+`explicit` / `smoothed` runs, in both output formats.
+
+Each `tests/golden/<name>.<format>` file holds the exact stdout of one
+command line, recorded before the refactors it guards; a refactor must
+reproduce it byte for byte, with the same exit code.  Do not re-record
+these files to make a refactor pass: a changed row is a changed result.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from primelab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (name, argv without --format, exit code)
+CASES = [
+    ("sieve", ["sieve", "--lo", "1", "--hi", "100", "--q", "4", "--a", "1"],
+     0),
+    ("bt", ["bt", "--q", "4", "--a", "1", "--x", "10000", "--h", "400"], 0),
+    ("ap-scan", ["ap-scan", "--q", "4", "--a", "1", "--x-lo", "1000",
+                 "--x-hi", "100000"], 0),
+    ("field-scan", ["field-scan", "--field", "Q(i)", "--x-lo", "1000",
+                    "--x-hi", "100000"], 0),
+    ("meansq", ["meansq", "--X", "100000", "--q", "12", "--a", "1",
+                "--h-coef", "1", "--h-theta", "0.4"], 0),
+    ("explicit", ["explicit", "--T", "1000", "--x-lo", "50.5",
+                  "--x-hi", "1000.5", "--x-step", "50"], 0),
+    ("zeros-zeta", ["zeros", "--component", "zeta", "--T", "100"], 0),
+    ("zeros-field", ["zeros", "--field", "Q(i)", "--T", "500"], 0),
+    ("smoothed", ["smoothed", "--x", "10000", "--T", "500", "--h", "200",
+                  "--eps", "0.5"], 0),
+    ("explicit-Qi", ["explicit", "--T", "500", "--field", "Q(i)",
+                     "--x-lo", "50.5", "--x-hi", "1000.5", "--x-step", "50"],
+     0),
+    ("smoothed-Qi", ["smoothed", "--x", "10000", "--T", "500", "--h", "200",
+                     "--eps", "0.5", "--field", "Q(i)"], 0),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("name,argv,exit_code", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_cli(capsys, name, argv, exit_code, fmt):
+    code = main(argv + ["--format", fmt])
+    out = capsys.readouterr().out
+    expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
+    assert code == exit_code
+    assert out.encode() == expected
