@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import explicit, intervals, numfield, sieve, zeros
-from .counters import progression_source, field_source
+from .counters import field_source, target_label
 from .errors import CapacityError, UnsupportedPrimeError, ZeroTableError
 from .report import ExperimentReport, emit
 
@@ -32,8 +32,6 @@ COMPONENT_DATA = {"zeta": (1, 1), "chi4": (1, 4), "chi5": (1, 5)}
 def _add_common(p):
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--output", default="-", help="output path or - (stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--ceiling", type=int, default=sieve.DEFAULT_CEILING,
                    help="sieve position ceiling")
     p.add_argument("--zero-manifest", default=None,
@@ -68,12 +66,9 @@ def _target(args):
     return sieve.ResidueClass(q, getattr(args, "a", 0) or 0)
 
 
-def _zero_table(args, target):
-    manifest = args.zero_manifest
-    if isinstance(target, numfield.NumberFieldSpec):
-        return zeros.field_table(target.name, manifest), \
-            target.degree, target.field_disc
-    return zeros.component_table("zeta", manifest), 1, 1
+def _zero_table(args, fld):
+    return zeros.field_table(fld.name, args.zero_manifest), \
+        fld.degree, fld.field_disc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +170,7 @@ def _run_sieve(args):
 
 def _run_scan(args, target):
     result = intervals.cramer_window_scan(args.x_lo, args.x_hi, args.c1,
-                                          target, workers=args.workers)
+                                          target)
     return result.window_reports() + [result.summary_report()]
 
 
@@ -200,7 +195,7 @@ def _run_inertia(args):
             metric=radius))
     rows.append(ExperimentReport(
         "inertia", {"X": args.X, "h": h,
-                    "target": intervals._target_label(target),
+                    "target": target_label(target),
                     "intervals": len(rep.exceedance_intervals)},
         metric=float(len(rep.exceedance_intervals)),
         bound=rep.threshold))
@@ -216,6 +211,8 @@ def _run_bt(args):
 
 
 def _run_explicit(args):
+    if args.x_step <= 0:
+        raise ValueError(f"--x-step must be > 0, got {args.x_step}")
     target = numfield.preset(args.field)
     table, n_K, d_K = _zero_table(args, target)
     spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
@@ -224,9 +221,7 @@ def _run_explicit(args):
     while x <= args.x_hi:
         xs.append(x)
         x += args.x_step
-    hi = args.x_hi + 1
-    counter = (field_source(target, hi).psi if target.degree > 1
-               else progression_source(sieve.ResidueClass(), hi).psi)
+    counter = field_source(target, args.x_hi + 1).psi
     scan = explicit.residual_scan(counter, spec, xs)
     rows = [ExperimentReport(
         "explicit_residual",
@@ -241,9 +236,7 @@ def _run_smoothed(args):
     h = _resolve_h(args, args.x)
     table, n_K, d_K = _zero_table(args, target)
     spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
-    hi = args.x + 2 * h + 2
-    counter = (field_source(target, hi).psi if target.degree > 1
-               else progression_source(sieve.ResidueClass(), hi).psi)
+    counter = field_source(target, args.x + 2 * h + 2).psi
     w = explicit.smoothed_sum(args.x, h, counter)
     pred = explicit.smoothed_prediction(args.x, h, spec)
     rows = [
@@ -344,6 +337,10 @@ def main(argv=None) -> int:
         args.zero_manifest = os.environ.get(zeros.MANIFEST_ENV)
 
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be "
+                                 f"finite, got {value}")
         if args.command == "ap-scan":
             reports = _run_scan(args, sieve.ResidueClass(args.q, args.a))
         elif args.command == "field-scan":

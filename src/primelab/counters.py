@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sieve
-from .sieve import ResidueClass
+from .sieve import ResidueClass, euler_phi
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,26 @@ class WindowSource:
         return self.psi.window(x, h) - h * self.drift
 
 
+def target_label(target) -> str:
+    """Report label of a residue class (`q=..,a=..`), a number field or a
+    prebuilt WindowSource."""
+    if isinstance(target, WindowSource):
+        return target.label
+    if isinstance(target, ResidueClass):
+        return f"q={target.modulus},a={target.residue}"
+    return target.name or f"deg-{target.degree} field"
+
+
 def progression_source(cls: ResidueClass, hi: float, *,
                        ceiling: int = sieve.DEFAULT_CEILING) -> WindowSource:
     pos, _, expo, weights = sieve.event_arrays(1, hi, cls, ceiling=ceiling)
     primes = pos[expo == 1]
-    from .intervals import euler_phi  # cycle-free at call time
     return WindowSource(
         psi=StepCounter.from_events(pos, weights),
         pi=StepCounter.from_events(primes, np.ones(len(primes))),
         drift=1.0 / euler_phi(cls.modulus),
         span=float(hi),
-        label=f"q={cls.modulus},a={cls.residue}",
+        label=target_label(cls),
     )
 
 
@@ -85,5 +94,5 @@ def field_source(fld, hi: float) -> WindowSource:
         pi=StepCounter.from_events(ideals, np.ones(len(ideals))),
         drift=1.0,
         span=float(hi),
-        label=fld.name or f"deg-{fld.degree} field",
+        label=target_label(fld),
     )

@@ -12,34 +12,17 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import StepCounter, WindowSource, field_source, \
-    progression_source
-from .numfield import NumberFieldSpec
+    progression_source, target_label
+from .numfield import NumberFieldSpec, ideal_event_arrays
 from .report import ExperimentReport
-from .sieve import ResidueClass, sieve_primes
+from .sieve import ResidueClass, euler_phi, sieve_primes
 
 log = logging.getLogger(__name__)
-
-
-def euler_phi(q: int) -> int:
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    result = q
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
 
 
 def as_source(target, hi: float) -> WindowSource:
@@ -149,21 +132,13 @@ def meansq_ratio(X: float, h: float, target, *,
     ms = mean_square(X, h, target)
     bound = _bound_for(target, X, h)
     ratio = ms / bound
-    params = {"X": X, "h": h, "target": _target_label(target)}
+    params = {"X": X, "h": h, "target": target_label(target)}
     verdict = "report-only"
     if ceiling is not None:
         params["ceiling"] = ceiling
         verdict = "pass" if ratio <= ceiling else "fail"
     return ExperimentReport("meansq", params, metric=ms, bound=bound,
                             ratio=ratio, verdict=verdict)
-
-
-def _target_label(target) -> str:
-    if isinstance(target, ResidueClass):
-        return f"q={target.modulus},a={target.residue}"
-    if isinstance(target, NumberFieldSpec):
-        return target.name or f"deg-{target.degree} field"
-    return target.label
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +234,6 @@ def bt_check_field(fld: NumberFieldSpec, x: float,
     """Uniform number-field bound: pi_K(x+h) - pi_K(x) <= 4 n_K h / log h."""
     if not 2 <= h <= x:
         raise ValueError(f"need 2 <= h <= x, got h={h}, x={x}")
-    from .numfield import ideal_event_arrays
     _, _, _, first = ideal_event_arrays(fld, x, x + h)
     count = int(np.count_nonzero(first))
     bound = 4 * fld.degree * h / math.log(h)
@@ -323,8 +297,8 @@ def _window_law(target, c1):
     return h_of, normalize
 
 
-def cramer_window_scan(x_lo: float, x_hi: float, c1: float, target, *,
-                       workers: int = 1) -> CramerScanResult:
+def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
+                       target) -> CramerScanResult:
     """Slide windows [x, x + h(x)] with the theorem window law and count
     primes / prime ideals in each.
 
@@ -339,24 +313,13 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float, target, *,
     source = as_source(target, span)
     pi = source.pi
 
-    def scan_chunk(lo, hi):
-        rows = []
-        x = lo
-        while x < hi:
-            h = h_of(x)
-            count = int(round(pi.window(x, h)))
-            rows.append((x, h, count, normalize(count, x, h)))
-            x += h / 2
-        return rows
-
-    if workers <= 1:
-        windows = scan_chunk(x_lo, x_hi)
-    else:
-        bounds = np.linspace(x_lo, x_hi, workers + 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda se: scan_chunk(*se),
-                             zip(bounds[:-1], bounds[1:]))
-        windows = sorted(row for part in parts for row in part)
+    windows = []
+    x = x_lo
+    while x < x_hi:
+        h = h_of(x)
+        count = int(round(pi.window(x, h)))
+        windows.append((x, h, count, normalize(count, x, h)))
+        x += h / 2
 
     # normalized gaps between consecutive events inside the scan range
     pos = pi.positions
@@ -374,5 +337,5 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float, target, *,
 
     c2 = min((norm for _, _, _, norm in windows), default=math.inf)
     verdict = "pass" if all(c >= 1 for _, _, c, _ in windows) else "fail"
-    return CramerScanResult(_target_label(target), c1, windows, float(c2),
+    return CramerScanResult(target_label(target), c1, windows, float(c2),
                             c1_emp, verdict)

@@ -10,78 +10,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
 from . import fppoly, sieve
-from .errors import UnsupportedPrimeError
+from .errors import CapacityError, UnsupportedPrimeError
 
 
-def _poly_degree(c):
-    d = len(c) - 1
-    while d >= 0 and c[d] == 0:
-        d -= 1
-    return d
-
-
-def _frac_mod(a, b):
-    """Remainder of a by b over Q (lists of Fractions, constant first)."""
-    a = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    while _poly_degree(a) >= db:
-        da = _poly_degree(a)
-        factor = a[da] / lead
-        for i in range(db + 1):
-            a[da - db + i] -= factor * b[i]
-        a[da] = Fraction(0)
-    return a[: max(_poly_degree(a) + 1, 0)]
-
-
-def _resultant(f, g):
-    """res(f, g) over Q, exact."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    sign = 1
-    res = Fraction(1)
-    while True:
-        df, dg = _poly_degree(f), _poly_degree(g)
-        if dg < 0:
-            return Fraction(0)
-        if dg == 0:
-            return sign * res * g[0] ** max(df, 0)
-        r = _frac_mod(f, g)
-        dr = _poly_degree(r)
-        if dr < 0:
-            return Fraction(0)
-        res *= g[dg] ** (df - dr)
-        if df % 2 == 1 and dg % 2 == 1:
-            sign = -sign
-        f, g = g, r
+def _sympy_poly(coeffs):
+    from sympy import Poly, Symbol  # heavyweight; imported on demand
+    return Poly(list(reversed(coeffs)), Symbol("x"), domain="QQ")
 
 
 def poly_discriminant(coefficients) -> int:
     """disc(f) = (-1)^(n(n-1)/2) * res(f, f') for monic integer f."""
     coeffs = [int(c) for c in coefficients]
-    n = len(coeffs) - 1
-    if n < 1 or coeffs[-1] != 1:
+    if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
-    if n == 1:
-        return 1
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    res = _resultant(coeffs, deriv)
-    if res.denominator != 1:
-        raise ValueError("non-integral resultant for integer polynomial")
-    return (-1) ** (n * (n - 1) // 2) * res.numerator
+    from sympy import discriminant
+    return int(discriminant(_sympy_poly(coeffs)))
 
 
 def _is_irreducible(coeffs) -> bool:
-    from sympy import Poly, Symbol  # heavyweight; imported on demand
-    x = Symbol("x")
-    poly = Poly(list(reversed(coeffs)), x, domain="QQ")
-    return poly.is_irreducible
+    return _sympy_poly(coeffs).is_irreducible
 
 
 def factor_degrees_mod_p(coefficients, p: int):
@@ -105,27 +57,13 @@ def dedekind_index_test(coefficients, p: int) -> bool:
         g = fppoly.mul(g, irr, p)
         for _ in range(mult - 1):
             h = fppoly.mul(h, irr, p)
-    # integer lift with coefficients in [0, p)
-    gh = _int_mul(g, h)
-    diff = [a - b for a, b in _zip_longest(gh, f)]
+    # g*h - f is needed only mod p^2: its quotient by p is read mod p
+    diff = fppoly.sub(fppoly.mul(g, h, p * p), f, p * p)
     if any(d % p for d in diff):
         raise ArithmeticError("g*h != f mod p; factorization bug")
-    fbar = [(d // p) % p for d in diff]
-    cand = fppoly.gcd(fppoly.gcd(fppoly.trim(fbar), g, p), h, p)
+    fbar = [d // p for d in diff]
+    cand = fppoly.gcd(fppoly.gcd(fbar, g, p), h, p)
     return fppoly.degree(cand) <= 0
-
-
-def _int_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _zip_longest(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 @dataclass(frozen=True)
@@ -284,45 +222,41 @@ def _build_events(fld: NumberFieldSpec, hi: int, *, ceiling: int):
     return pos, base, deg, expo, weights
 
 
-def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float, *,
-                       ceiling: int = sieve.DEFAULT_CEILING):
-    """(positions, weights, exponents, first_power_mask) for events with
-    norm in (lo, hi]."""
+def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
+                   ceiling: int):
+    """(positions, bases, degrees, exponents, weights) for events with
+    norm in (lo, hi], built once per power-of-two bucket (capped at the
+    ceiling) and cached."""
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
     for p in sorted(fld.bad_primes):
         if p <= hi:
             raise UnsupportedPrimeError(p, fld.name)
-    key = (fld.coefficients, fld.field_disc, _bucket(hi))
-    cached = _event_cache.get(key)
-    if cached is None:
-        cached = _build_events(fld, _bucket(hi), ceiling=max(ceiling,
-                                                             _bucket(hi)))
-        _event_cache[key] = cached
-    pos, base, deg, expo, weights = cached
-    i = np.searchsorted(pos, lo, side="right")
-    j = np.searchsorted(pos, hi, side="right")
-    return pos[i:j], weights[i:j], expo[i:j], expo[i:j] == 1
+    if hi > ceiling:
+        raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
+    bound = int(min(_bucket(hi), ceiling))
+    key = (fld.coefficients, fld.field_disc, bound)
+    if key not in _event_cache:
+        _event_cache[key] = _build_events(fld, bound, ceiling=ceiling)
+    arrays = _event_cache[key]
+    i = np.searchsorted(arrays[0], lo, side="right")
+    j = np.searchsorted(arrays[0], hi, side="right")
+    return [a[i:j] for a in arrays]
+
+
+def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float, *,
+                       ceiling: int = sieve.DEFAULT_CEILING):
+    """(positions, weights, exponents, first_power_mask) for events with
+    norm in (lo, hi]."""
+    pos, _, _, expo, weights = _cached_events(fld, lo, hi, ceiling)
+    return pos, weights, expo, expo == 1
 
 
 def prime_ideal_events(fld: NumberFieldSpec, lo: float, hi: float, *,
                        ceiling: int = sieve.DEFAULT_CEILING):
     """Ascending list of IdealPowerEvent with norm in (lo, hi]."""
-    if lo < 1:
-        raise ValueError(f"lo must be >= 1, got {lo}")
-    for p in sorted(fld.bad_primes):
-        if p <= hi:
-            raise UnsupportedPrimeError(p, fld.name)
-    key = (fld.coefficients, fld.field_disc, _bucket(hi))
-    if key not in _event_cache:
-        _event_cache[key] = _build_events(fld, _bucket(hi),
-                                          ceiling=max(ceiling, _bucket(hi)))
-    pos, base, deg, expo, weights = _event_cache[key]
-    i = np.searchsorted(pos, lo, side="right")
-    j = np.searchsorted(pos, hi, side="right")
     return [IdealPowerEvent(int(n), int(p), int(f), int(m), float(w))
-            for n, p, f, m, w in zip(pos[i:j], base[i:j], deg[i:j],
-                                     expo[i:j], weights[i:j])]
+            for n, p, f, m, w in zip(*_cached_events(fld, lo, hi, ceiling))]
 
 
 def psi_K(fld: NumberFieldSpec, x: float, *,
@@ -381,19 +315,20 @@ def load_presets(path=None) -> dict:
 _presets_cache = None
 
 
-def preset(name: str) -> NumberFieldSpec:
+def _presets() -> dict:
     global _presets_cache
     if _presets_cache is None:
         _presets_cache = load_presets()
+    return _presets_cache
+
+
+def preset(name: str) -> NumberFieldSpec:
     try:
-        return _presets_cache[name]
+        return _presets()[name]
     except KeyError:
         raise KeyError(f"unknown field preset {name!r}; have "
-                       f"{sorted(_presets_cache)}") from None
+                       f"{preset_names()}") from None
 
 
 def preset_names() -> list:
-    global _presets_cache
-    if _presets_cache is None:
-        _presets_cache = load_presets()
-    return sorted(_presets_cache)
+    return sorted(_presets())

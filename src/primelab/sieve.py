@@ -41,6 +41,22 @@ class ResidueClass:
 EVERYTHING = ResidueClass(1, 0)
 
 
+def euler_phi(q: int) -> int:
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    result = q
+    n, p = q, 2
+    while p * p <= n:
+        if n % p == 0:
+            result -= result // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
 @dataclass(frozen=True)
 class PrimePowerEvent:
     """A prime power n = p^m carrying the von Mangoldt weight log p."""
@@ -51,8 +67,7 @@ class PrimePowerEvent:
     weight: float
 
 
-# shared read-only base-prime cache (primes up to sqrt(ceiling)),
-# grown monotonically; safe for concurrent readers once built
+# base-prime cache (primes up to sqrt(ceiling)), grown monotonically
 _base_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
 

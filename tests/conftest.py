@@ -7,9 +7,33 @@ symbol.
 """
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_MEMORY = 1 << 30      # address-space cap for run_python children
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def run_python(args, timeout=60):
+    """Run `python *args` in a child process that imports this checkout's
+    package.  A hang raises TimeoutExpired (the child is killed) and a
+    runaway allocation a MemoryError in the child, so either fails the
+    test instead of stalling the suite or exhausting the host."""
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=timeout, env=env,
+                          preexec_fn=_cap_memory)
 
 
 def is_prime_trial(n: int) -> bool:

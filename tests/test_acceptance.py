@@ -251,7 +251,7 @@ def test_criterion_09_cramer_windows():
     targets = [ResidueClass(1, 0), ResidueClass(4, 1), ResidueClass(4, 3),
                ResidueClass(12, 5)] + [preset(n) for n in preset_names()]
     for target in targets:
-        res = cramer_window_scan(10**3, 10**6, 4.0, target, workers=4)
+        res = cramer_window_scan(10**3, 10**6, 4.0, target)
         c2_seen.append(res.c2_empirical)
         if res.verdict != "pass" or res.c2_empirical <= 0.25:
             ok = False

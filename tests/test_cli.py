@@ -9,6 +9,8 @@ from primelab import ExperimentReport, emit
 from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
                           EXIT_SINK, EXIT_USAGE, main)
 
+from conftest import run_python
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -174,6 +176,30 @@ def test_capacity_error(capsys):
     code, _, err = run(capsys, "sieve", "--lo", "1", "--hi", "5000",
                        "--ceiling", "1000")
     assert code == EXIT_CAPACITY
+
+
+# each case runs in a child process, so that a hang fails the test
+@pytest.mark.parametrize("argv,exit_code", [
+    (["explicit", "--T", "100", "--x-step", "0"], EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-step", "-5"], EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-step", "nan"], EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-hi", "inf"], EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "inf"],
+     EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "nan"],
+     EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "nan", "--x-hi", "1e5"],
+     EXIT_USAGE),
+    (["inertia", "--X", "inf", "--field", "Q(i)", "--h", "100"],
+     EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "2e9"],
+     EXIT_CAPACITY),
+])
+def test_unusable_numbers_exit_with_code(argv, exit_code):
+    proc = run_python(["-m", "primelab.cli", *argv])
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stderr.startswith("primelab: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_fail_exit_on_failing_verdict(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from primelab import (NumberFieldSpec, UnsupportedPrimeError,
+from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       dedekind_index_test, factor_degrees_mod_p,
                       kronecker_symbol, pi_K, pi_ap, poly_discriminant,
                       preset, preset_names, prime_ideal_events, psi_K,
@@ -11,7 +11,7 @@ from primelab import (NumberFieldSpec, UnsupportedPrimeError,
                       splitting_type)
 from primelab.numfield import ideal_event_arrays
 
-from conftest import is_prime_trial
+from conftest import is_prime_trial, run_python
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -234,3 +234,28 @@ def test_event_enumeration_against_brute_force():
                 norm *= p**f
     events = prime_ideal_events(fld, 1, 200)
     assert sorted(expected) == [e.position for e in events]
+
+
+# --- capacity ceiling ---------------------------------------------------
+
+def test_field_queries_honour_ceiling():
+    qi = preset("Q(i)")
+    assert pi_K(qi, 100, ceiling=100) == pi_K(qi, 100)
+    for query in (pi_K, psi_K):
+        with pytest.raises(CapacityError):
+            query(qi, 1000, ceiling=100)
+    for query in (ideal_event_arrays, prime_ideal_events):
+        with pytest.raises(CapacityError):
+            query(qi, 1, 1000, ceiling=100)
+
+
+def test_field_source_infinite_bound_is_capacity_error():
+    """In a child process, so that a hang fails instead of stalling."""
+    proc = run_python(["-c", """if True:
+        import math, primelab
+        try:
+            primelab.field_source(primelab.preset("Q(i)"), math.inf)
+        except primelab.CapacityError:
+            raise SystemExit(4)
+        """])
+    assert proc.returncode == 4, proc.stderr
