@@ -24,15 +24,16 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
-def run_python(args, timeout=60):
+def run_python(args):
     """Run `python *args` in a child process that imports this checkout's
     package.  A hang raises TimeoutExpired (the child is killed) and a
     runaway allocation a MemoryError in the child, so either fails the
     test instead of stalling the suite or exhausting the host."""
-    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=timeout, env=env,
+                          text=True, timeout=60, env=env,
                           preexec_fn=_cap_memory)
 
 

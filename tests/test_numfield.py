@@ -251,11 +251,10 @@ def test_field_queries_honour_ceiling():
 
 def test_field_source_infinite_bound_is_capacity_error():
     """In a child process, so that a hang fails instead of stalling."""
-    proc = run_python(["-c", """if True:
-        import math, primelab
-        try:
-            primelab.field_source(primelab.preset("Q(i)"), math.inf)
-        except primelab.CapacityError:
-            raise SystemExit(4)
-        """])
+    proc = run_python(["-c", "import math, primelab\n"
+                       "try:\n"
+                       "    primelab.field_source(primelab.preset('Q(i)'),"
+                       " math.inf)\n"
+                       "except primelab.CapacityError:\n"
+                       "    raise SystemExit(4)\n"])
     assert proc.returncode == 4, proc.stderr
