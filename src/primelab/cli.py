@@ -25,6 +25,9 @@ EXIT_DATA = 3
 EXIT_CAPACITY = 4
 EXIT_SINK = 5
 
+# most points an `explicit` x-grid may probe
+MAX_X_GRID = 10**5
+
 # single-component zero tables: label -> (n_K-equivalent, conductor)
 COMPONENT_DATA = {"zeta": (1, 1), "chi4": (1, 4), "chi5": (1, 5)}
 
@@ -168,9 +171,9 @@ def _run_sieve(args):
         metric=e.weight) for e in events]
 
 
-def _run_scan(args, target):
+def _run_scan(args):
     result = intervals.cramer_window_scan(args.x_lo, args.x_hi, args.c1,
-                                          target)
+                                          _target(args))
     return result.window_reports() + [result.summary_report()]
 
 
@@ -210,17 +213,29 @@ def _run_bt(args):
     return [intervals.bt_check_ap(args.x, h, target)]
 
 
-def _run_explicit(args):
+def _x_grid(args):
+    """x_lo, x_lo + step, ... up to x_hi, accumulated as a float."""
     if args.x_step <= 0:
         raise ValueError(f"--x-step must be > 0, got {args.x_step}")
-    target = numfield.preset(args.field)
-    table, n_K, d_K = _zero_table(args, target)
-    spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
+    if args.x_lo > args.x_hi:
+        raise ValueError(f"--x-lo {args.x_lo} exceeds --x-hi {args.x_hi}")
     xs = []
     x = args.x_lo
     while x <= args.x_hi:
+        if len(xs) == MAX_X_GRID:
+            # also ends a step too small to change x in floating point
+            raise ValueError(f"the x-grid exceeds {MAX_X_GRID} points; "
+                             f"--x-step {args.x_step} is too small")
         xs.append(x)
         x += args.x_step
+    return xs
+
+
+def _run_explicit(args):
+    xs = _x_grid(args)
+    target = numfield.preset(args.field)
+    table, n_K, d_K = _zero_table(args, target)
+    spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
     counter = field_source(target, args.x_hi + 1).psi
     scan = explicit.residual_scan(counter, spec, xs)
     rows = [ExperimentReport(
@@ -285,6 +300,8 @@ def _run_zeros(args):
 
 RUNNERS = {
     "sieve": _run_sieve,
+    "ap-scan": _run_scan,
+    "field-scan": _run_scan,
     "meansq": _run_meansq,
     "inertia": _run_inertia,
     "bt": _run_bt,
@@ -341,12 +358,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be "
                                  f"finite, got {value}")
-        if args.command == "ap-scan":
-            reports = _run_scan(args, sieve.ResidueClass(args.q, args.a))
-        elif args.command == "field-scan":
-            reports = _run_scan(args, numfield.preset(args.field))
-        else:
-            reports = RUNNERS[args.command](args)
+        reports = RUNNERS[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"primelab: {exc}", file=sys.stderr)
         return EXIT_USAGE

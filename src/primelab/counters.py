@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sieve
+from . import numfield, sieve
 from .sieve import ResidueClass, euler_phi
 
 
@@ -86,8 +86,7 @@ def progression_source(cls: ResidueClass, hi: float, *,
 
 
 def field_source(fld, hi: float) -> WindowSource:
-    from .numfield import ideal_event_arrays
-    pos, weights, expo, first = ideal_event_arrays(fld, 1, hi)
+    pos, weights, expo, first = numfield.ideal_event_arrays(fld, 1, hi)
     ideals = pos[first]
     return WindowSource(
         psi=StepCounter.from_events(pos, weights),

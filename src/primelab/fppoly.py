@@ -7,8 +7,6 @@ Everything here is sized for defining polynomials of number fields
 
 from __future__ import annotations
 
-import random
-
 
 def trim(a):
     while a and a[-1] == 0:
@@ -156,46 +154,6 @@ def factor_degree_multiset(f, p):
         for prod, d in distinct_degree_parts(part, p):
             out.extend([(d, mult)] * (degree(prod) // d))
     return sorted(out)
-
-
-def _split_equal_degree(g, d, p, rng):
-    """Cantor-Zassenhaus split of squarefree g into its degree-d
-    irreducible factors."""
-    n = degree(g)
-    if n == d:
-        return [g]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = trim(a)
-        if degree(a) < 1:
-            continue
-        if p == 2:
-            # trace map a + a^2 + ... + a^(2^(d-1))
-            t, cur = list(a), list(a)
-            for _ in range(d - 1):
-                cur = mulmod(cur, cur, g, p)
-                t = [(u + v) % p for u, v in zip_pad(t, cur, p)]
-                trim(t)
-            cand = gcd(t, g, p)
-        else:
-            e = (p**d - 1) // 2
-            b = powmod(a, e, g, p)
-            cand = gcd(sub(b, [1], p), g, p)
-        if 0 < degree(cand) < n:
-            rest = divmod_poly(g, cand, p)[0]
-            return (_split_equal_degree(cand, d, p, rng)
-                    + _split_equal_degree(rest, d, p, rng))
-
-
-def factor(f, p, seed=0):
-    """Full factorization of monic f over F_p: list of (factor, mult)."""
-    rng = random.Random(seed)
-    out = []
-    for part, mult in squarefree_parts(monic(reduce_mod(f, p), p), p):
-        for prod, d in distinct_degree_parts(part, p):
-            for irr in _split_equal_degree(prod, d, p, rng):
-                out.append((monic(irr, p), mult))
-    return sorted(out, key=lambda fm: (degree(fm[0]), fm[0]))
 
 
 def count_roots(f, p):

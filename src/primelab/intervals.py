@@ -304,11 +304,16 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
 
     Reports the minimum normalized count (the empirical c2) and the
     largest normalized gap between consecutive events (the smallest c1
-    that would keep every window nonempty).
+    that would keep every window nonempty).  Needs x_lo < x_hi and
+    c1 > 0 with h(x_lo) > 0, so that h stays positive and every step
+    advances x.
     """
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
     h_of, normalize = _window_law(target, c1)
+    if not (x_lo < x_hi and c1 > 0 and h_of(x_lo) > 0):
+        raise ValueError(f"need x_lo < x_hi and a positive window at x_lo, "
+                         f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
     span = x_hi + h_of(x_hi) * 1.01
     source = as_source(target, span)
     pi = source.pi

@@ -9,7 +9,7 @@ presets are all monogenic, so this only bites user-supplied polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -47,20 +47,20 @@ def dedekind_index_test(coefficients, p: int) -> bool:
 
     Dedekind's criterion: with f = prod g_i^{e_i} mod p, g = prod g_i and
     h = f/g mod p, the test passes iff gcd(g, h, (g*h* - f)/p) = 1 in F_p,
-    where g*, h* are lifts of g, h.
+    where g*, h* are lifts of g, h.  Both come from the squarefree
+    decomposition f = prod s_j^j mod p: g = prod s_j, h = prod s_j^(j-1).
     """
     f = [int(c) for c in coefficients]
-    factors = fppoly.factor(f, p)
     g = [1]
     h = [1]
-    for irr, mult in factors:
-        g = fppoly.mul(g, irr, p)
+    for part, mult in fppoly.squarefree_parts(fppoly.reduce_mod(f, p), p):
+        g = fppoly.mul(g, part, p)
         for _ in range(mult - 1):
-            h = fppoly.mul(h, irr, p)
+            h = fppoly.mul(h, part, p)
     # g*h - f is needed only mod p^2: its quotient by p is read mod p
     diff = fppoly.sub(fppoly.mul(g, h, p * p), f, p * p)
     if any(d % p for d in diff):
-        raise ArithmeticError("g*h != f mod p; factorization bug")
+        raise ArithmeticError("g*h != f mod p; decomposition bug")
     fbar = [d // p for d in diff]
     cand = fppoly.gcd(fppoly.gcd(fbar, g, p), h, p)
     return fppoly.degree(cand) <= 0
@@ -91,8 +91,6 @@ class NumberFieldSpec:
     validated_up_to: int
     bad_primes: frozenset        # primes dividing the index
     name: str = ""
-    _split_cache: dict = field(default_factory=dict, compare=False,
-                               repr=False)
 
     @classmethod
     def from_poly(cls, coefficients, field_disc=None, name="",
@@ -140,9 +138,6 @@ def _square_divisor_primes(disc: int):
 
 def splitting_type(fld: NumberFieldSpec, p: int) -> SplittingType:
     """Splitting of the rational prime p via Dedekind's theorem."""
-    cached = fld._split_cache.get(p)
-    if cached is not None:
-        return cached
     if p in fld.bad_primes:
         raise UnsupportedPrimeError(p, fld.name)
     degrees = factor_degrees_mod_p(fld.coefficients, p)
@@ -151,7 +146,6 @@ def splitting_type(fld: NumberFieldSpec, p: int) -> SplittingType:
         raise ArithmeticError(
             f"splitting degrees at p={p} sum to {st.degree_sum}, "
             f"expected {fld.degree}")
-    fld._split_cache[p] = st
     return st
 
 
@@ -166,7 +160,8 @@ class IdealPowerEvent:
     weight: float            # log N(P) = residue_degree * log(base)
 
 
-_event_cache: dict = {}
+# one store per field: (bound, arrays) holding every event with norm <= bound
+_stores: dict = {}
 
 
 def _bucket(hi: float) -> int:
@@ -176,48 +171,36 @@ def _bucket(hi: float) -> int:
     return b
 
 
-def _build_events(fld: NumberFieldSpec, hi: int, *, ceiling: int):
-    """All ideal-power events with norm <= hi, ascending.
+def _build_events(fld: NumberFieldSpec, lo: int, hi: int, *, ceiling: int):
+    """All ideal-power events with norm in (lo, hi], ascending.
 
+    A prime p in (sqrt(hi), lo] has no norm in (lo, hi] and is skipped.
     Large unramified primes only ever contribute norm-p events, so for
     p > sqrt(hi) we count roots of f mod p instead of running the full
     distinct-degree factorization.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(1, hi, ceiling=ceiling)
-        degrees = np.ones(len(pos), dtype=np.int64)
-        return pos, base, degrees, expo, weights
-    positions, bases, degrees, exponents = [], [], [], []
+        pos, base, expo, weights = sieve.event_arrays(lo, hi, ceiling=ceiling)
+        return pos, base, np.ones(len(pos), dtype=np.int64), expo, weights
+    rows = []                # (norm, p, residue degree, exponent)
     split_bound = math.isqrt(hi)
     for p in sieve.sieve_primes(1, hi, ceiling=ceiling):
         p = int(p)
-        if p in fld.bad_primes:
-            continue  # excluded here; queries touching p raise upstream
+        if p in fld.bad_primes or split_bound < p <= lo:
+            continue  # bad primes are excluded; queries touching p raise
         if p > split_bound and fld.poly_disc % p != 0:
-            r = fppoly.count_roots(list(fld.coefficients), p)
-            for _ in range(r):
-                positions.append(p)
-                bases.append(p)
-                degrees.append(1)
-                exponents.append(1)
-            continue
-        st = splitting_type(fld, p)
-        for f, _e in st.factors:
-            norm = p**f
-            m = 1
+            factors = [(1, 1)] * fppoly.count_roots(list(fld.coefficients), p)
+        else:
+            factors = splitting_type(fld, p).factors
+        for f, _e in factors:
+            norm, m = p**f, 1
             while norm <= hi:
-                positions.append(norm)
-                bases.append(p)
-                degrees.append(f)
-                exponents.append(m)
-                norm *= p**f
-                m += 1
-    pos = np.array(positions, dtype=np.int64)
-    base = np.array(bases, dtype=np.int64)
-    deg = np.array(degrees, dtype=np.int64)
-    expo = np.array(exponents, dtype=np.int64)
-    order = np.argsort(pos, kind="stable")
-    pos, base, deg, expo = pos[order], base[order], deg[order], expo[order]
+                if norm > lo:
+                    rows.append((norm, p, f, m))
+                norm, m = norm * p**f, m + 1
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    order = np.argsort(table[:, 0], kind="stable")
+    pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
     return pos, base, deg, expo, weights
 
@@ -225,20 +208,24 @@ def _build_events(fld: NumberFieldSpec, hi: int, *, ceiling: int):
 def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
                    ceiling: int):
     """(positions, bases, degrees, exponents, weights) for events with
-    norm in (lo, hi], built once per power-of-two bucket (capped at the
-    ceiling) and cached."""
-    if lo < 1:
-        raise ValueError(f"lo must be >= 1, got {lo}")
+    norm in (lo, hi], sliced from the field's store.  A store that ends
+    below hi grows to the next power-of-two bound (capped at the
+    ceiling); only the new norm range is built."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     for p in sorted(fld.bad_primes):
         if p <= hi:
             raise UnsupportedPrimeError(p, fld.name)
     if hi > ceiling:
         raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
-    bound = int(min(_bucket(hi), ceiling))
-    key = (fld.coefficients, fld.field_disc, bound)
-    if key not in _event_cache:
-        _event_cache[key] = _build_events(fld, bound, ceiling=ceiling)
-    arrays = _event_cache[key]
+    key = (fld.coefficients, fld.field_disc)
+    bound, arrays = _stores.get(key, (1, None))
+    if hi > bound:
+        new_bound = int(min(_bucket(hi), ceiling))
+        part = _build_events(fld, bound, new_bound, ceiling=ceiling)
+        arrays = part if arrays is None else \
+            [np.concatenate(pair) for pair in zip(arrays, part)]
+        _stores[key] = (new_bound, arrays)
     i = np.searchsorted(arrays[0], lo, side="right")
     j = np.searchsorted(arrays[0], hi, side="right")
     return [a[i:j] for a in arrays]

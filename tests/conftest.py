@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from primelab import numfield
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 1 << 30      # address-space cap for run_python children
 
@@ -35,6 +37,13 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=60, env=env,
                           preexec_fn=_cap_memory)
+
+
+@pytest.fixture
+def empty_stores(monkeypatch):
+    """Run the test against empty field event stores; the shared stores
+    come back afterwards."""
+    monkeypatch.setattr(numfield, "_stores", {})
 
 
 def is_prime_trial(n: int) -> bool:

@@ -194,6 +194,26 @@ def test_capacity_error(capsys):
      EXIT_USAGE),
     (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "2e9"],
      EXIT_CAPACITY),
+    (["ap-scan", "--q", "4", "--a", "1", "--x-lo", "5000", "--x-hi", "1000"],
+     EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "1000"],
+     EXIT_USAGE),
+    (["ap-scan", "--q", "4", "--a", "1", "--x-lo", "1000", "--x-hi", "3000",
+      "--c1", "0"], EXIT_USAGE),
+    (["ap-scan", "--q", "4", "--a", "1", "--x-lo", "1000", "--x-hi", "3000",
+      "--c1", "-1"], EXIT_USAGE),
+    (["ap-scan", "--q", "4", "--a", "1", "--x-lo", "0.5", "--x-hi", "100",
+      "--c1", "-1"], EXIT_USAGE),
+    (["ap-scan", "--q", "4", "--a", "1", "--x-lo", "1", "--x-hi", "100"],
+     EXIT_USAGE),
+    (["field-scan", "--field", "Q", "--x-lo", "1", "--x-hi", "100"],
+     EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-lo", "1e4", "--x-hi", "1e4",
+      "--x-step", "1e-13"], EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-lo", "100", "--x-hi", "1e6",
+      "--x-step", "1e-3"], EXIT_USAGE),
+    (["explicit", "--T", "100", "--x-lo", "500", "--x-hi", "100"],
+     EXIT_USAGE),
 ])
 def test_unusable_numbers_exit_with_code(argv, exit_code):
     proc = run_python(["-m", "primelab.cli", *argv])

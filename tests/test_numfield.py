@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
-                      dedekind_index_test, factor_degrees_mod_p,
-                      kronecker_symbol, pi_K, pi_ap, poly_discriminant,
-                      preset, preset_names, prime_ideal_events, psi_K,
-                      psi_ap, quadratic_splitting_oracle, sieve_primes,
+                      cramer_window_scan, dedekind_index_test,
+                      factor_degrees_mod_p, field_source, fppoly,
+                      kronecker_symbol, numfield, pi_K, pi_ap,
+                      poly_discriminant, preset, preset_names,
+                      prime_ideal_events, psi_K, psi_ap,
+                      quadratic_splitting_oracle, sieve_primes,
                       splitting_type)
 from primelab.numfield import ideal_event_arrays
+from primelab.sieve import DEFAULT_CEILING
 
 from conftest import is_prime_trial, run_python
 
@@ -68,6 +71,20 @@ def test_dedekind_index_test():
     assert dedekind_index_test([1, 0, 1], 2)        # Z[i] is maximal
     assert dedekind_index_test([1, 0, 1], 5)
     assert not dedekind_index_test([-5, 0, 1], 2)   # index 2 in Q(sqrt5)
+
+
+def test_dedekind_index_test_closed_form():
+    """Z[k sqrt d] has index k in O_K for d = 2, 3 mod 4 and 2k for
+    d = 1 mod 4 (d squarefree), so p divides the index of x^2 - d k^2
+    exactly when p | k, or p = 2 and d = 1 mod 4."""
+    squarefree = [d for d in range(-30, 31) if d not in (0, 1)
+                  and all(d % (r * r) for r in range(2, 6))]
+    for d in squarefree:
+        for k in range(1, 7):
+            for p in (2, 3, 5, 7, 11, 13):
+                divides = k % p == 0 or (p == 2 and d % 4 == 1)
+                assert dedekind_index_test([-d * k * k, 0, 1], p) \
+                    == (not divides), (d, k, p)
 
 
 def test_non_monogenic_polynomial_rejected_without_disc():
@@ -234,6 +251,46 @@ def test_event_enumeration_against_brute_force():
                 norm *= p**f
     events = prime_ideal_events(fld, 1, 200)
     assert sorted(expected) == [e.position for e in events]
+
+
+# --- the event store ----------------------------------------------------
+
+@pytest.mark.parametrize("name", preset_names())
+def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
+    """Growing a field's store by doubling its bound gives the arrays of
+    one fresh build, and builds each norm range once: at most one root
+    count per prime up to the final bound."""
+    fld = preset(name)
+    calls = []
+    count_roots = fppoly.count_roots
+
+    def counted(f, p):
+        calls.append(p)
+        return count_roots(f, p)
+
+    monkeypatch.setattr(fppoly, "count_roots", counted)
+    bound = 1024
+    while bound <= 2**15:
+        pi_K(fld, bound)
+        bound *= 2
+    grown = numfield._cached_events(fld, 1, 2**15, DEFAULT_CEILING)
+    assert len(calls) <= len(sieve_primes(1, 2**15))
+    monkeypatch.setattr(numfield, "_stores", {})
+    fresh = numfield._cached_events(fld, 1, 2**15, DEFAULT_CEILING)
+    for a, b in zip(grown, fresh):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_field_queries_reject_nan_and_inverted_ranges():
+    qi = preset("Q(i)")
+    for query in (psi_K, pi_K, field_source):
+        with pytest.raises(ValueError):
+            query(qi, math.nan)
+    with pytest.raises(ValueError):
+        cramer_window_scan(1000, math.nan, 4.0, qi)
+    with pytest.raises(ValueError):
+        ideal_event_arrays(qi, 10, 5)
 
 
 # --- capacity ceiling ---------------------------------------------------
