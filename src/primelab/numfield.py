@@ -88,32 +88,27 @@ class NumberFieldSpec:
     degree: int
     poly_disc: int               # signed disc(f)
     field_disc: int              # |d_K|
-    validated_up_to: int
     bad_primes: frozenset        # primes dividing the index
     name: str = ""
 
     @classmethod
-    def from_poly(cls, coefficients, field_disc=None, name="",
-                  check_irreducible=True) -> "NumberFieldSpec":
+    def from_poly(cls, coefficients, field_disc=None,
+                  name="") -> "NumberFieldSpec":
         coeffs = tuple(int(c) for c in coefficients)
         n = len(coeffs) - 1
         if n < 1 or coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic, deg >= 1")
-        if check_irreducible and not _is_irreducible(coeffs):
+        if not _is_irreducible(coeffs):
             raise ValueError(f"{list(coeffs)} is reducible over Q")
         disc = poly_discriminant(coeffs)
         bad = frozenset(
             p for p in _square_divisor_primes(disc)
             if not dedekind_index_test(coeffs, p))
-        if bad:
-            validated = min(bad) - 1
-            if field_disc is None:
+        if field_disc is None:
+            if bad:
                 raise ValueError(
                     f"index divisible by {sorted(bad)}; supply field_disc")
-        else:
-            validated = sieve.DEFAULT_CEILING
-            if field_disc is None:
-                field_disc = abs(disc)
+            field_disc = abs(disc)
         field_disc = int(field_disc)
         if field_disc < 1 or abs(disc) % field_disc != 0:
             raise ValueError(f"field_disc {field_disc} does not divide "
@@ -122,7 +117,7 @@ class NumberFieldSpec:
         if math.isqrt(quot) ** 2 != quot:
             raise ValueError(
                 f"|disc(f)|/field_disc = {quot} is not a perfect square")
-        return cls(coeffs, n, disc, field_disc, validated, bad, name)
+        return cls(coeffs, n, disc, field_disc, bad, name)
 
     @property
     def log_disc(self) -> float:
@@ -271,16 +266,16 @@ def pi_K(fld: NumberFieldSpec, x: float, *,
 # ---------------------------------------------------------------------------
 # presets
 
-def _preset_path():
-    return resources.files("primelab") / "data" / "field_presets.txt"
+def load_presets() -> dict:
+    """Parse the package's preset file: lines `name; n_K; d_K; c_0 c_1 ...
+    c_{n-1}` (d_K signed; monic, constant term first, leading 1 implied).
 
-
-def load_presets(path=None) -> dict:
-    """Parse the preset file: lines `name; n_K; d_K; c_0 c_1 ... c_{n-1}`
-    (monic, constant term first, leading 1 implied)."""
+    The presets are monogenic, so d_K is also the signed disc(f) and no
+    prime divides the index: each is built directly, without sympy.
+    """
     out = {}
-    src = open(path) if path is not None else _preset_path().open()
-    with src as fh:
+    path = resources.files("primelab") / "data" / "field_presets.txt"
+    with path.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -289,13 +284,12 @@ def load_presets(path=None) -> dict:
             if len(parts) != 4:
                 raise ValueError(f"preset line {lineno}: expected 4 fields")
             name, n_str, d_str, coeff_str = parts
-            coeffs = [int(c) for c in coeff_str.split()] + [1]
-            fld = NumberFieldSpec.from_poly(coeffs, name=name)
-            if fld.degree != int(n_str):
+            coeffs = tuple(int(c) for c in coeff_str.split()) + (1,)
+            n, d = int(n_str), int(d_str)
+            if n != len(coeffs) - 1:
                 raise ValueError(f"preset {name}: degree mismatch")
-            if fld.field_disc != int(d_str):
-                raise ValueError(f"preset {name}: discriminant mismatch")
-            out[name] = fld
+            out[name] = NumberFieldSpec(coeffs, n, d, abs(d), frozenset(),
+                                        name)
     return out
 
 

@@ -6,6 +6,8 @@ numfield: this module is the independent cross-check.
 
 from __future__ import annotations
 
+from .numfield import SplittingType  # result type only; no algorithm shared
+
 
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n), full generality including n <= 0 and
@@ -63,7 +65,6 @@ def is_fundamental_discriminant(d: int) -> bool:
 def quadratic_splitting_oracle(d: int, p: int):
     """Splitting of the rational prime p in the quadratic field of
     fundamental discriminant d, decided by the Kronecker symbol alone."""
-    from .numfield import SplittingType  # type only, no algorithm shared
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     symbol = kronecker_symbol(d, p)

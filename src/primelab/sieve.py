@@ -90,8 +90,8 @@ def base_primes(limit: int) -> np.ndarray:
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def sieve_primes(lo: float, hi: float, *, ceiling: int = DEFAULT_CEILING,
-                 segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def sieve_primes(lo: float, hi: float, *,
+                 ceiling: int = DEFAULT_CEILING) -> np.ndarray:
     """Primes p with lo < p <= hi, ascending."""
     if hi < lo:
         raise ValueError(f"hi={hi} below lo={lo}")
@@ -103,8 +103,8 @@ def sieve_primes(lo: float, hi: float, *, ceiling: int = DEFAULT_CEILING,
         return np.empty(0, dtype=np.int64)
     base = base_primes(math.isqrt(end))
     chunks = []
-    for seg_lo in range(start, end + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, end)
+    for seg_lo in range(start, end + 1, DEFAULT_SEGMENT):
+        seg_hi = min(seg_lo + DEFAULT_SEGMENT - 1, end)
         mask = np.ones(seg_hi - seg_lo + 1, dtype=bool)
         for p in base:
             p = int(p)

@@ -214,6 +214,10 @@ def test_capacity_error(capsys):
       "--x-step", "1e-3"], EXIT_USAGE),
     (["explicit", "--T", "100", "--x-lo", "500", "--x-hi", "100"],
      EXIT_USAGE),
+    (["inertia", "--X", "1000", "--h", "-5", "--q", "1"], EXIT_USAGE),
+    (["inertia", "--X", "1000", "--h", "0", "--q", "1"], EXIT_USAGE),
+    (["inertia", "--X", "1000", "--h", "40", "--q", "1", "--persist-c", "-1"],
+     EXIT_USAGE),
 ])
 def test_unusable_numbers_exit_with_code(argv, exit_code):
     proc = run_python(["-m", "primelab.cli", *argv])

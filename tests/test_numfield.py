@@ -114,6 +114,54 @@ def test_field_disc_must_divide():
         NumberFieldSpec.from_poly([1, 0, 1], field_disc=3)
 
 
+# --- presets ------------------------------------------------------------
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_equals_validated_field(name):
+    """Each preset, read from its file line, is the field sympy derives
+    from its polynomial: degree, signed disc(f), d_K and no index prime."""
+    fld = preset(name)
+    assert fld == NumberFieldSpec.from_poly(fld.coefficients, name=name)
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12])
+def test_cyclotomic_preset_discriminants(m):
+    """d_K of Q(zeta_m) = (-1)^(phi/2) m^phi / prod_{p | m} p^(phi/(p-1))."""
+    phi = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    d = (-1) ** (phi // 2) * m**phi
+    for p in range(2, m + 1):
+        if m % p == 0 and is_prime_trial(p):
+            d //= p ** (phi // (p - 1))
+    fld = preset(f"cyclo{m}")
+    assert (fld.degree, fld.poly_disc, fld.field_disc) == (phi, d, abs(d))
+
+
+def test_presets_and_field_commands_do_not_import_sympy():
+    """sympy serves user polynomials only: loading the presets, counting
+    on every one and running the field CLI commands leave it unloaded."""
+    argvs = [
+        ["zeros", "--field", "Q(i)", "--T", "100"],
+        ["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "1e4"],
+        ["bt", "--field", "cyclo7", "--x", "10000", "--h", "400"],
+        ["explicit", "--T", "100", "--field", "Q(i)", "--x-lo", "50.5",
+         "--x-hi", "500.5", "--x-step", "50"],
+        ["smoothed", "--x", "10000", "--T", "100", "--h", "200",
+         "--eps", "0.5"],
+    ]
+    proc = run_python(["-c", "import contextlib, io, sys\n"
+                       "from primelab import cli, numfield\n"
+                       "for fld in numfield.load_presets().values():\n"
+                       "    numfield.pi_K(fld, 1000)\n"
+                       "codes = []\n"
+                       f"for argv in {argvs!r}:\n"
+                       "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                       "        codes.append(cli.main(argv))\n"
+                       "print(codes, [m for m in sys.modules"
+                       " if m.split('.')[0] == 'sympy'])\n"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(argvs)} []\n", proc.stderr
+
+
 # --- splitting types ----------------------------------------------------
 
 def test_gaussian_splitting():
