@@ -1,5 +1,6 @@
 """Golden CLI corpus: every README example plus the field-valued
-`explicit` / `smoothed` runs, in both output formats.
+`explicit` / `smoothed` runs and two `inertia` scans, in both output
+formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
@@ -37,6 +38,10 @@ CASES = [
      0),
     ("smoothed-Qi", ["smoothed", "--x", "10000", "--T", "500", "--h", "200",
                      "--eps", "0.5", "--field", "Q(i)"], 0),
+    ("inertia", ["inertia", "--X", "10000", "--q", "4", "--a", "1",
+                 "--h", "400"], 0),
+    ("inertia-Qi", ["inertia", "--X", "5000", "--field", "Q(i)",
+                    "--h", "150"], 0),
 ]
 
 
