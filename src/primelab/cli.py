@@ -36,7 +36,7 @@ def _add_common(p):
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--output", default="-", help="output path or - (stdout)")
     p.add_argument("--ceiling", type=int, default=sieve.DEFAULT_CEILING,
-                   help="sieve position ceiling")
+                   help="largest position read; may only be lowered")
     p.add_argument("--zero-manifest", default=None,
                    help=f"zero-table manifest (default ${zeros.MANIFEST_ENV} "
                         "or the vendored tables)")
@@ -64,8 +64,6 @@ def _target(args):
     q = getattr(args, "q", None)
     if q is None:
         raise ValueError("give --field or --q/--a")
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
     return sieve.ResidueClass(q, getattr(args, "a", 0) or 0)
 
 
@@ -163,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_sieve(args):
     cls = sieve.ResidueClass(args.q, args.a)
-    events = sieve.prime_power_events(max(args.lo, 1.0), args.hi, cls,
-                                      ceiling=args.ceiling)
+    events = sieve.prime_power_events(max(args.lo, 1.0), args.hi, cls)
     return [ExperimentReport(
         "sieve", {"position": e.position, "base": e.base,
                   "exponent": e.exponent, "q": args.q, "a": args.a},
@@ -358,7 +355,14 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be "
                                  f"finite, got {value}")
-        reports = RUNNERS[args.command](args)
+        if not 1 <= args.ceiling <= sieve.DEFAULT_CEILING:
+            raise ValueError(f"--ceiling must lie in [1, "
+                             f"{sieve.DEFAULT_CEILING}], got {args.ceiling}")
+        token = sieve.CEILING.set(args.ceiling)
+        try:
+            reports = RUNNERS[args.command](args)
+        finally:
+            sieve.CEILING.reset(token)
     except (ValueError, KeyError) as exc:
         print(f"primelab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -72,9 +72,8 @@ def target_label(target) -> str:
     return target.name or f"deg-{target.degree} field"
 
 
-def progression_source(cls: ResidueClass, hi: float, *,
-                       ceiling: int = sieve.DEFAULT_CEILING) -> WindowSource:
-    pos, _, expo, weights = sieve.event_arrays(1, hi, cls, ceiling=ceiling)
+def progression_source(cls: ResidueClass, hi: float) -> WindowSource:
+    pos, _, expo, weights = sieve.event_arrays(1, hi, cls)
     primes = pos[expo == 1]
     return WindowSource(
         psi=StepCounter.from_events(pos, weights),

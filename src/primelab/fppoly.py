@@ -7,6 +7,8 @@ Everything here is sized for defining polynomials of number fields
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 
 def trim(a):
     while a and a[-1] == 0:
@@ -135,15 +137,8 @@ def distinct_degree_parts(g, p):
     return out
 
 
-def zip_pad(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return list(zip(a, b))
-
-
 def sub(a, b, p):
-    return trim([(c1 - c2) % p for c1, c2 in zip_pad(a, b, p)])
+    return trim([(c1 - c2) % p for c1, c2 in zip_longest(a, b, fillvalue=0)])
 
 
 def factor_degree_multiset(f, p):

@@ -161,16 +161,16 @@ def inertia_scan(X: float, h: float, target, *,
                  persist_c: float = 0.125) -> InertiaReport:
     """Exceedance set E(X, h) = {x in [X, 2X]: |Delta| > thr} with the
     threshold h*drift/4, plus the persistence radius around the worst
-    point of each maximal exceedance interval.  Needs h > 0 and
-    persist_c > 0: otherwise every point exceeds the level."""
-    if not (h > 0 and persist_c > 0):
-        raise ValueError(f"need h > 0 and persist_c > 0, got h={h}, "
-                         f"persist_c={persist_c}")
+    point of each maximal exceedance interval.  Needs X > 0 (a nonempty
+    range), h > 0 and persist_c > 0 (else every point exceeds)."""
+    if not (X > 0 and h > 0 and persist_c > 0):
+        raise ValueError(f"need X > 0, h > 0 and persist_c > 0, got X={X}, "
+                         f"h={h}, persist_c={persist_c}")
     source = as_source(target, 2 * X + h)
     if h * source.drift <= X ** 0.1:
         log.warning("inertia range condition h*drift > X^(1/10) violated "
                     "(h*drift=%.3g, X^0.1=%.3g)", h * source.drift, X**0.1)
-    series = delta_series(X, h, target)
+    series = delta_series(X, h, source)
     threshold = h * source.drift / 4.0
     level = persist_c * h * source.drift
     edges = np.concatenate(([X], series.breakpoints, [2 * X]))

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import fppoly, sieve
-from .errors import CapacityError, UnsupportedPrimeError
+from .errors import UnsupportedPrimeError
 
 
 def _sympy_poly(coeffs):
@@ -166,7 +166,7 @@ def _bucket(hi: float) -> int:
     return b
 
 
-def _build_events(fld: NumberFieldSpec, lo: int, hi: int, *, ceiling: int):
+def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     """All ideal-power events with norm in (lo, hi], ascending.
 
     A prime p in (sqrt(hi), lo] has no norm in (lo, hi] and is skipped.
@@ -175,11 +175,11 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int, *, ceiling: int):
     distinct-degree factorization.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(lo, hi, ceiling=ceiling)
+        pos, base, expo, weights = sieve.event_arrays(lo, hi)
         return pos, base, np.ones(len(pos), dtype=np.int64), expo, weights
     rows = []                # (norm, p, residue degree, exponent)
     split_bound = math.isqrt(hi)
-    for p in sieve.sieve_primes(1, hi, ceiling=ceiling):
+    for p in sieve.sieve_primes(1, hi):
         p = int(p)
         if p in fld.bad_primes or split_bound < p <= lo:
             continue  # bad primes are excluded; queries touching p raise
@@ -200,24 +200,22 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int, *, ceiling: int):
     return pos, base, deg, expo, weights
 
 
-def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
-                   ceiling: int):
+def _cached_events(fld: NumberFieldSpec, lo: float, hi: float):
     """(positions, bases, degrees, exponents, weights) for events with
     norm in (lo, hi], sliced from the field's store.  A store that ends
-    below hi grows to the next power-of-two bound (capped at the
-    ceiling); only the new norm range is built."""
+    below hi grows to the next power-of-two bound (capped at the sieve
+    ceiling, which every read checks); only the new range is built."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     for p in sorted(fld.bad_primes):
         if p <= hi:
             raise UnsupportedPrimeError(p, fld.name)
-    if hi > ceiling:
-        raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
+    ceiling = sieve.check_capacity(hi)
     key = (fld.coefficients, fld.field_disc)
     bound, arrays = _stores.get(key, (1, None))
     if hi > bound:
         new_bound = int(min(_bucket(hi), ceiling))
-        part = _build_events(fld, bound, new_bound, ceiling=ceiling)
+        part = _build_events(fld, bound, new_bound)
         arrays = part if arrays is None else \
             [np.concatenate(pair) for pair in zip(arrays, part)]
         _stores[key] = (new_bound, arrays)
@@ -226,40 +224,36 @@ def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
     return [a[i:j] for a in arrays]
 
 
-def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float, *,
-                       ceiling: int = sieve.DEFAULT_CEILING):
+def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float):
     """(positions, weights, exponents, first_power_mask) for events with
     norm in (lo, hi]."""
-    pos, _, _, expo, weights = _cached_events(fld, lo, hi, ceiling)
+    pos, _, _, expo, weights = _cached_events(fld, lo, hi)
     return pos, weights, expo, expo == 1
 
 
-def prime_ideal_events(fld: NumberFieldSpec, lo: float, hi: float, *,
-                       ceiling: int = sieve.DEFAULT_CEILING):
+def prime_ideal_events(fld: NumberFieldSpec, lo: float, hi: float):
     """Ascending list of IdealPowerEvent with norm in (lo, hi]."""
     return [IdealPowerEvent(int(n), int(p), int(f), int(m), float(w))
-            for n, p, f, m, w in zip(*_cached_events(fld, lo, hi, ceiling))]
+            for n, p, f, m, w in zip(*_cached_events(fld, lo, hi))]
 
 
-def psi_K(fld: NumberFieldSpec, x: float, *,
-          ceiling: int = sieve.DEFAULT_CEILING) -> float:
+def psi_K(fld: NumberFieldSpec, x: float) -> float:
     """Sum of log N(P) over prime-ideal powers with norm <= x."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
         return 0.0
-    _, weights, _, _ = ideal_event_arrays(fld, 1, x, ceiling=ceiling)
+    _, weights, _, _ = ideal_event_arrays(fld, 1, x)
     return math.fsum(weights)
 
 
-def pi_K(fld: NumberFieldSpec, x: float, *,
-         ceiling: int = sieve.DEFAULT_CEILING) -> int:
+def pi_K(fld: NumberFieldSpec, x: float) -> int:
     """Number of prime ideals with norm <= x."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
         return 0
-    _, _, _, first = ideal_event_arrays(fld, 1, x, ceiling=ceiling)
+    _, _, _, first = ideal_event_arrays(fld, 1, x)
     return int(np.count_nonzero(first))
 
 

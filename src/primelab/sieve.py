@@ -7,6 +7,7 @@ psi(x+h) - psi(x) covers x < n <= x+h.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,18 @@ from .errors import CapacityError
 
 DEFAULT_CEILING = 10**9
 DEFAULT_SEGMENT = 1 << 20
+
+# largest position a query may read; callers lower it with
+# `token = CEILING.set(n)` and restore it with `CEILING.reset(token)`
+CEILING = contextvars.ContextVar("CEILING", default=DEFAULT_CEILING)
+
+
+def check_capacity(hi: float) -> int:
+    """The ceiling in force; CapacityError if hi exceeds it."""
+    ceiling = CEILING.get()
+    if hi > ceiling:
+        raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
+    return ceiling
 
 
 @dataclass(frozen=True)
@@ -90,13 +103,11 @@ def base_primes(limit: int) -> np.ndarray:
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
-def sieve_primes(lo: float, hi: float, *,
-                 ceiling: int = DEFAULT_CEILING) -> np.ndarray:
+def sieve_primes(lo: float, hi: float) -> np.ndarray:
     """Primes p with lo < p <= hi, ascending."""
     if hi < lo:
         raise ValueError(f"hi={hi} below lo={lo}")
-    if hi > ceiling:
-        raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
+    check_capacity(hi)
     start = max(2, math.floor(lo) + 1)
     end = math.floor(hi)
     if end < start:
@@ -119,8 +130,7 @@ def sieve_primes(lo: float, hi: float, *,
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING, *,
-                 ceiling: int = DEFAULT_CEILING):
+def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     """Prime-power events with position in (lo, hi] restricted to cls.
 
     Returns (positions, bases, exponents, weights) as parallel numpy
@@ -128,12 +138,12 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING, *,
     """
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
-    primes = sieve_primes(lo, hi, ceiling=ceiling)
+    primes = sieve_primes(lo, hi)
     positions = [primes]
     bases = [primes]
     exponents = [np.ones(len(primes), dtype=np.int64)]
     if hi >= 4:
-        for p in sieve_primes(1, math.sqrt(hi), ceiling=ceiling):
+        for p in sieve_primes(1, math.sqrt(hi)):
             p = int(p)
             n, m = p * p, 2
             while n <= hi:
@@ -154,16 +164,14 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING, *,
     return pos, base, expo, weights
 
 
-def prime_power_events(lo: float, hi: float,
-                       cls: ResidueClass = EVERYTHING, *,
-                       ceiling: int = DEFAULT_CEILING) -> list[PrimePowerEvent]:
-    pos, base, expo, weights = event_arrays(lo, hi, cls, ceiling=ceiling)
+def prime_power_events(lo: float, hi: float, cls: ResidueClass = EVERYTHING
+                       ) -> list[PrimePowerEvent]:
+    pos, base, expo, weights = event_arrays(lo, hi, cls)
     return [PrimePowerEvent(int(n), int(p), int(m), float(w))
             for n, p, m, w in zip(pos, base, expo, weights)]
 
 
-def psi_ap(x: float, cls: ResidueClass = EVERYTHING, *,
-           ceiling: int = DEFAULT_CEILING) -> float:
+def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     """Chebyshev psi(x; q, a): sum of Lambda(n) over n <= x in the class.
 
     Uses exactly rounded summation (math.fsum), so partitioning the event
@@ -173,18 +181,17 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING, *,
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
         return 0.0
-    _, _, _, weights = event_arrays(1, x, cls, ceiling=ceiling)
+    _, _, _, weights = event_arrays(1, x, cls)
     return math.fsum(weights)
 
 
-def pi_ap(x: float, cls: ResidueClass = EVERYTHING, *,
-          ceiling: int = DEFAULT_CEILING) -> int:
+def pi_ap(x: float, cls: ResidueClass = EVERYTHING) -> int:
     """Number of primes p <= x with p = a (mod q)."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
         return 0
-    primes = sieve_primes(1, x, ceiling=ceiling)
+    primes = sieve_primes(1, x)
     if cls.modulus > 1:
         primes = primes[primes % cls.modulus == cls.residue]
     return int(len(primes))

@@ -6,6 +6,7 @@ found by repeated division, splitting checks go through the Kronecker
 symbol.
 """
 
+import contextlib
 import math
 import os
 import resource
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primelab import numfield
+from primelab import numfield, sieve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 1 << 30      # address-space cap for run_python children
@@ -37,6 +38,16 @@ def run_python(args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=60, env=env,
                           preexec_fn=_cap_memory)
+
+
+@contextlib.contextmanager
+def sieve_ceiling(value):
+    """Lower the sieve ceiling inside a with-block; reset on leaving."""
+    token = sieve.CEILING.set(value)
+    try:
+        yield
+    finally:
+        sieve.CEILING.reset(token)
 
 
 @pytest.fixture

@@ -5,11 +5,14 @@ import math
 
 import pytest
 
-from primelab import ExperimentReport, emit
+from primelab import ExperimentReport, emit, pi_K, preset
 from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
                           EXIT_SINK, EXIT_USAGE, main)
 
 from conftest import run_python
+from test_golden import CASES
+
+GOLDEN_ARGV = {name: argv for name, argv, _ in CASES}
 
 
 def run(capsys, *argv):
@@ -178,6 +181,28 @@ def test_capacity_error(capsys):
     assert code == EXIT_CAPACITY
 
 
+# the golden argv of every subcommand that reads positions past 1000;
+# the golden sieve window ends at 100, so sieve reads to 5000 instead
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--lo", "1", "--hi", "5000"],
+    *(GOLDEN_ARGV[name] for name in ("ap-scan", "field-scan", "meansq",
+                                     "inertia", "bt", "explicit",
+                                     "smoothed")),
+], ids=lambda argv: argv[0])
+def test_every_subcommand_honours_ceiling(capsys, argv):
+    code, out, err = run(capsys, *argv, "--ceiling", "1000")
+    assert code == EXIT_CAPACITY, err
+    assert out == ""
+    assert "exceeds ceiling 1000" in err
+    # main resets the ceiling once the subcommand has run
+    assert pi_K(preset("Q(i)"), 2000) > 0
+
+
+def test_zeros_reads_no_positions(capsys):
+    code, _, _ = run(capsys, *GOLDEN_ARGV["zeros-field"], "--ceiling", "1000")
+    assert code == EXIT_OK
+
+
 # each case runs in a child process, so that a hang fails the test
 @pytest.mark.parametrize("argv,exit_code", [
     (["explicit", "--T", "100", "--x-step", "0"], EXIT_USAGE),
@@ -217,6 +242,13 @@ def test_capacity_error(capsys):
     (["inertia", "--X", "1000", "--h", "-5", "--q", "1"], EXIT_USAGE),
     (["inertia", "--X", "1000", "--h", "0", "--q", "1"], EXIT_USAGE),
     (["inertia", "--X", "1000", "--h", "40", "--q", "1", "--persist-c", "-1"],
+     EXIT_USAGE),
+    (["inertia", "--X", "0", "--q", "1", "--h", "10"], EXIT_USAGE),
+    (["inertia", "--X", "-5", "--q", "1", "--h", "10"], EXIT_USAGE),
+    (["sieve", "--lo", "1", "--hi", "100", "--ceiling", "0"], EXIT_USAGE),
+    (["zeros", "--component", "zeta", "--T", "100", "--ceiling", "-5"],
+     EXIT_USAGE),
+    (["sieve", "--lo", "1", "--hi", "100", "--ceiling", "1000000001"],
      EXIT_USAGE),
 ])
 def test_unusable_numbers_exit_with_code(argv, exit_code):

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import (ResidueClass, StepCounter, WindowSource, bt_check_ap,
-                      bt_check_field, cramer_window_scan, delta, delta_K,
-                      delta_series, euler_phi, inertia_scan, mean_square,
-                      mean_square_sampled, meansq_ratio, preset)
-from primelab.sieve import EVERYTHING
+from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
+                      bt_check_ap, bt_check_field, cramer_window_scan, delta,
+                      delta_K, delta_series, euler_phi, field_source,
+                      inertia_scan, intervals, mean_square,
+                      mean_square_sampled, meansq_ratio, pi_K, pi_ap,
+                      preset, prime_ideal_events, prime_power_events,
+                      progression_source, psi_K, psi_ap, sieve_primes)
+from primelab.numfield import ideal_event_arrays
+from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import is_prime_trial
+from conftest import is_prime_trial, sieve_ceiling
 
 
 def synthetic_source(positions, weights, drift, span, label="synthetic"):
@@ -171,6 +175,24 @@ def test_inertia_empty_for_smooth_fixture():
     assert report.persistence == []
 
 
+def test_inertia_rejects_empty_range():
+    for X in (0, -5, math.nan):
+        with pytest.raises(ValueError, match="X="):
+            inertia_scan(X, 10, EVERYTHING)
+
+
+def test_inertia_builds_one_source(monkeypatch):
+    calls = []
+
+    def counted(cls, hi):
+        calls.append(hi)
+        return progression_source(cls, hi)
+
+    monkeypatch.setattr(intervals, "progression_source", counted)
+    inertia_scan(1000, 40, ResidueClass(4, 1))
+    assert calls == [2040]
+
+
 def test_inertia_range_warning(caplog):
     import logging
     src = synthetic_source(np.arange(2, 2600, dtype=np.float64),
@@ -256,3 +278,40 @@ def test_cramer_window_reports_shape():
     summary = res.summary_report()
     assert summary.metric == res.c2_empirical
     assert summary.verdict == "pass"
+
+
+# --- sieve ceiling ------------------------------------------------------
+
+QI = preset("Q(i)")
+Q4 = ResidueClass(4, 1)
+
+# every public entry point that reads positions, called past 100
+ENTRY_POINTS = {
+    "sieve_primes": lambda: sieve_primes(1, 1000),
+    "event_arrays": lambda: event_arrays(1, 1000),
+    "prime_power_events": lambda: prime_power_events(1, 1000),
+    "psi_ap": lambda: psi_ap(1000),
+    "pi_ap": lambda: pi_ap(1000, Q4),
+    "progression_source": lambda: progression_source(Q4, 1000),
+    "psi_K": lambda: psi_K(QI, 1000),
+    "pi_K": lambda: pi_K(QI, 1000),
+    "ideal_event_arrays": lambda: ideal_event_arrays(QI, 1, 1000),
+    "prime_ideal_events": lambda: prime_ideal_events(QI, 1, 1000),
+    "field_source": lambda: field_source(QI, 1000),
+    "delta": lambda: delta(500, 100, Q4),
+    "delta_K": lambda: delta_K(QI, 500, 100),
+    "bt_check_ap": lambda: bt_check_ap(500, 100, Q4),
+    "bt_check_field": lambda: bt_check_field(QI, 500, 100),
+    "cramer_window_scan": lambda: cramer_window_scan(200, 1000, 4.0, Q4),
+    "meansq_ratio": lambda: meansq_ratio(500, 50, Q4),
+    "inertia_scan": lambda: inertia_scan(500, 50, Q4),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_point_honours_ceiling(name):
+    """Each call works under the default ceiling, which fills the field
+    store past 100, and raises under a ceiling of 100."""
+    ENTRY_POINTS[name]()
+    with sieve_ceiling(100), pytest.raises(CapacityError):
+        ENTRY_POINTS[name]()

@@ -12,9 +12,8 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       quadratic_splitting_oracle, sieve_primes,
                       splitting_type)
 from primelab.numfield import ideal_event_arrays
-from primelab.sieve import DEFAULT_CEILING
 
-from conftest import is_prime_trial, run_python
+from conftest import is_prime_trial, run_python, sieve_ceiling
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -321,10 +320,10 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     while bound <= 2**15:
         pi_K(fld, bound)
         bound *= 2
-    grown = numfield._cached_events(fld, 1, 2**15, DEFAULT_CEILING)
+    grown = numfield._cached_events(fld, 1, 2**15)
     assert len(calls) <= len(sieve_primes(1, 2**15))
     monkeypatch.setattr(numfield, "_stores", {})
-    fresh = numfield._cached_events(fld, 1, 2**15, DEFAULT_CEILING)
+    fresh = numfield._cached_events(fld, 1, 2**15)
     for a, b in zip(grown, fresh):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -343,15 +342,24 @@ def test_field_queries_reject_nan_and_inverted_ranges():
 
 # --- capacity ceiling ---------------------------------------------------
 
-def test_field_queries_honour_ceiling():
+def test_field_queries_honour_ceiling(empty_stores):
+    """Under a ceiling of 100 an empty store grows only to 100, and every
+    query past 100 raises, also once the store already covers it."""
     qi = preset("Q(i)")
-    assert pi_K(qi, 100, ceiling=100) == pi_K(qi, 100)
-    for query in (pi_K, psi_K):
-        with pytest.raises(CapacityError):
-            query(qi, 1000, ceiling=100)
-    for query in (ideal_event_arrays, prime_ideal_events):
-        with pytest.raises(CapacityError):
-            query(qi, 1, 1000, ceiling=100)
+    key = (qi.coefficients, qi.field_disc)
+    expected = pi_K(qi, 100)
+    numfield._stores.clear()
+    for bound in (100, 1024):       # empty store, then one grown past 100
+        with sieve_ceiling(100):
+            assert pi_K(qi, 100) == expected
+            assert numfield._stores[key][0] == bound
+            for query in (pi_K, psi_K):
+                with pytest.raises(CapacityError):
+                    query(qi, 1000)
+            for query in (ideal_event_arrays, prime_ideal_events):
+                with pytest.raises(CapacityError):
+                    query(qi, 1, 1000)
+        pi_K(qi, 1000)              # grows the store to 1024
 
 
 def test_field_source_infinite_bound_is_capacity_error():

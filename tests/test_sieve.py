@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import (CapacityError, PrimePowerEvent, ResidueClass, pi_ap,
                       prime_power_events, psi_ap, sieve_primes)
-from primelab.sieve import event_arrays
+from primelab.sieve import DEFAULT_CEILING, check_capacity, event_arrays
 
-from conftest import trial_primes
+from conftest import sieve_ceiling, trial_primes
 
 
 def test_textbook_primes():
@@ -31,8 +31,12 @@ def test_bounds_are_half_open():
 def test_capacity_error():
     with pytest.raises(CapacityError):
         sieve_primes(0, 10**9 + 1)
-    with pytest.raises(CapacityError):
-        sieve_primes(0, 2000, ceiling=1000)
+    with sieve_ceiling(1000):
+        assert check_capacity(1000) == 1000
+        with pytest.raises(CapacityError):
+            sieve_primes(0, 2000)
+    assert check_capacity(2000) == DEFAULT_CEILING
+    assert len(sieve_primes(0, 2000)) == 303
 
 
 @settings(max_examples=40, deadline=None)
