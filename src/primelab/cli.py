@@ -355,11 +355,9 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be "
                                  f"finite, got {value}")
-        if not 1 <= args.ceiling <= sieve.DEFAULT_CEILING:
-            raise ValueError(f"--ceiling must lie in [1, "
-                             f"{sieve.DEFAULT_CEILING}], got {args.ceiling}")
         token = sieve.CEILING.set(args.ceiling)
         try:
+            sieve.check_capacity(1)         # --ceiling in [1, 10^9]
             reports = RUNNERS[args.command](args)
         finally:
             sieve.CEILING.reset(token)

@@ -1,13 +1,18 @@
-"""Dense univariate polynomial arithmetic over the prime field F_p.
+"""Polynomial arithmetic over the prime field F_p.
 
-Polynomials are lists of ints in [0, p), constant coefficient first.
-Everything here is sized for defining polynomials of number fields
-(degree <= ~10), not for bulk polynomial algebra.
+Two layers.  Scalar: polynomials are lists of ints in [0, p), constant
+coefficient first; they serve the squarefree decomposition and
+Dedekind's index test, once per prime that needs them.  Batched:
+`degree_counts` reads the residue-degree pattern of one monic f modulo
+many primes at once, one numpy lane per prime, and is the splitting
+path of every number-field event build.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
+
+import numpy as np
 
 
 def trim(a):
@@ -64,21 +69,6 @@ def mod(a, b, p):
     return divmod_poly(a, b, p)[1]
 
 
-def mulmod(a, b, m, p):
-    return mod(mul(a, b, p), m, p)
-
-
-def powmod(base, e: int, m, p):
-    result = [1]
-    base = mod(base, m, p)
-    while e:
-        if e & 1:
-            result = mulmod(result, base, m, p)
-        base = mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
 def gcd(a, b, p):
     a, b = list(a), list(b)
     while b:
@@ -117,44 +107,101 @@ def squarefree_parts(f, p):
     return out
 
 
-def distinct_degree_parts(g, p):
-    """For squarefree monic g: list of (product of all irreducible
-    factors of degree d, d)."""
-    out = []
-    x = [0, 1]
-    h = mod(x, g, p)
-    d = 1
-    while degree(g) >= 2 * d:
-        h = powmod(h, p, g, p)
-        cand = gcd(sub(h, x, p), g, p)
-        if degree(cand) > 0:
-            out.append((cand, d))
-            g = divmod_poly(g, cand, p)[0]
-            h = mod(h, g, p)
-        d += 1
-    if degree(g) > 0:
-        out.append((g, degree(g)))
-    return out
-
-
 def sub(a, b, p):
     return trim([(c1 - c2) % p for c1, c2 in zip_longest(a, b, fillvalue=0)])
 
 
-def factor_degree_multiset(f, p):
-    """Multiset of (degree, multiplicity), one entry per irreducible
-    factor of monic f over F_p."""
-    out = []
-    for part, mult in squarefree_parts(monic(reduce_mod(f, p), p), p):
-        for prod, d in distinct_degree_parts(part, p):
-            out.extend([(d, mult)] * (degree(prod) // d))
-    return sorted(out)
+CHUNK = 4096    # lanes per pass; temporaries stay O(CHUNK * n^2)
 
 
-def count_roots(f, p):
-    """Number of distinct roots of f in F_p: deg gcd(x^p - x, f)."""
-    fbar = monic(reduce_mod(f, p), p)
-    if degree(fbar) < 1:
-        return 0
-    xp = powmod([0, 1], p, fbar, p)
-    return max(degree(gcd(sub(xp, [0, 1], p), fbar, p)), 0)
+class _Ring:
+    """F_p[x]/(f) for monic f of degree n >= 2, one lane per prime p: an
+    element is an array (n, lanes) whose row i holds the coefficients of
+    x^i, in [0, p).  A sum of n + 1 products is reduced once while it
+    fits int64, (n + 1)(p - 1)^2 < 2^63 (every p < 2^30 with n <= 7);
+    otherwise each product is reduced, on Python ints (dtype object) if
+    one product overflows."""
+
+    def __init__(self, f, primes):
+        pmax, n = int(np.max(primes)), len(f) - 1
+        self.lazy = (n + 1) * (pmax - 1) ** 2 < 2**63
+        dtype = np.int64 if 2 * (pmax - 1) ** 2 < 2**63 else object
+        self.n, self.p = n, np.array(primes, dtype=dtype)
+        coeffs = np.array(f, dtype=object if max(map(abs, f)) >> 62 else dtype)
+        self.f = (coeffs[:, None] % self.p).astype(dtype)
+        # powers[k] = x^k mod f for k < 2n: from x^n = -(f_0 + ... +
+        # f_(n-1) x^(n-1)) on, each is the one before times x
+        self.powers = np.zeros((2 * n, n, len(self.p)), dtype=dtype)
+        self.powers[range(n), range(n)] = 1
+        for k in range(n, 2 * n):
+            self.powers[k, 1:] = self.powers[k - 1, :-1]
+            self.powers[k] = (self.powers[k] - self.powers[k - 1, -1]
+                              * self.f[:n]) % self.p
+
+    def fold(self, products):
+        return products if self.lazy else products % self.p
+
+    def mul(self, a, b, times_x=False):
+        """a b mod f, times x on the lanes where times_x is set."""
+        n, p = self.n, self.p
+        prod = np.zeros((2 * n + 1, len(p)), dtype=p.dtype)  # a b from row 1
+        for i in range(n):
+            prod[1 + i:1 + i + n] += self.fold(a[i] * b)
+        prod = np.where(times_x, prod[:-1], prod[1:]) % p
+        high = self.fold(prod[n:, None] * self.powers[n:]).sum(axis=0)
+        return (prod[:n] + high) % p
+
+
+def degree_counts(f, primes, top=1):
+    """counts[k, d - 1] = number of irreducible factors of degree d of
+    monic integer f mod primes[k], for d = 1..top (top <= deg f).
+
+    f must be squarefree mod every prime.  Then g_d = deg gcd(x^(p^d) -
+    x, f) is the sum of e N_e over e | d (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 14), solved here for the counts N_d."""
+    f, primes = [int(c) for c in f], np.asarray(primes)
+    counts = np.zeros((top, len(primes)), dtype=np.int64)
+    if len(f) == 2:                             # f linear: one root
+        counts[0] = 1
+        return counts.T
+    for s in range(0, len(primes), CHUNK):
+        counts[:, s:s + CHUNK] = _chunk_counts(_Ring(f, primes[s:s + CHUNK]),
+                                               top)
+    return counts.T
+
+
+def _chunk_counts(ring, top):
+    n, p, one, x = ring.n, ring.p, ring.powers[0], ring.powers[1]
+    # x^p by squaring over the bits of p, top bit first
+    shifts = np.arange(int(np.max(p)).bit_length())[::-1, None]
+    bits = ((p >> shifts) & 1).astype(bool)
+    xp = np.where(bits[0], x, one)
+    for bit in bits[1:]:
+        xp = ring.mul(xp, xp, bit)
+    # over F_p, h(x)^p = sum h_i x^(ip): each x^(p^d) is the Berlekamp
+    # matrix Q (row i: x^(ip) mod f) applied to the one before
+    q, h = [one, xp], [xp]
+    while top > 1 and len(q) < n:
+        q.append(ring.mul(q[-1], xp))
+    while len(h) < top:
+        h.append(ring.fold(h[-1][:, None] * np.stack(q)).sum(axis=0) % p)
+    # 2n - 1 inverse-free divsteps on the reversed f and x^(p^d) - x
+    # leave delta = 2 g_d (Bernstein and Yang, Fast constant-time gcd
+    # computation and modular inversion, 2019, theorem 6.2); step s reads
+    # only the coefficients below 2n - 1 - s
+    width, lanes = 2 * n - 1, len(p)
+    a = np.zeros((1, width, lanes), dtype=p.dtype)
+    a[0, :n + 1] = ring.f[::-1]
+    b = np.zeros((top, width, lanes), dtype=p.dtype)
+    b[:, :n] = ((np.stack(h) - x) % p)[:, ::-1]
+    delta = np.ones((top, lanes), dtype=np.int64)
+    for w in range(width - 1, -1, -1):
+        swap = (delta > 0) & (b[:, 0] != 0)
+        t = (a[:, :1] * b - b[:, :1] * a) % p
+        a, b = np.where(swap[:, None], b, a)[:, :w], t[:, 1:]
+        delta = np.where(swap, 1 - delta, 1 + delta)
+    g = delta // 2
+    for d in range(1, top + 1):
+        g[d - 1] -= sum(e * g[e - 1] for e in range(1, d) if d % e == 0)
+        g[d - 1] //= d
+    return g

@@ -1,9 +1,13 @@
 """Number fields via a monic irreducible defining polynomial.
 
 Prime-ideal splitting is read off the factorization of the polynomial
-mod p (Dedekind's theorem).  Primes dividing the index [O_K : Z[theta]]
-are rejected with UnsupportedPrimeError rather than handled; the shipped
-presets are all monogenic, so this only bites user-supplied polynomials.
+mod p (Dedekind's theorem).  Only the degrees of the factors matter, and
+`fppoly.degree_counts` finds them for a whole array of primes in one
+batched Frobenius pass: event builds hand it every prime of a norm
+range, and `splitting_type` one prime (one lane per squarefree part).
+Primes dividing the index [O_K : Z[theta]] are rejected with
+UnsupportedPrimeError rather than handled; the shipped presets are all
+monogenic, so this only bites user-supplied polynomials.
 """
 
 from __future__ import annotations
@@ -38,8 +42,14 @@ def _is_irreducible(coeffs) -> bool:
 
 def factor_degrees_mod_p(coefficients, p: int):
     """Multiset of (degree, multiplicity) for the irreducible factors of
-    f mod p, one entry per factor."""
-    return fppoly.factor_degree_multiset(list(coefficients), p)
+    f mod p, one entry per factor; each squarefree part of f mod p is one
+    lane of the batched Frobenius kernel."""
+    out = []
+    f = fppoly.monic(fppoly.reduce_mod(list(coefficients), p), p)
+    for part, mult in fppoly.squarefree_parts(f, p):
+        counts = fppoly.degree_counts(part, [p], fppoly.degree(part))[0]
+        out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
+    return sorted(out)
 
 
 def dedekind_index_test(coefficients, p: int) -> bool:
@@ -167,35 +177,47 @@ def _bucket(hi: float) -> int:
 
 
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
-    """All ideal-power events with norm in (lo, hi], ascending.
+    """All ideal-power events with norm in (lo, hi], ascending; equal
+    norms (one prime's) in ascending residue degree.
 
-    A prime p in (sqrt(hi), lo] has no norm in (lo, hi] and is skipped.
-    Large unramified primes only ever contribute norm-p events, so for
-    p > sqrt(hi) we count roots of f mod p instead of running the full
-    distinct-degree factorization.
+    One batched Frobenius pass (`fppoly.degree_counts`) splits the
+    unramified primes: those above sqrt(hi) need only N_1, and those in
+    (sqrt(hi), lo], with no norm in range, are not read; the few
+    ramified primes (p | disc f) go through `splitting_type`.
     """
     if fld.degree == 1:
         pos, base, expo, weights = sieve.event_arrays(lo, hi)
         return pos, base, np.ones(len(pos), dtype=np.int64), expo, weights
-    rows = []                # (norm, p, residue degree, exponent)
-    split_bound = math.isqrt(hi)
-    for p in sieve.sieve_primes(1, hi):
-        p = int(p)
-        if p in fld.bad_primes or split_bound < p <= lo:
-            continue  # bad primes are excluded; queries touching p raise
-        if p > split_bound and fld.poly_disc % p != 0:
-            factors = [(1, 1)] * fppoly.count_roots(list(fld.coefficients), p)
-        else:
-            factors = splitting_type(fld, p).factors
-        for f, _e in factors:
-            norm, m = p**f, 1
-            while norm <= hi:
-                if norm > lo:
-                    rows.append((norm, p, f, m))
-                norm, m = norm * p**f, m + 1
-    table = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    order = np.argsort(table[:, 0], kind="stable")
-    pos, base, deg, expo = table[order].T.copy()
+    root = math.isqrt(hi)
+    primes = np.concatenate([sieve.sieve_primes(1, root),
+                             sieve.sieve_primes(max(lo, root), hi)])
+    # bad primes are excluded; queries touching them raise
+    primes = primes[~np.isin(primes, sorted(fld.bad_primes))]
+    disc = primes.astype(object if abs(fld.poly_disc) >> 62 else np.int64)
+    ramified = (fld.poly_disc % disc == 0).astype(bool)
+    pairs = []                          # (p, residue degree, ideal count)
+    for top, lanes in ((1, primes[~ramified & (primes > root)]),
+                       (fld.degree, primes[~ramified & (primes <= root)])):
+        counts = fppoly.degree_counts(fld.coefficients, lanes, top)
+        lane, d = np.nonzero(counts)
+        pairs.append((lanes[lane], d + 1, counts[lane, d]))
+    pairs += [([p], [f], [1]) for p in primes[ramified].tolist()
+              for f, _ in splitting_type(fld, p).factors]
+    base, deg, count = (np.concatenate(a).astype(np.int64)
+                        for a in zip(*pairs))
+    # every norm p^(fm) <= hi, m = 1, 2, ...; pairs with p^f > e hi drop
+    # first, so no power computed exceeds e hi^2 < 2^63
+    rows, m = [[np.empty(0, dtype=np.int64)] * 4], 1
+    keep = deg * np.log(base) <= math.log(hi) + 1
+    while keep.any():
+        base, deg, count = base[keep], deg[keep], count[keep]
+        norm = base ** (deg * m)
+        keep = norm <= hi
+        rows.append([np.repeat(a[keep], (count * (norm > lo))[keep])
+                     for a in (norm, base, deg, np.full_like(norm, m))])
+        m += 1
+    table = np.array([np.concatenate(a) for a in zip(*rows)])
+    pos, base, deg, expo = table[:, np.lexsort((table[2], table[0]))]
     weights = deg * np.log(base.astype(np.float64))
     return pos, base, deg, expo, weights
 

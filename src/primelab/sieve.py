@@ -24,8 +24,12 @@ CEILING = contextvars.ContextVar("CEILING", default=DEFAULT_CEILING)
 
 
 def check_capacity(hi: float) -> int:
-    """The ceiling in force; CapacityError if hi exceeds it."""
+    """The ceiling in force, which may only lower DEFAULT_CEILING (else
+    ValueError); CapacityError if hi exceeds it."""
     ceiling = CEILING.get()
+    if not 1 <= ceiling <= DEFAULT_CEILING:
+        raise ValueError(f"ceiling must lie in [1, {DEFAULT_CEILING}], "
+                         f"got {ceiling}")
     if hi > ceiling:
         raise CapacityError(f"hi={hi} exceeds ceiling {ceiling}")
     return ceiling
@@ -40,8 +44,9 @@ class ResidueClass:
     residue: int = 0
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+        if not 1 <= self.modulus < 2**63:      # positions are int64
+            raise ValueError(f"modulus must lie in [1, 2^63), got "
+                             f"{self.modulus}")
         if not 0 <= self.residue < self.modulus:
             raise ValueError(
                 f"residue must lie in [0, {self.modulus}), got {self.residue}")

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the package's sieving and
 factorization code paths: primality is trial division, prime powers are
 found by repeated division, splitting checks go through the Kronecker
-symbol.
+symbol or, for cyclotomic fields, the multiplicative order of p.
 """
 
 import contextlib
@@ -71,6 +71,22 @@ def is_prime_trial(n: int) -> bool:
 def trial_primes(lo: float, hi: float):
     return [n for n in range(2, math.floor(hi) + 1)
             if n > lo and is_prime_trial(n)]
+
+
+def cyclotomic_splitting(m: int, p: int):
+    """Prime ideals above p in Q(zeta_m), as sorted (residue degree,
+    ramification index) pairs.  With m = p^a m' and p not dividing m',
+    e = phi(p^a), f is the order of p mod m' and phi(m')/f ideals lie
+    above p.  Uses only pow and gcd."""
+    a, rest = 0, m
+    while rest % p == 0:
+        a, rest = a + 1, rest // p
+    e = p**a - p**(a - 1) if a else 1
+    f = 1
+    while rest > 1 and pow(p, f, rest) != 1:
+        f += 1
+    phi = sum(1 for k in range(1, rest + 1) if math.gcd(k, rest) == 1)
+    return ((f, e),) * (phi // f)
 
 
 def trial_prime_power(n: int):

@@ -250,6 +250,8 @@ def test_zeros_reads_no_positions(capsys):
      EXIT_USAGE),
     (["sieve", "--lo", "1", "--hi", "100", "--ceiling", "1000000001"],
      EXIT_USAGE),
+    (["sieve", "--lo", "1", "--hi", "100", "--q", "1000000000000000000000",
+      "--a", "1"], EXIT_USAGE),
 ])
 def test_unusable_numbers_exit_with_code(argv, exit_code):
     proc = run_python(["-m", "primelab.cli", *argv])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       cramer_window_scan, dedekind_index_test,
@@ -13,7 +15,8 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       splitting_type)
 from primelab.numfield import ideal_event_arrays
 
-from conftest import is_prime_trial, run_python, sieve_ceiling
+from conftest import (cyclotomic_splitting, is_prime_trial, run_python,
+                      sieve_ceiling)
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -189,6 +192,77 @@ def test_quadratic_oracle_agreement_small():
                 == quadratic_splitting_oracle(d, int(p)).factors, (name, p)
 
 
+@pytest.mark.parametrize("m", [5, 7, 8, 12])
+def test_cyclotomic_oracle_agreement(m, empty_stores):
+    """Q(zeta_m) against the order-of-p oracle: splitting_type for
+    p <= 1e4, the batched full pattern for every p <= 1e5, and every event
+    of the built store up to norm 1e5 with its residue degree, which
+    covers the N_1 lanes, the full-pattern lanes and the ramified
+    primes; pi_K on a grid follows from it."""
+    fld = preset(f"cyclo{m}")
+    primes = [int(p) for p in sieve_primes(1, 10**5)]
+    oracle = {p: cyclotomic_splitting(m, p) for p in primes}
+    for p in primes[:len(sieve_primes(1, 10**4))]:
+        assert splitting_type(fld, p).factors == oracle[p], p
+    unramified = [p for p in primes if m % p]
+    counts = fppoly.degree_counts(fld.coefficients, unramified, fld.degree)
+    for p, row in zip(unramified, counts.tolist()):
+        f = oracle[p][0][0]
+        assert row == [len(oracle[p]) if d == f else 0
+                       for d in range(1, fld.degree + 1)], p
+    expected = sorted((p ** (f * k), p, f, k)
+                      for p in primes for f, _ in oracle[p]
+                      for k in range(1, 18) if p ** (f * k) <= 10**5)
+    pos, base, deg, expo, _ = numfield._cached_events(fld, 1, 10**5)
+    assert sorted(zip(*(a.tolist() for a in (pos, base, deg, expo)))) \
+        == expected
+    for x in (10, 100, 1000, 10**4, 10**5):
+        assert pi_K(fld, x) == sum(1 for n, _, _, k in expected
+                                   if k == 1 and n <= x)
+
+
+def _next_prime(n):
+    return int(sympy.nextprime(n))
+
+
+# small primes; primes near 2^30, where from degree 7 or 8 on a sum of
+# n + 1 products overflows int64 and each product is reduced; primes
+# above 2^31.5, whose products overflow and run on Python ints
+PRIMES = st.one_of(st.integers(1, 60).map(_next_prime),
+                   st.integers(2**30 - 10**5, 2**30 + 10**5).map(_next_prime),
+                   st.integers(2**32, 2**40).map(_next_prime))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lower=st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=12),
+       primes=st.lists(PRIMES, min_size=1, max_size=4))
+@example(lower=[3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5], primes=[1073741827])
+# x^10 = -(1 + x + ... + x^9) mod Phi_11: squaring it sums ten products
+# of (p - 1)^2
+@example(lower=[1] * 10, primes=[1073741789, 1073741827])
+@example(lower=[1, 1, 0, 1, 0, 0, 7, 1], primes=[2, 4294967311])
+def test_kernel_matches_sympy_factorisation(lower, primes):
+    """The Frobenius kernel against sympy's factorisation over F_p, which
+    shares no code with fppoly: factor_degrees_mod_p per prime, and one
+    batched degree_counts call over the primes where f is squarefree."""
+    f = lower + [1]
+    n = len(lower)
+    x = sympy.Symbol("x")
+    squarefree, expected_counts = [], []
+    for p in primes:
+        factors = sympy.Poly(f[::-1], x, modulus=p).factor_list()[1]
+        expected = sorted((g.degree(), mult) for g, mult in factors)
+        assert factor_degrees_mod_p(f, p) == expected, (f, p)
+        if all(mult == 1 for _, mult in expected):
+            squarefree.append(p)
+            expected_counts.append([sum(1 for d, _ in expected if d == k)
+                                    for k in range(1, n + 1)])
+    if squarefree:
+        counts = fppoly.degree_counts(f, np.array(squarefree, dtype=object),
+                                      n)
+        assert counts.tolist() == expected_counts, (f, squarefree)
+
+
 def test_oracle_cases():
     assert quadratic_splitting_oracle(-4, 13).factors == ((1, 1), (1, 1))
     assert quadratic_splitting_oracle(-4, 7).factors == ((2, 1),)
@@ -305,28 +379,47 @@ def test_event_enumeration_against_brute_force():
 @pytest.mark.parametrize("name", preset_names())
 def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     """Growing a field's store by doubling its bound gives the arrays of
-    one fresh build, and builds each norm range once: at most one root
-    count per prime up to the final bound."""
+    one fresh build, and builds each norm range once: every prime up to
+    the final bound enters the kernel's N_1 lanes at most once, and only
+    primes up to sqrt(2^15) get the full pattern."""
     fld = preset(name)
     calls = []
-    count_roots = fppoly.count_roots
+    degree_counts = fppoly.degree_counts
 
-    def counted(f, p):
-        calls.append(p)
-        return count_roots(f, p)
+    def counted(f, primes, top=1):
+        if tuple(f) == fld.coefficients:    # not a ramified prime's part
+            calls.append((top, [int(p) for p in primes]))
+        return degree_counts(f, primes, top)
 
-    monkeypatch.setattr(fppoly, "count_roots", counted)
+    monkeypatch.setattr(fppoly, "degree_counts", counted)
     bound = 1024
     while bound <= 2**15:
         pi_K(fld, bound)
         bound *= 2
     grown = numfield._cached_events(fld, 1, 2**15)
-    assert len(calls) <= len(sieve_primes(1, 2**15))
+    root_lanes = [p for top, lanes in calls if top == 1 for p in lanes]
+    assert root_lanes or fld.degree == 1
+    assert len(set(root_lanes)) == len(root_lanes) \
+        <= len(sieve_primes(1, 2**15))
+    assert all(p <= math.isqrt(2**15)
+               for top, lanes in calls if top > 1 for p in lanes)
     monkeypatch.setattr(numfield, "_stores", {})
     fresh = numfield._cached_events(fld, 1, 2**15)
     for a, b in zip(grown, fresh):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+def test_equal_norms_in_ascending_residue_degree(empty_stores):
+    """In the non-Galois field Q(2^(1/3)) a prime p = 2 mod 3 has ideals of
+    residue degree 1 and 2, so p^2 is the norm of both P_1^2 and P_2; the
+    store lists equal norms by ascending residue degree, as one prime's
+    factors were always listed."""
+    fld = NumberFieldSpec.from_poly([-2, 0, 0, 1], name="Q(cbrt2)")
+    pos, _, deg, expo, _ = numfield._cached_events(fld, 1, 10**4)
+    rows = list(zip(pos.tolist(), deg.tolist(), expo.tolist()))
+    assert rows == sorted(rows)
+    assert [r for r in rows if r[0] == 25] == [(25, 1, 2), (25, 2, 1)]
 
 
 def test_field_queries_reject_nan_and_inverted_ranges():

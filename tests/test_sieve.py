@@ -39,6 +39,28 @@ def test_capacity_error():
     assert len(sieve_primes(0, 2000)) == 303
 
 
+@pytest.mark.parametrize("ceiling", [math.nan, 0, -5, 0.5,
+                                     DEFAULT_CEILING + 1, 5 * 10**9])
+def test_ceiling_may_only_lower_the_limit(ceiling):
+    """A ceiling set by library code outside [1, DEFAULT_CEILING] is
+    rejected on every read: NaN would pass every hi, and a value above
+    10^9 would lift the documented limit."""
+    with sieve_ceiling(ceiling):
+        for hi in (10, 5e9):
+            with pytest.raises(ValueError, match="ceiling"):
+                check_capacity(hi)
+        with pytest.raises(ValueError, match="ceiling"):
+            sieve_primes(0, 100)
+    assert check_capacity(10) == DEFAULT_CEILING
+
+
+def test_modulus_fits_int64():
+    assert ResidueClass(2**63 - 1, 1).modulus == 2**63 - 1
+    for q in (2**63, 10**21, 0, -4):
+        with pytest.raises(ValueError, match="modulus"):
+            ResidueClass(q, 1 if q > 0 else 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(lo=st.integers(0, 3000), width=st.integers(0, 400))
 def test_sieve_matches_trial_division(lo, width):
