@@ -13,7 +13,8 @@ from .intervals import DeltaSeries, bt_check_ap, bt_check_field, \
     inertia_scan, mean_square, mean_square_sampled, meansq_ratio
 from .numfield import IdealPowerEvent, NumberFieldSpec, SplittingType, \
     dedekind_index_test, factor_degrees_mod_p, pi_K, poly_discriminant, \
-    preset, preset_names, prime_ideal_events, psi_K, splitting_type
+    preset, preset_names, prime_ideal_events, psi_K, splitting_type, \
+    splitting_types
 from .quadratic import kronecker_symbol, quadratic_splitting_oracle
 from .report import ExperimentReport, emit
 from .sieve import PrimePowerEvent, ResidueClass, pi_ap, prime_power_events, \

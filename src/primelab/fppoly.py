@@ -114,42 +114,20 @@ def sub(a, b, p):
 CHUNK = 4096    # lanes per pass; temporaries stay O(CHUNK * n^2)
 
 
-class _Ring:
-    """F_p[x]/(f) for monic f of degree n >= 2, one lane per prime p: an
-    element is an array (n, lanes) whose row i holds the coefficients of
-    x^i, in [0, p).  A sum of n + 1 products is reduced once while it
-    fits int64, (n + 1)(p - 1)^2 < 2^63 (every p < 2^30 with n <= 7);
-    otherwise each product is reduced, on Python ints (dtype object) if
-    one product overflows."""
+def factor_degree_multiset(f, p):
+    """Multiset of (degree, multiplicity), one entry per irreducible
+    factor of monic f over F_p; each squarefree part is one lane of
+    `degree_counts`."""
+    out = []
+    for part, mult in squarefree_parts(monic(reduce_mod(f, p), p), p):
+        counts = degree_counts(part, [p], degree(part))[0]
+        out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
+    return sorted(out)
 
-    def __init__(self, f, primes):
-        pmax, n = int(np.max(primes)), len(f) - 1
-        self.lazy = (n + 1) * (pmax - 1) ** 2 < 2**63
-        dtype = np.int64 if 2 * (pmax - 1) ** 2 < 2**63 else object
-        self.n, self.p = n, np.array(primes, dtype=dtype)
-        coeffs = np.array(f, dtype=object if max(map(abs, f)) >> 62 else dtype)
-        self.f = (coeffs[:, None] % self.p).astype(dtype)
-        # powers[k] = x^k mod f for k < 2n: from x^n = -(f_0 + ... +
-        # f_(n-1) x^(n-1)) on, each is the one before times x
-        self.powers = np.zeros((2 * n, n, len(self.p)), dtype=dtype)
-        self.powers[range(n), range(n)] = 1
-        for k in range(n, 2 * n):
-            self.powers[k, 1:] = self.powers[k - 1, :-1]
-            self.powers[k] = (self.powers[k] - self.powers[k - 1, -1]
-                              * self.f[:n]) % self.p
 
-    def fold(self, products):
-        return products if self.lazy else products % self.p
-
-    def mul(self, a, b, times_x=False):
-        """a b mod f, times x on the lanes where times_x is set."""
-        n, p = self.n, self.p
-        prod = np.zeros((2 * n + 1, len(p)), dtype=p.dtype)  # a b from row 1
-        for i in range(n):
-            prod[1 + i:1 + i + n] += self.fold(a[i] * b)
-        prod = np.where(times_x, prod[:-1], prod[1:]) % p
-        high = self.fold(prod[n:, None] * self.powers[n:]).sum(axis=0)
-        return (prod[:n] + high) % p
+def count_roots(f, primes):
+    """Number of roots of monic f mod each prime, f squarefree mod each."""
+    return degree_counts(f, primes)[:, 0]
 
 
 def degree_counts(f, primes, top=1):
@@ -160,39 +138,60 @@ def degree_counts(f, primes, top=1):
     x, f) is the sum of e N_e over e | d (von zur Gathen and Gerhard,
     Modern Computer Algebra, ch. 14), solved here for the counts N_d."""
     f, primes = [int(c) for c in f], np.asarray(primes)
-    counts = np.zeros((top, len(primes)), dtype=np.int64)
-    if len(f) == 2:                             # f linear: one root
-        counts[0] = 1
-        return counts.T
-    for s in range(0, len(primes), CHUNK):
-        counts[:, s:s + CHUNK] = _chunk_counts(_Ring(f, primes[s:s + CHUNK]),
-                                               top)
-    return counts.T
+    return np.concatenate([np.zeros((0, top), dtype=np.int64)] + [
+        _chunk_counts(f, primes[s:s + CHUNK], top)
+        for s in range(0, len(primes), CHUNK)])
 
 
-def _chunk_counts(ring, top):
-    n, p, one, x = ring.n, ring.p, ring.powers[0], ring.powers[1]
+def _chunk_counts(f, p, top):
+    # F_p[x]/(f), one lane per prime: an element is an array (n, lanes)
+    # whose row i holds the coefficient of x^i, in [0, p).  A sum of n + 1
+    # products fits int64 while (n + 1)(p - 1)^2 < 2^63 (every p < 2^30
+    # with n <= 7); beyond that the lanes run on Python ints
+    n, lanes = len(f) - 1, len(p)
+    dtype = np.int64 if (n + 1) * (int(p.max()) - 1) ** 2 < 2**63 else object
+    p = p.astype(dtype)
+    coeffs = np.array(f, dtype=object if max(map(abs, f)) >> 62 else dtype)
+    fp = (coeffs[:, None] % p).astype(dtype)
+    # high[k] = x^(n + k) mod f for k < n, from x^n = -(f_0 + ... +
+    # f_(n-1) x^(n-1)) on
+    high = np.zeros((n, n, lanes), dtype=dtype)
+    high[0] = -fp[:n] % p
+    for k in range(1, n):
+        high[k, 1:] = high[k - 1, :-1]
+        high[k] = (high[k] - high[k - 1, -1] * fp[:n]) % p
+
+    def mul(a, b, times_x=False):
+        """a b mod f, times x on the lanes where times_x is set."""
+        prod = np.zeros((2 * n + 1, lanes), dtype=dtype)  # a b from row 1
+        for i in range(n):
+            prod[1 + i:1 + i + n] += a[i] * b
+        prod = np.where(times_x, prod[:-1], prod[1:]) % p
+        return (prod[:n] + (prod[n:, None] * high).sum(axis=0)) % p
+
+    one = np.zeros((n, lanes), dtype=dtype)
+    one[0] = 1
+    x = mul(one, one, True)
     # x^p by squaring over the bits of p, top bit first
-    shifts = np.arange(int(np.max(p)).bit_length())[::-1, None]
+    shifts = np.arange(int(p.max()).bit_length())[::-1, None]
     bits = ((p >> shifts) & 1).astype(bool)
     xp = np.where(bits[0], x, one)
     for bit in bits[1:]:
-        xp = ring.mul(xp, xp, bit)
+        xp = mul(xp, xp, bit)
     # over F_p, h(x)^p = sum h_i x^(ip): each x^(p^d) is the Berlekamp
     # matrix Q (row i: x^(ip) mod f) applied to the one before
     q, h = [one, xp], [xp]
     while top > 1 and len(q) < n:
-        q.append(ring.mul(q[-1], xp))
+        q.append(mul(q[-1], xp))
     while len(h) < top:
-        h.append(ring.fold(h[-1][:, None] * np.stack(q)).sum(axis=0) % p)
+        h.append((h[-1][:, None] * np.stack(q)).sum(axis=0) % p)
     # 2n - 1 inverse-free divsteps on the reversed f and x^(p^d) - x
     # leave delta = 2 g_d (Bernstein and Yang, Fast constant-time gcd
     # computation and modular inversion, 2019, theorem 6.2); step s reads
     # only the coefficients below 2n - 1 - s
-    width, lanes = 2 * n - 1, len(p)
-    a = np.zeros((1, width, lanes), dtype=p.dtype)
-    a[0, :n + 1] = ring.f[::-1]
-    b = np.zeros((top, width, lanes), dtype=p.dtype)
+    width = 2 * n - 1
+    a = np.concatenate([fp[::-1], np.zeros_like(fp)])[None, :width]
+    b = np.zeros((top, width, lanes), dtype=dtype)
     b[:, :n] = ((np.stack(h) - x) % p)[:, ::-1]
     delta = np.ones((top, lanes), dtype=np.int64)
     for w in range(width - 1, -1, -1):
@@ -204,4 +203,4 @@ def _chunk_counts(ring, top):
     for d in range(1, top + 1):
         g[d - 1] -= sum(e * g[e - 1] for e in range(1, d) if d % e == 0)
         g[d - 1] //= d
-    return g
+    return g.T

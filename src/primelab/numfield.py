@@ -3,11 +3,11 @@
 Prime-ideal splitting is read off the factorization of the polynomial
 mod p (Dedekind's theorem).  Only the degrees of the factors matter, and
 `fppoly.degree_counts` finds them for a whole array of primes in one
-batched Frobenius pass: event builds hand it every prime of a norm
-range, and `splitting_type` one prime (one lane per squarefree part).
-Primes dividing the index [O_K : Z[theta]] are rejected with
-UnsupportedPrimeError rather than handled; the shipped presets are all
-monogenic, so this only bites user-supplied polynomials.
+batched Frobenius pass: event builds and `splitting_types` hand it many
+primes at once, `splitting_type` one.  Primes dividing the index
+[O_K : Z[theta]] are rejected with UnsupportedPrimeError rather than
+handled; the shipped presets are all monogenic, so this only bites
+user-supplied polynomials.
 """
 
 from __future__ import annotations
@@ -42,14 +42,8 @@ def _is_irreducible(coeffs) -> bool:
 
 def factor_degrees_mod_p(coefficients, p: int):
     """Multiset of (degree, multiplicity) for the irreducible factors of
-    f mod p, one entry per factor; each squarefree part of f mod p is one
-    lane of the batched Frobenius kernel."""
-    out = []
-    f = fppoly.monic(fppoly.reduce_mod(list(coefficients), p), p)
-    for part, mult in fppoly.squarefree_parts(f, p):
-        counts = fppoly.degree_counts(part, [p], fppoly.degree(part))[0]
-        out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
-    return sorted(out)
+    f mod p, one entry per factor."""
+    return fppoly.factor_degree_multiset(list(coefficients), p)
 
 
 def dedekind_index_test(coefficients, p: int) -> bool:
@@ -142,16 +136,32 @@ def _square_divisor_primes(disc: int):
 
 
 def splitting_type(fld: NumberFieldSpec, p: int) -> SplittingType:
-    """Splitting of the rational prime p via Dedekind's theorem."""
-    if p in fld.bad_primes:
-        raise UnsupportedPrimeError(p, fld.name)
-    degrees = factor_degrees_mod_p(fld.coefficients, p)
-    st = SplittingType(prime=p, factors=tuple((d, m) for d, m in degrees))
-    if st.degree_sum != fld.degree:
-        raise ArithmeticError(
-            f"splitting degrees at p={p} sum to {st.degree_sum}, "
-            f"expected {fld.degree}")
-    return st
+    """Splitting of the rational prime p via Dedekind's theorem.  One
+    prime costs a whole kernel pass; split many with splitting_types."""
+    return splitting_types(fld, [p])[0]
+
+
+def splitting_types(fld: NumberFieldSpec, primes) -> list:
+    """splitting_type of each prime; f is squarefree mod the primes not
+    dividing disc f, which go through the Frobenius kernel as one batch."""
+    primes = [int(p) for p in primes]
+    for p in primes:
+        if p in fld.bad_primes:
+            raise UnsupportedPrimeError(p, fld.name)
+    lanes = [p for p in primes if fld.poly_disc % p]
+    counts = dict(zip(lanes, fppoly.degree_counts(
+        fld.coefficients, np.array(lanes, dtype=object), fld.degree).tolist()))
+    out = []
+    for p in primes:
+        degrees = fppoly.factor_degree_multiset(fld.coefficients, p) \
+            if p not in counts else \
+            [(d, 1) for d, c in enumerate(counts[p], 1) for _ in range(c)]
+        out.append(SplittingType(prime=p, factors=tuple(degrees)))
+        if out[-1].degree_sum != fld.degree:
+            raise ArithmeticError(
+                f"splitting degrees at p={p} sum to {out[-1].degree_sum}, "
+                f"expected {fld.degree}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,10 +190,11 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     """All ideal-power events with norm in (lo, hi], ascending; equal
     norms (one prime's) in ascending residue degree.
 
-    One batched Frobenius pass (`fppoly.degree_counts`) splits the
-    unramified primes: those above sqrt(hi) need only N_1, and those in
-    (sqrt(hi), lo], with no norm in range, are not read; the few
-    ramified primes (p | disc f) go through `splitting_type`.
+    The unramified primes above sqrt(hi) need only their root counts,
+    read for all of them in one batched Frobenius pass
+    (`fppoly.count_roots`); the primes below, and the few ramified ones
+    (p | disc f), go through `splitting_types`; those in (sqrt(hi), lo],
+    with no norm in range, are not read.
     """
     if fld.degree == 1:
         pos, base, expo, weights = sieve.event_arrays(lo, hi)
@@ -194,30 +205,24 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     # bad primes are excluded; queries touching them raise
     primes = primes[~np.isin(primes, sorted(fld.bad_primes))]
     disc = primes.astype(object if abs(fld.poly_disc) >> 62 else np.int64)
-    ramified = (fld.poly_disc % disc == 0).astype(bool)
-    pairs = []                          # (p, residue degree, ideal count)
-    for top, lanes in ((1, primes[~ramified & (primes > root)]),
-                       (fld.degree, primes[~ramified & (primes <= root)])):
-        counts = fppoly.degree_counts(fld.coefficients, lanes, top)
-        lane, d = np.nonzero(counts)
-        pairs.append((lanes[lane], d + 1, counts[lane, d]))
-    pairs += [([p], [f], [1]) for p in primes[ramified].tolist()
-              for f, _ in splitting_type(fld, p).factors]
-    base, deg, count = (np.concatenate(a).astype(np.int64)
-                        for a in zip(*pairs))
-    # every norm p^(fm) <= hi, m = 1, 2, ...; pairs with p^f > e hi drop
-    # first, so no power computed exceeds e hi^2 < 2^63
-    rows, m = [[np.empty(0, dtype=np.int64)] * 4], 1
-    keep = deg * np.log(base) <= math.log(hi) + 1
-    while keep.any():
-        base, deg, count = base[keep], deg[keep], count[keep]
-        norm = base ** (deg * m)
-        keep = norm <= hi
-        rows.append([np.repeat(a[keep], (count * (norm > lo))[keep])
-                     for a in (norm, base, deg, np.full_like(norm, m))])
-        m += 1
-    table = np.array([np.concatenate(a) for a in zip(*rows)])
-    pos, base, deg, expo = table[:, np.lexsort((table[2], table[0]))]
+    # above sqrt(hi) an unramified prime's ideals have norm p, one per
+    # root of f mod p; the rest need the full pattern
+    full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
+    lanes = primes[~full]
+    large = np.repeat(lanes, fppoly.count_roots(fld.coefficients, lanes))
+    rows = []                # (norm, p, residue degree, exponent)
+    for st in splitting_types(fld, primes[full]):
+        for f, _ in st.factors:
+            norm, m = st.prime**f, 1
+            while norm <= hi:
+                if norm > lo:
+                    rows.append((norm, st.prime, f, m))
+                norm, m = norm * st.prime**f, m + 1
+    ones = np.ones_like(large)
+    table = np.concatenate([np.array(rows, dtype=np.int64).reshape(-1, 4),
+                            np.stack([large, large, ones, ones], axis=1)])
+    order = np.lexsort((table[:, 2], table[:, 0]))
+    pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
     return pos, base, deg, expo, weights
 

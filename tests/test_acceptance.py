@@ -18,7 +18,7 @@ from primelab import (ResidueClass, StepCounter, TruncationSpec,
                       mean_square, mean_square_sampled, meansq_ratio, pi_ap,
                       predicted_count, preset, preset_names,
                       progression_source, psi_ap, quadratic_splitting_oracle,
-                      sieve_primes, splitting_type, truncated_psi,
+                      sieve_primes, splitting_types, truncated_psi,
                       unweighted_sandwich)
 from primelab.sieve import EVERYTHING, event_arrays
 
@@ -76,17 +76,16 @@ def test_criterion_01_counter_oracle(oracle_events_1e5):
 
 
 def test_criterion_02_splitting_oracle():
-    """splitting_type vs. the Kronecker-symbol oracle on 5 quadratic
-    presets for all p <= 1e5, plus the closed-form count pi_K(Q(i),20)=8."""
+    """splitting_type (one batched splitting_types call per field) vs.
+    the Kronecker-symbol oracle on 5 quadratic presets for all p <= 1e5,
+    plus the closed-form count pi_K(Q(i),20)=8."""
     from primelab import pi_K
     bad = []
     for name, d in QUADRATIC_PRESETS.items():
         fld = preset(name)
-        for p in sieve_primes(1, 10**5):
-            p = int(p)
-            if splitting_type(fld, p).factors \
-                    != quadratic_splitting_oracle(d, p).factors:
-                bad.append((name, p))
+        for st in splitting_types(fld, sieve_primes(1, 10**5)):
+            if st.factors != quadratic_splitting_oracle(d, st.prime).factors:
+                bad.append((name, st.prime))
     ok = not bad and pi_K(preset("Q(i)"), 20) == 8
     report(2, ok, f"Kronecker oracle, 5 presets, p<=1e5 ({bad[:3]!r} bad)"
            if bad else "Kronecker oracle agreement, 5 presets, p<=1e5; "
@@ -95,12 +94,11 @@ def test_criterion_02_splitting_oracle():
 
 def test_criterion_03_splitting_invariants():
     """Sum e_i f_i = n_K and at most n_K/k ideals of norm p^k, on every
-    preset for all p <= 1e4."""
+    preset for all p <= 1e4 (one batched splitting_types call each)."""
     violations = 0
     for name in preset_names():
         fld = preset(name)
-        for p in sieve_primes(1, 10**4):
-            st = splitting_type(fld, int(p))
+        for st in splitting_types(fld, sieve_primes(1, 10**4)):
             if st.degree_sum != fld.degree:
                 violations += 1
             for k in range(1, fld.degree + 1):

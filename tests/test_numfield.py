@@ -12,7 +12,7 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       poly_discriminant, preset, preset_names,
                       prime_ideal_events, psi_K, psi_ap,
                       quadratic_splitting_oracle, sieve_primes,
-                      splitting_type)
+                      splitting_type, splitting_types)
 from primelab.numfield import ideal_event_arrays
 
 from conftest import (cyclotomic_splitting, is_prime_trial, run_python,
@@ -195,21 +195,17 @@ def test_quadratic_oracle_agreement_small():
 @pytest.mark.parametrize("m", [5, 7, 8, 12])
 def test_cyclotomic_oracle_agreement(m, empty_stores):
     """Q(zeta_m) against the order-of-p oracle: splitting_type for
-    p <= 1e4, the batched full pattern for every p <= 1e5, and every event
-    of the built store up to norm 1e5 with its residue degree, which
-    covers the N_1 lanes, the full-pattern lanes and the ramified
-    primes; pi_K on a grid follows from it."""
+    p <= 1e4, one batched splitting_types call for every p <= 1e5, and
+    every event of the built store up to norm 1e5 with its residue
+    degree, which covers the N_1 lanes, the full-pattern lanes and the
+    ramified primes; pi_K on a grid follows from it."""
     fld = preset(f"cyclo{m}")
     primes = [int(p) for p in sieve_primes(1, 10**5)]
     oracle = {p: cyclotomic_splitting(m, p) for p in primes}
     for p in primes[:len(sieve_primes(1, 10**4))]:
         assert splitting_type(fld, p).factors == oracle[p], p
-    unramified = [p for p in primes if m % p]
-    counts = fppoly.degree_counts(fld.coefficients, unramified, fld.degree)
-    for p, row in zip(unramified, counts.tolist()):
-        f = oracle[p][0][0]
-        assert row == [len(oracle[p]) if d == f else 0
-                       for d in range(1, fld.degree + 1)], p
+    for st in splitting_types(fld, primes):
+        assert st.factors == oracle[st.prime], st.prime
     expected = sorted((p ** (f * k), p, f, k)
                       for p in primes for f, _ in oracle[p]
                       for k in range(1, 18) if p ** (f * k) <= 10**5)
@@ -226,8 +222,8 @@ def _next_prime(n):
 
 
 # small primes; primes near 2^30, where from degree 7 or 8 on a sum of
-# n + 1 products overflows int64 and each product is reduced; primes
-# above 2^31.5, whose products overflow and run on Python ints
+# n + 1 products overflows int64 and the lanes run on Python ints; primes
+# above 2^31.5, where one product overflows
 PRIMES = st.one_of(st.integers(1, 60).map(_next_prime),
                    st.integers(2**30 - 10**5, 2**30 + 10**5).map(_next_prime),
                    st.integers(2**32, 2**40).map(_next_prime))
@@ -244,7 +240,8 @@ PRIMES = st.one_of(st.integers(1, 60).map(_next_prime),
 def test_kernel_matches_sympy_factorisation(lower, primes):
     """The Frobenius kernel against sympy's factorisation over F_p, which
     shares no code with fppoly: factor_degrees_mod_p per prime, and one
-    batched degree_counts call over the primes where f is squarefree."""
+    batched degree_counts and count_roots call over the primes where f is
+    squarefree."""
     f = lower + [1]
     n = len(lower)
     x = sympy.Symbol("x")
@@ -258,9 +255,11 @@ def test_kernel_matches_sympy_factorisation(lower, primes):
             expected_counts.append([sum(1 for d, _ in expected if d == k)
                                     for k in range(1, n + 1)])
     if squarefree:
-        counts = fppoly.degree_counts(f, np.array(squarefree, dtype=object),
-                                      n)
+        lanes = np.array(squarefree, dtype=object)
+        counts = fppoly.degree_counts(f, lanes, n)
         assert counts.tolist() == expected_counts, (f, squarefree)
+        assert fppoly.count_roots(f, lanes).tolist() \
+            == [row[0] for row in expected_counts], (f, squarefree)
 
 
 def test_oracle_cases():
