@@ -3,19 +3,20 @@
 Every subcommand emits ExperimentReport rows as CSV or JSON lines.
 Exit status: 0 all asserted verdicts pass (report-only rows never fail a
 run), 1 some verdict failed, 2 usage error, 3 data error (zero tables,
-unsupported primes), 4 capacity, 5 output sink failure.
+unsupported primes), 4 capacity, 5 output sink failure.  Each subcommand
+takes only the flags it reads, and every usage error, argparse's own
+included, leaves `main` as `primelab: <message>` and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import explicit, intervals, numfield, sieve, zeros
 from .counters import field_source, target_label
-from .errors import CapacityError, UnsupportedPrimeError, ZeroTableError
+from .errors import CapacityError, PrimeLabError
 from .report import ExperimentReport, emit
 
 EXIT_OK = 0
@@ -28,52 +29,65 @@ EXIT_SINK = 5
 # most points an `explicit` x-grid may probe
 MAX_X_GRID = 10**5
 
-# single-component zero tables: label -> (n_K-equivalent, conductor)
-COMPONENT_DATA = {"zeta": (1, 1), "chi4": (1, 4), "chi5": (1, 5)}
+# widest `sieve` window; every row (about 0.6 KB) is built before any is
+# written, so 10^6 costs under 100 MB
+MAX_SIEVE_WIDTH = 10**6
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--output", default="-", help="output path or - (stdout)")
-    p.add_argument("--ceiling", type=int, default=sieve.DEFAULT_CEILING,
-                   help="largest position read; may only be lowered")
-    p.add_argument("--zero-manifest", default=None,
-                   help=f"zero-table manifest (default ${zeros.MANIFEST_ENV} "
-                        "or the vendored tables)")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for `main` to report, instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _add_h_flags(p):
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--h-coef", type=float, default=None,
-                   help="h = coef * x^theta * (log x)^kappa")
-    p.add_argument("--h-theta", type=float, default=0.0)
-    p.add_argument("--h-kappa", type=float, default=0.0)
-
-
-def _resolve_h(args, x: float) -> float:
-    if args.h is not None:
-        return args.h
-    if args.h_coef is not None:
-        return args.h_coef * x**args.h_theta * math.log(x)**args.h_kappa
-    raise ValueError("give --h or --h-coef/--h-theta/--h-kappa")
+def _add_target(p):
+    """The target: --q with an optional --a, or --field, not both."""
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--q", type=int, help="modulus of the progression")
+    g.add_argument("--field", help="field preset")
+    p.add_argument("--a", type=int,
+                   help="residue mod --q (default 0); not with --field")
 
 
 def _target(args):
-    if getattr(args, "field", None):
-        return numfield.preset(args.field)
-    q = getattr(args, "q", None)
-    if q is None:
-        raise ValueError("give --field or --q/--a")
-    return sieve.ResidueClass(q, getattr(args, "a", 0) or 0)
+    field = getattr(args, "field", None)
+    if field is None:
+        return sieve.ResidueClass(args.q, args.a or 0)
+    if getattr(args, "a", None) is not None:
+        raise ValueError("argument --a: not allowed with argument --field")
+    return numfield.preset(field)
 
 
-def _zero_table(args, fld):
-    return zeros.field_table(fld.name, args.zero_manifest), \
-        fld.degree, fld.field_disc
+def _add_window(p):
+    """The window: --h, or the law --h-coef with optional exponents."""
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--h", type=float, help="window length")
+    g.add_argument("--h-coef", type=float,
+                   help="h = coef * x^theta * (log x)^kappa")
+    for name in ("theta", "kappa"):
+        p.add_argument(f"--h-{name}", type=float,
+                       help=f"{name} (default 0); needs --h-coef")
+
+
+def _window(args, x: float) -> float:
+    if args.h_coef is None:
+        if args.h_theta is not None or args.h_kappa is not None:
+            raise ValueError("arguments --h-theta and --h-kappa need "
+                             "--h-coef")
+        return args.h
+    try:        # math.pow raises where ** would overflow or turn complex
+        h = args.h_coef * math.pow(x, args.h_theta or 0.0) \
+            * math.pow(math.log(x), args.h_kappa or 0.0)
+    except (ValueError, OverflowError):
+        h = math.nan
+    if not math.isfinite(h):
+        raise ValueError(f"the window law has no finite value at x={x}")
+    return h
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="primelab",
         description="Short-interval experiments for primes in progressions "
                     "and prime ideals")
@@ -81,78 +95,59 @@ def build_parser() -> argparse.ArgumentParser:
                     help="key = value file; keys are long flag names")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="list prime-power events in a window")
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--a", type=int, default=0)
-    _add_common(p)
+    def command(name, text, *required, positions=True, zero_tables=False,
+                **defaults):
+        """A subcommand with the given required float flags, optional
+        flags typed by their defaults (float where None), --format and
+        --output, --ceiling if it reads positions and --zero-manifest if
+        it reads zero tables."""
+        p = sub.add_parser(name, help=text)
+        for flag in required:
+            p.add_argument(f"--{flag}", type=float, required=True)
+        for flag, value in defaults.items():
+            p.add_argument(f"--{flag.replace('_', '-')}", default=value,
+                           type=float if value is None else type(value))
+        p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+        p.add_argument("--output", default="-",
+                       help="output path or - (stdout)")
+        if positions:
+            p.add_argument("--ceiling", type=int,
+                           default=sieve.DEFAULT_CEILING,
+                           help="largest position read; may only be lowered")
+        if zero_tables:
+            p.add_argument("--zero-manifest", default=None,
+                           help=f"zero-table manifest (default "
+                                f"${zeros.MANIFEST_ENV} or the vendored "
+                                f"tables)")
+        return p
 
-    p = sub.add_parser("ap-scan", help="Cramer windows for a progression")
+    command("sieve", "list prime-power events in a window (--hi at most "
+            f"{MAX_SIEVE_WIDTH} above --lo)", "lo", "hi", q=1, a=0)
+    p = command("ap-scan", "Cramer windows for a progression (at most "
+                f"{intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi", c1=4.0)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x-lo", type=float, required=True)
-    p.add_argument("--x-hi", type=float, required=True)
-    p.add_argument("--c1", type=float, default=4.0)
-    _add_common(p)
-
-    p = sub.add_parser("field-scan", help="Cramer windows for prime ideals")
+    p = command("field-scan", "Cramer windows for prime ideals (at most "
+                f"{intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi", c1=4.0)
     p.add_argument("--field", required=True)
-    p.add_argument("--x-lo", type=float, required=True)
-    p.add_argument("--x-hi", type=float, required=True)
-    p.add_argument("--c1", type=float, default=4.0)
-    _add_common(p)
-
-    p = sub.add_parser("meansq", help="exact mean-square of Delta(x, h)")
-    p.add_argument("--X", type=float, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--field", default=None)
-    p.add_argument("--ratio-ceiling", type=float, default=None)
-    _add_h_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("inertia", help="exceedance/persistence scan")
-    p.add_argument("--X", type=float, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--field", default=None)
-    p.add_argument("--persist-c", type=float, default=0.125)
-    _add_h_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("bt", help="Brun-Titchmarsh window checks")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--field", default=None)
-    _add_h_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("explicit", help="truncated explicit-formula residuals")
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--field", default="Q")
-    p.add_argument("--x-lo", type=float, default=50.5)
-    p.add_argument("--x-hi", type=float, default=1000.5)
-    p.add_argument("--x-step", type=float, default=50.0)
-    _add_common(p)
-
-    p = sub.add_parser("smoothed", help="triangle-smoothed sum, its zero "
-                                        "expansion, and the sandwich bounds")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--field", default="Q")
-    p.add_argument("--eps", type=float, default=None)
-    _add_h_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("zeros", help="zero counts against the prediction")
-    p.add_argument("--component", default=None,
-                   help=f"one of {sorted(COMPONENT_DATA)}")
-    p.add_argument("--field", default=None)
-    p.add_argument("--T", type=float, required=True)
-    _add_common(p)
-
+    for p in (command("meansq", "exact mean-square of Delta(x, h)", "X",
+                      ratio_ceiling=None),
+              command("inertia", "exceedance/persistence scan", "X",
+                      persist_c=0.125),
+              command("bt", "Brun-Titchmarsh window checks", "x")):
+        _add_target(p)
+        _add_window(p)
+    command("explicit", "truncated explicit-formula residuals", "T",
+            zero_tables=True, field="Q", x_lo=50.5, x_hi=1000.5,
+            x_step=50.0)
+    _add_window(command("smoothed", "triangle-smoothed sum, its zero "
+                        "expansion, and the sandwich bounds", "x", "T",
+                        zero_tables=True, field="Q", eps=None))
+    p = command("zeros", "zero counts against the prediction", "T",
+                positions=False, zero_tables=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--component", choices=sorted(zeros.COMPONENTS))
+    g.add_argument("--field")
     return ap
 
 
@@ -160,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies; each returns a list of reports
 
 def _run_sieve(args):
+    if args.hi - args.lo > MAX_SIEVE_WIDTH:
+        raise ValueError(f"the sieve window is wider than {MAX_SIEVE_WIDTH}")
     cls = sieve.ResidueClass(args.q, args.a)
     events = sieve.prime_power_events(max(args.lo, 1.0), args.hi, cls)
     return [ExperimentReport(
@@ -176,23 +173,22 @@ def _run_scan(args):
 
 def _run_meansq(args):
     target = _target(args)
-    h = _resolve_h(args, args.X)
+    h = _window(args, args.X)
     return [intervals.meansq_ratio(args.X, h, target,
                                    ceiling=args.ratio_ceiling)]
 
 
 def _run_inertia(args):
     target = _target(args)
-    h = _resolve_h(args, args.X)
+    h = _window(args, args.X)
     rep = intervals.inertia_scan(args.X, h, target,
                                  persist_c=args.persist_c)
-    rows = []
-    for (lo, hi), (x_bar, radius) in zip(rep.exceedance_intervals,
-                                         rep.persistence):
-        rows.append(ExperimentReport(
-            "inertia_exceedance",
-            {"X": args.X, "h": h, "lo": lo, "hi": hi, "x_bar": x_bar},
-            metric=radius))
+    rows = [ExperimentReport(
+        "inertia_exceedance",
+        {"X": args.X, "h": h, "lo": lo, "hi": hi, "x_bar": x_bar},
+        metric=radius)
+        for (lo, hi), (x_bar, radius) in zip(rep.exceedance_intervals,
+                                             rep.persistence)]
     rows.append(ExperimentReport(
         "inertia", {"X": args.X, "h": h,
                     "target": target_label(target),
@@ -204,7 +200,7 @@ def _run_inertia(args):
 
 def _run_bt(args):
     target = _target(args)
-    h = _resolve_h(args, args.x)
+    h = _window(args, args.x)
     if isinstance(target, numfield.NumberFieldSpec):
         return [intervals.bt_check_field(target, args.x, h)]
     return [intervals.bt_check_ap(args.x, h, target)]
@@ -231,23 +227,24 @@ def _x_grid(args):
 def _run_explicit(args):
     xs = _x_grid(args)
     target = numfield.preset(args.field)
-    table, n_K, d_K = _zero_table(args, target)
-    spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
+    spec = explicit.TruncationSpec(
+        args.T, zeros.field_table(args.field, args.zero_manifest),
+        target.degree, target.field_disc)
     counter = field_source(target, args.x_hi + 1).psi
     scan = explicit.residual_scan(counter, spec, xs)
-    rows = [ExperimentReport(
+    return [ExperimentReport(
         "explicit_residual",
         {"x": float(xv), "T": args.T, "field": args.field},
         metric=float(r), ratio=float(nrm))
         for xv, r, nrm in zip(scan.xs, scan.residuals, scan.normalized)]
-    return rows
 
 
 def _run_smoothed(args):
     target = numfield.preset(args.field)
-    h = _resolve_h(args, args.x)
-    table, n_K, d_K = _zero_table(args, target)
-    spec = explicit.TruncationSpec(args.T, table, n_K, d_K)
+    h = _window(args, args.x)
+    spec = explicit.TruncationSpec(
+        args.T, zeros.field_table(args.field, args.zero_manifest),
+        target.degree, target.field_disc)
     counter = field_source(target, args.x + 2 * h + 2).psi
     w = explicit.smoothed_sum(args.x, h, counter)
     pred = explicit.smoothed_prediction(args.x, h, spec)
@@ -264,29 +261,24 @@ def _run_smoothed(args):
         lower, upper = explicit.unweighted_sandwich(args.x, h, args.eps,
                                                     counter)
         direct = counter.window(args.x - h, 2 * h)
-        ok = lower <= direct <= upper
         rows.append(ExperimentReport(
             "sandwich", {"x": args.x, "h": h, "eps": args.eps,
                          "field": args.field, "lower": lower,
                          "upper": upper},
-            metric=direct, verdict="pass" if ok else "fail"))
+            metric=direct,
+            verdict="pass" if lower <= direct <= upper else "fail"))
     return rows
 
 
 def _run_zeros(args):
-    if (args.component is None) == (args.field is None):
-        raise ValueError("give exactly one of --component / --field")
+    label = args.field if args.component is None else args.component
     if args.component is not None:
-        if args.component not in COMPONENT_DATA:
-            raise ValueError(f"unknown component {args.component!r}")
-        table = zeros.component_table(args.component, args.zero_manifest)
-        n_K, d_K = COMPONENT_DATA[args.component]
-        label = args.component
+        table = zeros.component_table(label, args.zero_manifest)
+        n_K, d_K = zeros.COMPONENTS[label]
     else:
-        fld = numfield.preset(args.field)
-        table = zeros.field_table(args.field, args.zero_manifest)
+        fld = numfield.preset(label)
+        table = zeros.field_table(label, args.zero_manifest)
         n_K, d_K = fld.degree, fld.field_disc
-        label = args.field
     counted = zeros.count_zeros(table, args.T)
     predicted = zeros.predicted_count(n_K, d_K, args.T)
     return [ExperimentReport(
@@ -341,35 +333,22 @@ def _expand_config(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"primelab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.zero_manifest is None:
-        args.zero_manifest = os.environ.get(zeros.MANIFEST_ENV)
-
-    try:
+        args = build_parser().parse_args(_expand_config(argv))
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be "
                                  f"finite, got {value}")
-        token = sieve.CEILING.set(args.ceiling)
+        token = sieve.CEILING.set(
+            getattr(args, "ceiling", sieve.DEFAULT_CEILING))
         try:
             sieve.check_capacity(1)         # --ceiling in [1, 10^9]
             reports = RUNNERS[args.command](args)
         finally:
             sieve.CEILING.reset(token)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, PrimeLabError) as exc:
         print(f"primelab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ZeroTableError, UnsupportedPrimeError) as exc:
-        print(f"primelab: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CapacityError as exc:
-        print(f"primelab: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) \
+            else EXIT_DATA if isinstance(exc, PrimeLabError) else EXIT_USAGE
 
     try:
         if args.output == "-":

@@ -24,6 +24,9 @@ from .sieve import ResidueClass, euler_phi, sieve_primes
 
 log = logging.getLogger(__name__)
 
+# most windows one Cramer scan may slide
+MAX_WINDOWS = 10**5
+
 
 def as_source(target, hi: float) -> WindowSource:
     """Accepts a ResidueClass, a NumberFieldSpec, or a prebuilt
@@ -307,8 +310,8 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     Reports the minimum normalized count (the empirical c2) and the
     largest normalized gap between consecutive events (the smallest c1
     that would keep every window nonempty).  Needs x_lo < x_hi and
-    c1 > 0 with h(x_lo) > 0, so that h stays positive and every step
-    advances x.
+    c1 > 0 with h(x_lo) > 0, so that h stays positive, and at most
+    MAX_WINDOWS windows.
     """
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
@@ -323,6 +326,10 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     windows = []
     x = x_lo
     while x < x_hi:
+        if len(windows) == MAX_WINDOWS:
+            # also ends a step h/2 too small to change x in floating point
+            raise ValueError(f"the scan exceeds {MAX_WINDOWS} windows; "
+                             f"c1={c1} is too small")
         h = h_of(x)
         count = int(round(pi.window(x, h)))
         windows.append((x, h, count, normalize(count, x, h)))

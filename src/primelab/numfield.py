@@ -240,7 +240,7 @@ def _cached_events(fld: NumberFieldSpec, lo: float, hi: float):
     ceiling = sieve.check_capacity(hi)
     key = (fld.coefficients, fld.field_disc)
     bound, arrays = _stores.get(key, (1, None))
-    if hi > bound:
+    if arrays is None or hi > bound:
         new_bound = int(min(_bucket(hi), ceiling))
         part = _build_events(fld, bound, new_bound)
         arrays = part if arrays is None else \

@@ -62,6 +62,9 @@ EVERYTHING = ResidueClass(1, 0)
 def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    if q >= 2**32:      # trial division would take minutes
+        from sympy import totient
+        return int(totient(q))
     result = q
     n, p = q, 2
     while p * p <= n:

@@ -116,11 +116,15 @@ def _default_manifest():
     return resources.files("primelab") / "data" / "manifest.txt"
 
 
+def _resolve_manifest(path):
+    """path, else $PRIMELAB_ZERO_MANIFEST, else None (vendored tables)."""
+    return path if path is not None else os.environ.get(MANIFEST_ENV)
+
+
 def load_manifest(path=None) -> dict:
     """Manifest lines `label; filename; completeness_height`; file paths
     are resolved relative to the manifest."""
-    if path is None:
-        path = os.environ.get(MANIFEST_ENV)
+    path = _resolve_manifest(path)
     handle = open(path) if path is not None else _default_manifest().open()
     base = os.path.dirname(str(path)) if path is not None else None
     entries = {}
@@ -142,10 +146,12 @@ _table_cache: dict = {}
 
 
 def component_table(label: str, manifest_path=None) -> ZeroTable:
-    key = (label, manifest_path)
+    """One component's table, cached per resolved manifest path."""
+    path = _resolve_manifest(manifest_path)
+    key = (label, path)
     if key in _table_cache:
         return _table_cache[key]
-    entries = load_manifest(manifest_path)
+    entries = load_manifest(path)
     if label not in entries:
         raise ZeroTableError(f"no component {label!r} in manifest; have "
                              f"{sorted(entries)}")
@@ -158,6 +164,9 @@ def component_table(label: str, manifest_path=None) -> ZeroTable:
     _table_cache[key] = table
     return table
 
+
+# single-component tables: label -> (n_K-equivalent, conductor)
+COMPONENTS = {"zeta": (1, 1), "chi4": (1, 4), "chi5": (1, 5)}
 
 # component labels making up the Dedekind zeta of each shipped field
 FIELD_COMPONENTS = {

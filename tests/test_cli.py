@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 
 from primelab import ExperimentReport, emit, pi_K, preset
 from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
-                          EXIT_SINK, EXIT_USAGE, main)
+                          EXIT_SINK, EXIT_USAGE, RUNNERS, build_parser, main)
 
 from conftest import run_python
 from test_golden import CASES
@@ -199,8 +200,75 @@ def test_every_subcommand_honours_ceiling(capsys, argv):
 
 
 def test_zeros_reads_no_positions(capsys):
-    code, _, _ = run(capsys, *GOLDEN_ARGV["zeros-field"], "--ceiling", "1000")
-    assert code == EXIT_OK
+    # zeros takes no --ceiling, so the flag is a usage error
+    code, out, err = run(capsys, *GOLDEN_ARGV["zeros-field"],
+                         "--ceiling", "1000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "primelab: unrecognized arguments: --ceiling 1000\n"
+
+
+# each subcommand takes only the flags it reads (--format and --output on
+# all nine, --ceiling on the eight that read positions, --zero-manifest on
+# the three that read zero tables)
+def test_flag_surface():
+    pairs = {(name, flag)
+             for name, sub in next(
+                 a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices.items()
+             for action in sub._actions for flag in action.option_strings
+             if flag.startswith("--") and flag != "--help"}
+    assert len(pairs) == 84
+    readers = {flag: {name for name, f in pairs if f == flag}
+               for flag in ("--format", "--output", "--ceiling",
+                            "--zero-manifest")}
+    assert readers["--format"] == readers["--output"] == set(RUNNERS)
+    assert readers["--ceiling"] == set(RUNNERS) - {"zeros"}
+    assert readers["--zero-manifest"] == {"explicit", "smoothed", "zeros"}
+
+
+# conflicting or unread flags are usage errors, reported by main's return
+# value and its `primelab: ` message, not by argparse's SystemExit
+@pytest.mark.parametrize("argv,message", [
+    (["bt", "--q", "4", "--a", "1", "--field", "Q(i)", "--x", "10000",
+      "--h", "400"], "--field: not allowed with argument --q"),
+    (["meansq", "--X", "10000", "--field", "Q(i)", "--h", "100", "--q", "7"],
+     "--q: not allowed with argument --field"),
+    (["bt", "--field", "Q(i)", "--a", "1", "--x", "10000", "--h", "400"],
+     "--a: not allowed with argument --field"),
+    (["bt", "--q", "4", "--a", "1", "--x", "10000", "--h", "400",
+      "--h-coef", "9"], "--h-coef: not allowed with argument --h"),
+    (["bt", "--q", "4", "--a", "1", "--x", "10000", "--h", "400",
+      "--h-theta", "0.5"], "--h-theta and --h-kappa need --h-coef"),
+    (["inertia", "--X", "10000", "--q", "1", "--h", "400",
+      "--h-kappa", "1"], "--h-theta and --h-kappa need --h-coef"),
+    (["sieve", "--lo", "1", "--hi", "30", "--zero-manifest", "x"],
+     "unrecognized arguments: --zero-manifest x"),
+    (["zeros", "--component", "zeta", "--T", "100", "--ceiling", "5"],
+     "unrecognized arguments: --ceiling 5"),
+    (["zeros", "--component", "zeta", "--field", "Q(i)", "--T", "100"],
+     "--field: not allowed with argument --component"),
+    (["zeros", "--T", "100"], "one of the arguments --component --field"),
+    (["zeros", "--component", "chi3", "--T", "100"], "invalid choice"),
+    (["bt", "--x", "10000", "--h", "400"], "one of the arguments --q --field"),
+    (["bt", "--q", "1.5", "--x", "10000", "--h", "400"], "invalid int value"),
+    (["no-such-command"], "invalid choice"),
+    (["meansq", "--X", "0.5", "--q", "1", "--h-coef", "1", "--h-kappa", "0.5"],
+     "the window law has no finite value"),
+])
+def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("primelab: ")
+    assert message in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bt", "--help"])
+    assert exc.value.code == 0
+    assert "--h-coef" in capsys.readouterr().out
 
 
 # each case runs in a child process, so that a hang fails the test
@@ -252,12 +320,36 @@ def test_zeros_reads_no_positions(capsys):
      EXIT_USAGE),
     (["sieve", "--lo", "1", "--hi", "100", "--q", "1000000000000000000000",
       "--a", "1"], EXIT_USAGE),
+    (["ap-scan", "--q", "1", "--a", "0", "--x-lo", "1000", "--x-hi", "2000",
+      "--c1", "1e-300"], EXIT_USAGE),
+    (["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "2000",
+      "--c1", "1e-9"], EXIT_USAGE),
+    (["zeros", "--component", "zeta", "--T", "100",
+      "--zero-manifest", "/no/such/manifest.txt"], EXIT_USAGE),
 ])
 def test_unusable_numbers_exit_with_code(argv, exit_code):
     proc = run_python(["-m", "primelab.cli", *argv])
     assert proc.returncode == exit_code, proc.stderr
     assert proc.stderr.startswith("primelab: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_prime_modulus_near_2_to_62_answers_at_once():
+    # phi(q) by trial division to sqrt(q) would take minutes
+    proc = run_python(["-m", "primelab.cli", "meansq", "--X", "100",
+                       "--q", "4611686018427387847", "--a", "1",
+                       "--h", "10"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert csv_rows(proc.stdout)[0]["experiment"] == "meansq"
+
+
+def test_wide_sieve_window_is_refused_before_any_row():
+    # 10^9 wide: building its rows would take tens of GB
+    proc = run_python(["-m", "primelab.cli", "sieve", "--lo", "1",
+                       "--hi", "1e9"])
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "primelab: the sieve window is wider than 1000000\n"
 
 
 def test_fail_exit_on_failing_verdict(capsys):
@@ -291,6 +383,16 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "bt", "--config", str(cfg))
     assert code == EXIT_OK
     assert csv_rows(out)[0]["experiment"] == "bt_ap"
+
+
+def test_config_and_flag_give_window_two_ways(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 4\na = 1\nx = 10000\nh = 400\n")
+    code, out, err = run(capsys, "bt", "--config", str(cfg),
+                         "--h-coef", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--h-coef: not allowed with argument --h" in err
 
 
 def test_explicit_flags_override_config(tmp_path, capsys):

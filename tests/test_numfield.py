@@ -421,6 +421,15 @@ def test_equal_norms_in_ascending_residue_degree(empty_stores):
     assert [r for r in rows if r[0] == 25] == [(25, 1, 2), (25, 2, 1)]
 
 
+def test_empty_store_read_below_two(empty_stores):
+    """The first read of a field may end below norm 2: it has no events,
+    and the store is built anyway."""
+    qi = preset("Q(i)")
+    assert len(field_source(qi, 1.0).psi.positions) == 0
+    assert len(ideal_event_arrays(qi, 1, 1.5)[0]) == 0
+    assert pi_K(qi, 5) == 3      # norms 2, 5, 5
+
+
 def test_field_queries_reject_nan_and_inverted_ranges():
     qi = preset("Q(i)")
     for query in (psi_K, pi_K, field_source):

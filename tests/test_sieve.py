@@ -154,3 +154,14 @@ def test_residue_class_validation():
 def test_events_require_lo_at_least_one():
     with pytest.raises(ValueError):
         prime_power_events(0, 10)
+
+
+def test_euler_phi_on_both_sides_of_the_sympy_switch():
+    """Above 2^32 phi comes from sympy, below from trial division; a
+    62-bit prime, where trial division would take minutes, is checked
+    through the CLI in test_cli."""
+    from primelab.sieve import euler_phi
+    assert euler_phi(2**62) == 2**61
+    assert euler_phi(2**32 + 1) == 640 * 6700416      # 641 * 6700417
+    # 2^32 - 1 = 3 * 5 * 17 * 257 * 65537, just below the switch
+    assert euler_phi(2**32 - 1) == 2 * 4 * 16 * 256 * 65536

@@ -143,6 +143,21 @@ def test_external_manifest_via_env(tmp_path, monkeypatch):
     assert count_zeros(tbl, 20.0) == 6
 
 
+def test_cache_follows_manifest_env(tmp_path, monkeypatch):
+    # the vendored zeta table is cached first; pointing the environment at
+    # another manifest must then serve that manifest's table
+    vendored = component_table("zeta")
+    zfile = tmp_path / "two.txt"
+    zfile.write_text("5.0\n10.0\n")
+    man = tmp_path / "man.txt"
+    man.write_text("zeta; two.txt; 20.0\n")
+    monkeypatch.setenv(MANIFEST_ENV, str(man))
+    assert len(component_table("zeta")) == 2
+    assert count_zeros(field_table("Q"), 20.0) == 4
+    monkeypatch.delenv(MANIFEST_ENV)
+    assert component_table("zeta") is vendored
+
+
 def test_manifest_bad_line(tmp_path):
     man = tmp_path / "man.txt"
     man.write_text("only-two; fields\n")
