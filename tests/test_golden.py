@@ -1,6 +1,6 @@
 """Golden CLI corpus: every README example plus the field-valued
-`explicit` / `smoothed` runs and two `inertia` scans, in both output
-formats.
+`explicit` / `smoothed` runs, two `inertia` scans and two `bt` windows
+near x = 3e7, in both output formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
@@ -42,6 +42,9 @@ CASES = [
                  "--h", "400"], 0),
     ("inertia-Qi", ["inertia", "--X", "5000", "--field", "Q(i)",
                     "--h", "150"], 0),
+    ("bt-cap", ["bt", "--q", "7", "--a", "3", "--x", "3e7", "--h", "5000"],
+     0),
+    ("bt-Qi", ["bt", "--field", "Q(i)", "--x", "3e7", "--h", "1000"], 0),
 ]
 
 
