@@ -3,7 +3,7 @@ prime ideals of number fields: counters, zero-table ingestion, the
 truncated explicit formula, and the experiments built on them."""
 
 from .counters import StepCounter, WindowSource, field_source, \
-    progression_source
+    progression_source, window_events, window_source
 from .errors import CapacityError, PrimeLabError, UnsupportedPrimeError, \
     ZeroTableError
 from .explicit import TruncationSpec, residual_scan, smoothed_prediction, \

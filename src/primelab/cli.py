@@ -4,8 +4,8 @@ Every subcommand emits ExperimentReport rows as CSV or JSON lines.
 Exit status: 0 all asserted verdicts pass (report-only rows never fail a
 run), 1 some verdict failed, 2 usage error, 3 data error (zero tables,
 unsupported primes), 4 capacity, 5 output sink failure.  Each subcommand
-takes only the flags it reads, and every usage error, argparse's own
-included, leaves `main` as `primelab: <message>` and exit 2.
+takes only the flags it reads, by full name, and every usage error,
+argparse's own included, leaves `main` as `primelab: <message>` and exit 2.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _window(args, x: float) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
-        prog="primelab",
+        prog="primelab", allow_abbrev=False,
         description="Short-interval experiments for primes in progressions "
                     "and prime ideals")
     ap.add_argument("--config", default=None,
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         flags typed by their defaults (float where None), --format and
         --output, --ceiling if it reads positions and --zero-manifest if
         it reads zero tables."""
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in required:
             p.add_argument(f"--{flag}", type=float, required=True)
         for flag, value in defaults.items():
@@ -346,7 +346,9 @@ def main(argv=None) -> int:
         finally:
             sieve.CEILING.reset(token)
     except (OSError, ValueError, KeyError, PrimeLabError) as exc:
-        print(f"primelab: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"primelab: {message}", file=sys.stderr)
         return EXIT_CAPACITY if isinstance(exc, CapacityError) \
             else EXIT_DATA if isinstance(exc, PrimeLabError) else EXIT_USAGE
 

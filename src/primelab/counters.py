@@ -3,8 +3,10 @@
 A StepCounter is the right-continuous partial sum x -> sum_{n <= x} w_n.
 WindowSource bundles the weighted (psi-type) and unit (pi-type) counters
 for one residue class or number field together with the expected density,
-which is what the short-interval experiments consume.  Synthetic fixtures
-can build a WindowSource directly from raw arrays.
+which is what the short-interval experiments consume.  Both kinds of
+target read their events through `window_events`, from the event store
+`numfield` keeps per field; a residue class is a filter on Q's events.
+Synthetic fixtures can build a WindowSource directly from raw arrays.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class WindowSource:
     span: float
     label: str
 
-    def delta(self, x, h):
-        """psi(x+h) - psi(x) - h * drift."""
-        return self.psi.window(x, h) - h * self.drift
-
 
 def target_label(target) -> str:
     """Report label of a residue class (`q=..,a=..`), a number field or a
@@ -72,25 +70,36 @@ def target_label(target) -> str:
     return target.name or f"deg-{target.degree} field"
 
 
-def progression_source(cls: ResidueClass, hi: float) -> WindowSource:
-    pos, _, expo, weights = sieve.event_arrays(1, hi, cls)
-    primes = pos[expo == 1]
+def window_events(target, lo: float, hi: float):
+    """(positions, weights, first-power mask) in (lo, hi] of a number
+    field, from its store in `numfield`, or of a class, from Q's."""
+    cls = sieve.EVERYTHING
+    if isinstance(target, ResidueClass):
+        target, cls = numfield.preset("Q"), target
+    elif not isinstance(target, numfield.NumberFieldSpec):
+        raise TypeError(f"cannot read events of {type(target)}")
+    pos, weights, _, first = numfield.ideal_event_arrays(
+        target, max(lo, 1), hi, cls)
+    return pos, weights, first
+
+
+def drift(target) -> float:
+    """Expected psi density per unit length: 1/phi(q) or 1."""
+    return 1.0 / euler_phi(target.modulus) \
+        if isinstance(target, ResidueClass) else 1.0
+
+
+def window_source(target, hi: float) -> WindowSource:
+    """Counters over (0, hi] for a residue class or a number field."""
+    pos, weights, first = window_events(target, 1, hi)
+    primes = pos[first]
     return WindowSource(
         psi=StepCounter.from_events(pos, weights),
         pi=StepCounter.from_events(primes, np.ones(len(primes))),
-        drift=1.0 / euler_phi(cls.modulus),
+        drift=drift(target),
         span=float(hi),
-        label=target_label(cls),
+        label=target_label(target),
     )
 
 
-def field_source(fld, hi: float) -> WindowSource:
-    pos, weights, expo, first = numfield.ideal_event_arrays(fld, 1, hi)
-    ideals = pos[first]
-    return WindowSource(
-        psi=StepCounter.from_events(pos, weights),
-        pi=StepCounter.from_events(ideals, np.ones(len(ideals))),
-        drift=1.0,
-        span=float(hi),
-        label=target_label(fld),
-    )
+progression_source = field_source = window_source

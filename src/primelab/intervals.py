@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import StepCounter, WindowSource, field_source, \
-    progression_source, target_label
-from .numfield import NumberFieldSpec, ideal_event_arrays
+from .counters import WindowSource, drift, target_label, window_events, \
+    window_source
+from .numfield import NumberFieldSpec
 from .report import ExperimentReport
-from .sieve import ResidueClass, euler_phi, sieve_primes
+from .sieve import ResidueClass, euler_phi
 
 log = logging.getLogger(__name__)
 
@@ -33,23 +33,17 @@ def as_source(target, hi: float) -> WindowSource:
     WindowSource (synthetic fixtures)."""
     if isinstance(target, WindowSource):
         return target
-    if isinstance(target, ResidueClass):
-        return progression_source(target, hi)
-    if isinstance(target, NumberFieldSpec):
-        return field_source(target, hi)
-    raise TypeError(f"cannot build a window source from {type(target)}")
+    return window_source(target, hi)
 
 
 def delta(x: float, h: float, cls: ResidueClass) -> float:
-    """psi(x+h; q, a) - psi(x; q, a) - h/phi(q)."""
-    src = progression_source(cls, x + h)
-    return src.delta(x, h)
+    """psi(x+h; q, a) - psi(x; q, a) - h/phi(q), read from (x, x+h]."""
+    return math.fsum(window_events(cls, x, x + h)[1]) - h * drift(cls)
 
 
 def delta_K(fld: NumberFieldSpec, x: float, h: float) -> float:
-    """psi_K(x+h) - psi_K(x) - h."""
-    src = field_source(fld, x + h)
-    return src.delta(x, h)
+    """psi_K(x+h) - psi_K(x) - h, read from (x, x+h]."""
+    return math.fsum(window_events(fld, x, x + h)[1]) - h * drift(fld)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +87,7 @@ def delta_series(X: float, h: float, target) -> DeltaSeries:
     jumps = np.concatenate([w[up_mask], -w[dn_mask]])
     order = np.argsort(bp, kind="stable")
     bp, jumps = bp[order], jumps[order]
-    v0 = source.delta(X, h)
+    v0 = source.psi.window(X, h) - h * source.drift
     values = np.concatenate(([v0], v0 + np.cumsum(jumps)))
     return DeltaSeries(float(X), float(2 * X), float(h), source.label,
                        bp, values)
@@ -222,10 +216,7 @@ def bt_check_ap(x: float, h: float, cls: ResidueClass) -> ExperimentReport:
         raise ValueError(f"need h > q, got h={h}, q={q}")
     if not cls.is_unit:
         raise ValueError(f"gcd(a, q) must be 1, got a={cls.residue}, q={q}")
-    primes = sieve_primes(x, x + h)
-    if q > 1:
-        primes = primes[primes % q == cls.residue]
-    count = int(len(primes))
+    count = int(np.count_nonzero(window_events(cls, x, x + h)[2]))
     bound = 2 * h / (euler_phi(q) * math.log(h / q))
     return ExperimentReport(
         "bt_ap",
@@ -239,8 +230,7 @@ def bt_check_field(fld: NumberFieldSpec, x: float,
     """Uniform number-field bound: pi_K(x+h) - pi_K(x) <= 4 n_K h / log h."""
     if not 2 <= h <= x:
         raise ValueError(f"need 2 <= h <= x, got h={h}, x={x}")
-    _, _, _, first = ideal_event_arrays(fld, x, x + h)
-    count = int(np.count_nonzero(first))
+    count = int(np.count_nonzero(window_events(fld, x, x + h)[2]))
     bound = 4 * fld.degree * h / math.log(h)
     return ExperimentReport(
         "bt_field",
@@ -282,24 +272,14 @@ class CramerScanResult:
             verdict=self.verdict)
 
 
-def _window_law(target, c1):
+def _window_law(target):
+    """(law, density): the window length law(c1, x), for floats and (m=np)
+    arrays alike, and the density that normalizes a count."""
     if isinstance(target, ResidueClass):
         phi = euler_phi(target.modulus)
-
-        def h_of(x):
-            return c1 * phi * math.sqrt(x) * math.log(x)
-
-        def normalize(count, x, h):
-            return count * phi * math.log(x) / h
-    else:
-        n_K, log_dk = target.degree, target.log_disc
-
-        def h_of(x):
-            return c1 * (n_K * math.log(x) + log_dk) * math.sqrt(x)
-
-        def normalize(count, x, h):
-            return count * math.log(x) / h
-    return h_of, normalize
+        return (lambda c, x, m=math: c * phi * m.sqrt(x) * m.log(x)), phi
+    n_K, log_dk = target.degree, target.log_disc
+    return (lambda c, x, m=math: c * (n_K * m.log(x) + log_dk) * m.sqrt(x)), 1
 
 
 def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
@@ -315,11 +295,11 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     """
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
-    h_of, normalize = _window_law(target, c1)
-    if not (x_lo < x_hi and c1 > 0 and h_of(x_lo) > 0):
+    law, density = _window_law(target)
+    if not (x_lo < x_hi and c1 > 0 and law(c1, x_lo) > 0):
         raise ValueError(f"need x_lo < x_hi and a positive window at x_lo, "
                          f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
-    span = x_hi + h_of(x_hi) * 1.01
+    span = x_hi + law(c1, x_hi) * 1.01
     source = as_source(target, span)
     pi = source.pi
 
@@ -330,9 +310,9 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
             # also ends a step h/2 too small to change x in floating point
             raise ValueError(f"the scan exceeds {MAX_WINDOWS} windows; "
                              f"c1={c1} is too small")
-        h = h_of(x)
+        h = law(c1, x)
         count = int(round(pi.window(x, h)))
-        windows.append((x, h, count, normalize(count, x, h)))
+        windows.append((x, h, count, count * density * math.log(x) / h))
         x += h / 2
 
     # normalized gaps between consecutive events inside the scan range
@@ -342,12 +322,7 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     if len(inside) >= 2:
         gaps = np.diff(inside)
         base = inside[:-1].astype(np.float64)
-        if isinstance(target, ResidueClass):
-            scale = euler_phi(target.modulus) * np.sqrt(base) * np.log(base)
-        else:
-            scale = (target.degree * np.log(base)
-                     + target.log_disc) * np.sqrt(base)
-        c1_emp = float(np.max(gaps / scale))
+        c1_emp = float(np.max(gaps / law(1.0, base, np)))
 
     c2 = min((norm for _, _, _, norm in windows), default=math.inf)
     verdict = "pass" if all(c >= 1 for _, _, c, _ in windows) else "fail"

@@ -8,6 +8,9 @@ primes at once, `splitting_type` one.  Primes dividing the index
 [O_K : Z[theta]] are rejected with UnsupportedPrimeError rather than
 handled; the shipped presets are all monogenic, so this only bites
 user-supplied polynomials.
+
+Events come from one store per field, grown by doubling up to STORE_BOUND
+(reads above it are built alone); Q's store also serves residue classes.
 """
 
 from __future__ import annotations
@@ -178,17 +181,15 @@ class IdealPowerEvent:
 # one store per field: (bound, arrays) holding every event with norm <= bound
 _stores: dict = {}
 
-
-def _bucket(hi: float) -> int:
-    b = 1024
-    while b < hi:
-        b *= 2
-    return b
+# largest bound a store grows to: Q's then holds 1.1M events (28 B each)
+STORE_BOUND = 2**24
 
 
-def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
+def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
+                  cls=sieve.EVERYTHING):
     """All ideal-power events with norm in (lo, hi], ascending; equal
-    norms (one prime's) in ascending residue degree.
+    norms (one prime's) in ascending residue degree.  For Q, cls keeps
+    the events in one residue class, dropped before weights are built.
 
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them in one batched Frobenius pass
@@ -197,8 +198,9 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     with no norm in range, are not read.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(lo, hi)
-        return pos, base, np.ones(len(pos), dtype=np.int64), expo, weights
+        pos, base, expo, weights = sieve.event_arrays(lo, hi, cls)
+        return (pos, base, np.ones(len(pos), dtype=np.int16),
+                expo.astype(np.int16), weights)
     root = math.isqrt(hi)
     primes = np.concatenate([sieve.sieve_primes(1, root),
                              sieve.sieve_primes(max(lo, root), hi)])
@@ -224,37 +226,49 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     order = np.lexsort((table[:, 2], table[:, 0]))
     pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
-    return pos, base, deg, expo, weights
+    return pos, base, deg.astype(np.int16), expo.astype(np.int16), weights
 
 
-def _cached_events(fld: NumberFieldSpec, lo: float, hi: float):
+def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
+                   cls=sieve.EVERYTHING):
     """(positions, bases, degrees, exponents, weights) for events with
-    norm in (lo, hi], sliced from the field's store.  A store that ends
-    below hi grows to the next power-of-two bound (capped at the sieve
-    ceiling, which every read checks); only the new range is built."""
+    norm in (lo, hi] and, for Q, in residue class cls.  Up to STORE_BOUND
+    a read slices the field's store, first growing it to the next power
+    of two (at most STORE_BOUND and the sieve ceiling, which every read
+    checks) by building only the new range; above, it builds (lo, hi]."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     for p in sorted(fld.bad_primes):
         if p <= hi:
             raise UnsupportedPrimeError(p, fld.name)
     ceiling = sieve.check_capacity(hi)
+    # integer positions: exact, and float keys would copy the whole store
+    lo, hi = math.floor(lo), math.floor(hi)
+    if hi > STORE_BOUND:
+        return _build_events(fld, lo, hi, cls)
     key = (fld.coefficients, fld.field_disc)
     bound, arrays = _stores.get(key, (1, None))
     if arrays is None or hi > bound:
-        new_bound = int(min(_bucket(hi), ceiling))
+        new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()), ceiling,
+                            STORE_BOUND))
         part = _build_events(fld, bound, new_bound)
         arrays = part if arrays is None else \
             [np.concatenate(pair) for pair in zip(arrays, part)]
         _stores[key] = (new_bound, arrays)
     i = np.searchsorted(arrays[0], lo, side="right")
     j = np.searchsorted(arrays[0], hi, side="right")
-    return [a[i:j] for a in arrays]
+    out = [a[i:j] for a in arrays]
+    if cls.modulus > 1:
+        keep = out[0] % cls.modulus == cls.residue
+        out = [a[keep] for a in out]
+    return out
 
 
-def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float):
+def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
+                       cls=sieve.EVERYTHING):
     """(positions, weights, exponents, first_power_mask) for events with
-    norm in (lo, hi]."""
-    pos, _, _, expo, weights = _cached_events(fld, lo, hi)
+    norm in (lo, hi], in residue class cls (for Q)."""
+    pos, _, _, expo, weights = _cached_events(fld, lo, hi, cls)
     return pos, weights, expo, expo == 1
 
 

@@ -255,6 +255,13 @@ def test_flag_surface():
     (["no-such-command"], "invalid choice"),
     (["meansq", "--X", "0.5", "--q", "1", "--h-coef", "1", "--h-kappa", "0.5"],
      "the window law has no finite value"),
+    # flags go by their full names only, never by a prefix
+    (["sieve", "--lo", "1", "--hi", "10", "--ceil", "5"],
+     "unrecognized arguments: --ceil 5"),
+    (["zeros", "--component", "zeta", "--T", "100", "--zero", "x"],
+     "unrecognized arguments: --zero x"),
+    (["meansq", "--X", "1000", "--fie", "Q(i)", "--h", "30"],
+     "one of the arguments --q --field"),
 ])
 def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -262,6 +269,13 @@ def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
     assert out == ""
     assert err.startswith("primelab: ")
     assert message in err
+
+
+def test_unknown_preset_message_is_unquoted(capsys):
+    code, out, err = run(capsys, "meansq", "--X", "1000", "--field",
+                         "Q(nope)", "--h", "30")
+    assert code == EXIT_USAGE
+    assert err.startswith("primelab: unknown field preset 'Q(nope)'; have [")
 
 
 def test_help_still_exits_zero(capsys):

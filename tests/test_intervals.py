@@ -10,7 +10,8 @@ from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       inertia_scan, intervals, mean_square,
                       mean_square_sampled, meansq_ratio, pi_K, pi_ap,
                       preset, prime_ideal_events, prime_power_events,
-                      progression_source, psi_K, psi_ap, sieve_primes)
+                      numfield, progression_source, psi_K, psi_ap,
+                      sieve_primes, window_events, window_source)
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
@@ -53,6 +54,50 @@ def test_delta_spec_values():
     assert val == pytest.approx(expect, rel=1e-13)
     assert delta_K(preset("Q(i)"), 20, 5) == pytest.approx(
         2 * math.log(5) - 5, rel=1e-13)
+
+
+# windows below, across and above a store cap of 2^12
+CAPPED_WINDOWS = [(1000.5, 1600.25), (3900.0, 4400.5), (7000.75, 7900.0)]
+
+
+@pytest.mark.parametrize("q", [1, 4, 7, 30])
+def test_progression_reads_match_sieve_on_both_sides_of_cap(
+        q, empty_stores, monkeypatch):
+    """Under a store cap of 2^12, progression sources, Brun-Titchmarsh
+    counts and delta equal the sieve's events of the class, read below
+    the cap from Q's store and above it by a direct build; no store
+    grows past the cap."""
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    cls = ResidueClass(q, 1 % q)
+    for hi in (3000.5, 2**12, 9000.25):
+        pos, _, expo, w = event_arrays(1, hi, cls)
+        src = progression_source(cls, hi)
+        assert np.array_equal(src.psi.positions, pos.astype(np.float64))
+        assert np.array_equal(src.psi.weights, w)
+        assert np.array_equal(src.pi.positions, pos[expo == 1])
+    for x, top in CAPPED_WINDOWS:
+        pos, _, expo, w = event_arrays(x, top, cls)
+        h = top - x
+        assert bt_check_ap(x, h, cls).metric == np.count_nonzero(expo == 1)
+        # the drift term is h times the density 1/phi(q)
+        assert delta(x, h, cls) == math.fsum(w) - h * (1 / euler_phi(q))
+    assert all(bound <= 2**12 for bound, _ in numfield._stores.values())
+
+
+def test_far_windows_are_exact_and_keep_no_store(empty_stores):
+    """Windows above the store cap are built alone: delta is the exactly
+    rounded window sum, and no store grows past the cap."""
+    cls = ResidueClass(4, 1)
+    _, _, _, w = event_arrays(1e8, 1e8 + 1000, cls)
+    assert delta(1e8, 1000, cls) == math.fsum(w) - 500
+    assert bt_check_field(preset("Q(i)"), 3e7, 1000).metric == 68
+    assert all(bound <= numfield.STORE_BOUND
+               for bound, _ in numfield._stores.values())
+
+
+def test_window_events_refuse_other_targets():
+    with pytest.raises(TypeError):
+        window_events("Q(i)", 1, 100)
 
 
 def test_delta_series_matches_direct_probes():
@@ -186,9 +231,9 @@ def test_inertia_builds_one_source(monkeypatch):
 
     def counted(cls, hi):
         calls.append(hi)
-        return progression_source(cls, hi)
+        return window_source(cls, hi)
 
-    monkeypatch.setattr(intervals, "progression_source", counted)
+    monkeypatch.setattr(intervals, "window_source", counted)
     inertia_scan(1000, 40, ResidueClass(4, 1))
     assert calls == [2040]
 

@@ -409,6 +409,30 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_store_columns_take_28_bytes_per_event(empty_stores):
+    """Residue degrees and exponents (at most 30 below 10^9) are int16."""
+    arrays = numfield._cached_events(preset("Q(i)"), 1, 2**12)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.int16,
+                                         np.int16, np.float64]
+    assert sum(a.itemsize for a in arrays) == 28
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)"])
+def test_fractional_bounds_slice_like_their_floors(name):
+    """Norms are integers, so (lo, hi] holds the events of
+    (floor lo, floor hi]: a read just below, at and above an event's
+    norm gets it or not as the half-open window says."""
+    fld = preset(name)
+    for lo, hi in [(4.5, 13.9), (4.999, 13.0), (5.0, 12.999), (1.5, 2.0)]:
+        got = numfield._cached_events(fld, lo, hi)
+        ref = [n for n in numfield._cached_events(fld, 1, 20)[0].tolist()
+               if lo < n <= hi]
+        assert got[0].tolist() == ref
+        expect = numfield._cached_events(fld, math.floor(lo), math.floor(hi))
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+
+
 def test_equal_norms_in_ascending_residue_degree(empty_stores):
     """In the non-Galois field Q(2^(1/3)) a prime p = 2 mod 3 has ideals of
     residue degree 1 and 2, so p^2 is the norm of both P_1^2 and P_2; the
