@@ -1,6 +1,7 @@
 """Golden CLI corpus: every README example plus the field-valued
-`explicit` / `smoothed` runs, two `inertia` scans and two `bt` windows
-near x = 3e7, in both output formats.
+`explicit` / `smoothed` runs, two `inertia` scans, and far windows (two
+`bt` windows, a `field-scan` and a `smoothed` sum near x = 3e7, and a
+`meansq` at X = 2e7), in both output formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
@@ -45,6 +46,12 @@ CASES = [
     ("bt-cap", ["bt", "--q", "7", "--a", "3", "--x", "3e7", "--h", "5000"],
      0),
     ("bt-Qi", ["bt", "--field", "Q(i)", "--x", "3e7", "--h", "1000"], 0),
+    ("field-scan-far", ["field-scan", "--field", "Q(i)", "--x-lo", "3e7",
+                        "--x-hi", "3.0001e7"], 0),
+    ("smoothed-far", ["smoothed", "--x", "3e7", "--T", "500", "--h", "2000",
+                      "--eps", "0.5"], 0),
+    ("meansq-far", ["meansq", "--X", "2e7", "--q", "4", "--a", "1",
+                    "--h", "2000"], 0),
 ]
 
 
