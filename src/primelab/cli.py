@@ -15,7 +15,8 @@ import math
 import sys
 
 from . import explicit, intervals, numfield, sieve, zeros
-from .counters import field_source, target_label
+from .counters import StepCounter, field_source, target_label, \
+    window_events
 from .errors import CapacityError, PrimeLabError
 from .report import ExperimentReport, emit
 
@@ -245,7 +246,12 @@ def _run_smoothed(args):
     spec = explicit.TruncationSpec(
         args.T, zeros.field_table(args.field, args.zero_manifest),
         target.degree, target.field_disc)
-    counter = field_source(target, args.x + 2 * h + 2).psi
+    if h <= 0:          # else the read below would have lo > hi
+        raise ValueError(f"h must be positive, got {h}")
+    # the widest smoothed window, (1 + eps) h with eps < 1, and the
+    # sandwich's (x - h, x + h] lie in (x - 2h, x + 2h]
+    counter = StepCounter.from_events(
+        *window_events(target, args.x - 2 * h, args.x + 2 * h)[:2])
     w = explicit.smoothed_sum(args.x, h, counter)
     pred = explicit.smoothed_prediction(args.x, h, spec)
     rows = [

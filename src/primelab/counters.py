@@ -1,16 +1,19 @@
 """Step-function counters built from event arrays.
 
-A StepCounter is the right-continuous partial sum x -> sum_{n <= x} w_n.
-WindowSource bundles the weighted (psi-type) and unit (pi-type) counters
-for one residue class or number field together with the expected density,
-which is what the short-interval experiments consume.  Both kinds of
-target read their events through `window_events`, from the event store
-`numfield` keeps per field; a residue class is a filter on Q's events.
-Synthetic fixtures can build a WindowSource directly from raw arrays.
+A StepCounter is the right-continuous partial sum x -> sum_{n <= x} w_n
+over the events it was built from; its window sums are exactly rounded
+(`math.fsum` of the slice).  Every experiment reads the events of its own
+range through `window_events`, from the event store `numfield` keeps per
+field; a residue class is a filter on Q's events.  Whole-prefix counters
+(`progression_source`, `field_source`) are built only where a prefix
+value psi(x) is read.  A WindowSource bundles one counter with its
+expected density and label: synthetic fixtures build one from raw arrays
+and pass it where a residue class or a field would go.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,22 +44,20 @@ class StepCounter:
         out = self.cumulative[idx]
         return float(out) if np.isscalar(x) else out
 
-    def window(self, x, h):
-        """Sum of weights over x < n <= x + h."""
+    def window(self, x: float, h: float) -> float:
+        """Exactly rounded sum of weights over x < n <= x + h."""
         lo = np.searchsorted(self.positions, x, side="right")
-        hi = np.searchsorted(self.positions, np.asarray(x) + h, side="right")
-        out = self.cumulative[hi] - self.cumulative[lo]
-        return float(out) if np.isscalar(x) else out
+        hi = np.searchsorted(self.positions, x + h, side="right")
+        return math.fsum(self.weights[lo:hi])
 
 
 @dataclass(frozen=True)
 class WindowSource:
-    """Counters for one class/field, valid on positions in (0, span]."""
+    """A prebuilt psi-type counter with its expected density per unit
+    length and its report label."""
 
     psi: StepCounter
-    pi: StepCounter
-    drift: float            # expected psi density per unit length
-    span: float
+    drift: float
     label: str
 
 
@@ -72,7 +73,12 @@ def target_label(target) -> str:
 
 def window_events(target, lo: float, hi: float):
     """(positions, weights, first-power mask) in (lo, hi] of a number
-    field, from its store in `numfield`, or of a class, from Q's."""
+    field, from its store in `numfield`, of a class, from Q's, or of a
+    WindowSource, whose events all count as first powers."""
+    if isinstance(target, WindowSource):
+        psi = target.psi
+        i, j = np.searchsorted(psi.positions, [lo, hi], side="right")
+        return psi.positions[i:j], psi.weights[i:j], np.ones(j - i, bool)
     cls = sieve.EVERYTHING
     if isinstance(target, ResidueClass):
         target, cls = numfield.preset("Q"), target
@@ -84,22 +90,20 @@ def window_events(target, lo: float, hi: float):
 
 
 def drift(target) -> float:
-    """Expected psi density per unit length: 1/phi(q) or 1."""
+    """Expected psi density per unit length: 1/phi(q), 1 for a field, or
+    a WindowSource's own."""
+    if isinstance(target, WindowSource):
+        return target.drift
     return 1.0 / euler_phi(target.modulus) \
         if isinstance(target, ResidueClass) else 1.0
 
 
 def window_source(target, hi: float) -> WindowSource:
-    """Counters over (0, hi] for a residue class or a number field."""
-    pos, weights, first = window_events(target, 1, hi)
-    primes = pos[first]
-    return WindowSource(
-        psi=StepCounter.from_events(pos, weights),
-        pi=StepCounter.from_events(primes, np.ones(len(primes))),
-        drift=drift(target),
-        span=float(hi),
-        label=target_label(target),
-    )
+    """The whole-prefix counter over (0, hi] of a residue class or a
+    number field."""
+    pos, weights, _ = window_events(target, 1, hi)
+    return WindowSource(psi=StepCounter.from_events(pos, weights),
+                        drift=drift(target), label=target_label(target))
 
 
 progression_source = field_source = window_source

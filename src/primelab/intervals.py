@@ -2,6 +2,11 @@
 integrals, inertia exceedance scans, Brun-Titchmarsh checks, and sliding
 Cramer-window scans.
 
+Each experiment reads only the events of the range it scans, once,
+through `counters.window_events`; a window sum is the `math.fsum` of its
+slice and a window count an index difference.  A target is a residue
+class, a number field, or a prebuilt WindowSource (synthetic fixtures).
+
 Delta(x, h) is piecewise constant in x (the drift term is linear only in
 h, which is held fixed), so the mean-square integral is computed exactly
 by sweeping the jump events.  The fine-sampling Riemann sum is retained
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import WindowSource, drift, target_label, window_events, \
-    window_source
+from .counters import StepCounter, drift, target_label, window_events
 from .numfield import NumberFieldSpec
 from .report import ExperimentReport
 from .sieve import ResidueClass, euler_phi
@@ -26,14 +30,6 @@ log = logging.getLogger(__name__)
 
 # most windows one Cramer scan may slide
 MAX_WINDOWS = 10**5
-
-
-def as_source(target, hi: float) -> WindowSource:
-    """Accepts a ResidueClass, a NumberFieldSpec, or a prebuilt
-    WindowSource (synthetic fixtures)."""
-    if isinstance(target, WindowSource):
-        return target
-    return window_source(target, hi)
 
 
 def delta(x: float, h: float, cls: ResidueClass) -> float:
@@ -76,21 +72,20 @@ class DeltaSeries:
 
 
 def delta_series(X: float, h: float, target) -> DeltaSeries:
-    source = as_source(target, 2 * X + h)
-    psi = source.psi
-    pos = psi.positions.astype(np.float64)
-    w = psi.weights
+    """Delta(., h) on [X, 2X], from one read of (X, 2X + h]."""
+    pos, w, _ = window_events(target, X, 2 * X + h)
+    pos = pos.astype(np.float64)
     # the window sum jumps by +w when x reaches n - h and -w at x = n
     up_mask = (pos - h > X) & (pos - h < 2 * X)
-    dn_mask = (pos > X) & (pos < 2 * X)
+    dn_mask = pos < 2 * X
     bp = np.concatenate([pos[up_mask] - h, pos[dn_mask]])
     jumps = np.concatenate([w[up_mask], -w[dn_mask]])
     order = np.argsort(bp, kind="stable")
     bp, jumps = bp[order], jumps[order]
-    v0 = source.psi.window(X, h) - h * source.drift
+    v0 = math.fsum(w[pos <= X + h]) - h * drift(target)
     values = np.concatenate(([v0], v0 + np.cumsum(jumps)))
-    return DeltaSeries(float(X), float(2 * X), float(h), source.label,
-                       bp, values)
+    return DeltaSeries(float(X), float(2 * X), float(h),
+                       target_label(target), bp, values)
 
 
 def mean_square(X: float, h: float, target) -> float:
@@ -104,10 +99,10 @@ def mean_square(X: float, h: float, target) -> float:
 def mean_square_sampled(X: float, h: float, target,
                         step: float = 1e-2) -> float:
     """Riemann-sum cross-check of mean_square on a regular midpoint grid."""
-    source = as_source(target, 2 * X + h)
+    psi = StepCounter.from_events(*window_events(target, X, 2 * X + h)[:2])
     n = int(round(X / step))
     xs = X + (np.arange(n) + 0.5) * step
-    d = source.psi.window(xs, h) - h * source.drift
+    d = psi.value(xs + h) - psi.value(xs) - h * drift(target)
     return float(np.sum(d * d) * step)
 
 
@@ -163,13 +158,13 @@ def inertia_scan(X: float, h: float, target, *,
     if not (X > 0 and h > 0 and persist_c > 0):
         raise ValueError(f"need X > 0, h > 0 and persist_c > 0, got X={X}, "
                          f"h={h}, persist_c={persist_c}")
-    source = as_source(target, 2 * X + h)
-    if h * source.drift <= X ** 0.1:
+    density = drift(target)
+    if h * density <= X ** 0.1:
         log.warning("inertia range condition h*drift > X^(1/10) violated "
-                    "(h*drift=%.3g, X^0.1=%.3g)", h * source.drift, X**0.1)
-    series = delta_series(X, h, source)
-    threshold = h * source.drift / 4.0
-    level = persist_c * h * source.drift
+                    "(h*drift=%.3g, X^0.1=%.3g)", h * density, X**0.1)
+    series = delta_series(X, h, target)
+    threshold = h * density / 4.0
+    level = persist_c * h * density
     edges = np.concatenate(([X], series.breakpoints, [2 * X]))
     vals = series.values
     exceed = np.abs(vals) > threshold
@@ -300,8 +295,10 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
         raise ValueError(f"need x_lo < x_hi and a positive window at x_lo, "
                          f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
     span = x_hi + law(c1, x_hi) * 1.01
-    source = as_source(target, span)
-    pi = source.pi
+    # positions are integers: (ceil(x_lo) - 1, span] holds every one >= x_lo
+    pos, _, first = window_events(target, math.ceil(x_lo) - 1, span)
+    # float keys on an int64 array would convert it on every search
+    pos = pos[first].astype(np.float64)
 
     windows = []
     x = x_lo
@@ -311,18 +308,16 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
             raise ValueError(f"the scan exceeds {MAX_WINDOWS} windows; "
                              f"c1={c1} is too small")
         h = law(c1, x)
-        count = int(round(pi.window(x, h)))
+        count = int(np.searchsorted(pos, x + h, side="right")
+                    - np.searchsorted(pos, x, side="right"))
         windows.append((x, h, count, count * density * math.log(x) / h))
         x += h / 2
 
     # normalized gaps between consecutive events inside the scan range
-    pos = pi.positions
     inside = pos[(pos >= x_lo) & (pos <= x_hi)]
     c1_emp = 0.0
     if len(inside) >= 2:
-        gaps = np.diff(inside)
-        base = inside[:-1].astype(np.float64)
-        c1_emp = float(np.max(gaps / law(1.0, base, np)))
+        c1_emp = float(np.max(np.diff(inside) / law(1.0, inside[:-1], np)))
 
     c2 = min((norm for _, _, _, norm in windows), default=math.inf)
     verdict = "pass" if all(c >= 1 for _, _, c, _ in windows) else "fail"

@@ -185,11 +185,9 @@ _stores: dict = {}
 STORE_BOUND = 2**24
 
 
-def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
-                  cls=sieve.EVERYTHING):
+def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     """All ideal-power events with norm in (lo, hi], ascending; equal
-    norms (one prime's) in ascending residue degree.  For Q, cls keeps
-    the events in one residue class, dropped before weights are built.
+    norms (one prime's) in ascending residue degree.
 
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them in one batched Frobenius pass
@@ -198,13 +196,13 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     with no norm in range, are not read.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(lo, hi, cls)
+        pos, base, expo, weights = sieve.event_arrays(lo, hi)
         return (pos, base, np.ones(len(pos), dtype=np.int16),
                 expo.astype(np.int16), weights)
     root = math.isqrt(hi)
     primes = np.concatenate([sieve.sieve_primes(1, root),
                              sieve.sieve_primes(max(lo, root), hi)])
-    # bad primes are excluded; queries touching them raise
+    # bad primes are excluded; reads holding one of their powers raise
     primes = primes[~np.isin(primes, sorted(fld.bad_primes))]
     disc = primes.astype(object if abs(fld.poly_disc) >> 62 else np.int64)
     # above sqrt(hi) an unramified prime's ideals have norm p, one per
@@ -235,29 +233,32 @@ def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
     norm in (lo, hi] and, for Q, in residue class cls.  Up to STORE_BOUND
     a read slices the field's store, first growing it to the next power
     of two (at most STORE_BOUND and the sieve ceiling, which every read
-    checks) by building only the new range; above, it builds (lo, hi]."""
+    checks) by building only the new range; above, it builds (lo, hi].
+    A bad prime raises UnsupportedPrimeError if one of its powers, the
+    norms of the ideals above it, lies in (lo, hi]."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    for p in sorted(fld.bad_primes):
-        if p <= hi:
-            raise UnsupportedPrimeError(p, fld.name)
     ceiling = sieve.check_capacity(hi)
     # integer positions: exact, and float keys would copy the whole store
     lo, hi = math.floor(lo), math.floor(hi)
+    for p in sorted(fld.bad_primes):      # p^k <= hi needs k < bit_length
+        if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
+            raise UnsupportedPrimeError(p, fld.name)
     if hi > STORE_BOUND:
-        return _build_events(fld, lo, hi, cls)
-    key = (fld.coefficients, fld.field_disc)
-    bound, arrays = _stores.get(key, (1, None))
-    if arrays is None or hi > bound:
-        new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()), ceiling,
-                            STORE_BOUND))
-        part = _build_events(fld, bound, new_bound)
-        arrays = part if arrays is None else \
-            [np.concatenate(pair) for pair in zip(arrays, part)]
-        _stores[key] = (new_bound, arrays)
-    i = np.searchsorted(arrays[0], lo, side="right")
-    j = np.searchsorted(arrays[0], hi, side="right")
-    out = [a[i:j] for a in arrays]
+        out = _build_events(fld, lo, hi)
+    else:
+        key = (fld.coefficients, fld.field_disc)
+        bound, arrays = _stores.get(key, (1, None))
+        if arrays is None or hi > bound:
+            new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
+                                ceiling, STORE_BOUND))
+            part = _build_events(fld, bound, new_bound)
+            arrays = part if arrays is None else \
+                [np.concatenate(pair) for pair in zip(arrays, part)]
+            _stores[key] = (new_bound, arrays)
+        i = np.searchsorted(arrays[0], lo, side="right")
+        j = np.searchsorted(arrays[0], hi, side="right")
+        out = [a[i:j] for a in arrays]
     if cls.modulus > 1:
         keep = out[0] % cls.modulus == cls.residue
         out = [a[keep] for a in out]

@@ -92,20 +92,11 @@ class PrimePowerEvent:
 _base_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
 
-def _simple_sieve(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
 def base_primes(limit: int) -> np.ndarray:
+    """Primes up to limit, from a cache that sieve_primes refills; the
+    recursion ends below 4, where no base prime is needed."""
     if limit > _base_cache["limit"]:
-        _base_cache["primes"] = _simple_sieve(limit)
+        _base_cache["primes"] = sieve_primes(1, limit)
         _base_cache["limit"] = limit
     primes = _base_cache["primes"]
     return primes[: np.searchsorted(primes, limit, side="right")]

@@ -268,8 +268,7 @@ def test_criterion_10_inertia():
     positions = positions[(positions < gap_lo)
                           | (positions >= gap_lo + 2 * h)]
     psi = StepCounter.from_events(positions, np.ones(len(positions)))
-    src = WindowSource(psi=psi, pi=psi, drift=1.0, span=2.5 * X,
-                       label="gap-fixture")
+    src = WindowSource(psi=psi, drift=1.0, label="gap-fixture")
     rep = inertia_scan(X, h, src)
     ok = (not rep.is_empty
           and max((r for _, r in rep.persistence), default=0.0) >= h / 8)

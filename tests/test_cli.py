@@ -357,6 +357,22 @@ def test_prime_modulus_near_2_to_62_answers_at_once():
     assert csv_rows(proc.stdout)[0]["experiment"] == "meansq"
 
 
+def test_far_scan_reads_only_its_window():
+    """A Cramer window at 3e8 reads its own events: the child peaks under
+    200 MB, where reading every event from 1 took about 0.9 GB."""
+    proc = run_python(["-c", "import resource, sys\n"
+                       "from primelab.cli import main\n"
+                       "code = main(sys.argv[1:])\n"
+                       "kb = resource.getrusage(resource.RUSAGE_SELF)"
+                       ".ru_maxrss\n"
+                       "print(f'peak {kb} KB', file=sys.stderr)\n"
+                       "sys.exit(code or kb > 200 * 1024)\n",
+                       "ap-scan", "--q", "4", "--a", "1", "--x-lo", "3e8",
+                       "--x-hi", "3.0001e8"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
+
+
 def test_wide_sieve_window_is_refused_before_any_row():
     # 10^9 wide: building its rows would take tens of GB
     proc = run_python(["-m", "primelab.cli", "sieve", "--lo", "1",

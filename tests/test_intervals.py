@@ -11,18 +11,16 @@ from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       mean_square_sampled, meansq_ratio, pi_K, pi_ap,
                       preset, prime_ideal_events, prime_power_events,
                       numfield, progression_source, psi_K, psi_ap,
-                      sieve_primes, window_events, window_source)
+                      sieve_primes, window_events)
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
 from conftest import is_prime_trial, sieve_ceiling
 
 
-def synthetic_source(positions, weights, drift, span, label="synthetic"):
-    positions = np.asarray(positions, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+def synthetic_source(positions, weights, drift, label="synthetic"):
     psi = StepCounter.from_events(positions, weights)
-    return WindowSource(psi=psi, pi=psi, drift=drift, span=span, label=label)
+    return WindowSource(psi=psi, drift=drift, label=label)
 
 
 # --- euler phi ----------------------------------------------------------
@@ -63,10 +61,10 @@ CAPPED_WINDOWS = [(1000.5, 1600.25), (3900.0, 4400.5), (7000.75, 7900.0)]
 @pytest.mark.parametrize("q", [1, 4, 7, 30])
 def test_progression_reads_match_sieve_on_both_sides_of_cap(
         q, empty_stores, monkeypatch):
-    """Under a store cap of 2^12, progression sources, Brun-Titchmarsh
-    counts and delta equal the sieve's events of the class, read below
-    the cap from Q's store and above it by a direct build; no store
-    grows past the cap."""
+    """Under a store cap of 2^12, progression sources, first powers,
+    Brun-Titchmarsh counts and delta equal the sieve's events of the
+    class, read below the cap from Q's store and above it by a direct
+    build; no store grows past the cap."""
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
     cls = ResidueClass(q, 1 % q)
     for hi in (3000.5, 2**12, 9000.25):
@@ -74,7 +72,8 @@ def test_progression_reads_match_sieve_on_both_sides_of_cap(
         src = progression_source(cls, hi)
         assert np.array_equal(src.psi.positions, pos.astype(np.float64))
         assert np.array_equal(src.psi.weights, w)
-        assert np.array_equal(src.pi.positions, pos[expo == 1])
+        got, _, first = window_events(cls, 1, hi)
+        assert np.array_equal(got[first], pos[expo == 1])
     for x, top in CAPPED_WINDOWS:
         pos, _, expo, w = event_arrays(x, top, cls)
         h = top - x
@@ -93,6 +92,38 @@ def test_far_windows_are_exact_and_keep_no_store(empty_stores):
     assert bt_check_field(preset("Q(i)"), 3e7, 1000).metric == 68
     assert all(bound <= numfield.STORE_BOUND
                for bound, _ in numfield._stores.values())
+
+
+def record_reads(monkeypatch):
+    """The (lo, hi) of every window_events read the experiments make."""
+    calls = []
+
+    def recorded(target, lo, hi):
+        calls.append((lo, hi))
+        return window_events(target, lo, hi)
+
+    monkeypatch.setattr(intervals, "window_events", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda: delta_series(1000, 50, Q4),
+    lambda: mean_square(1000, 50, QI),
+    lambda: mean_square_sampled(1000, 50, Q4, step=1.0),
+    # positions are integers, so (1000, ...] holds every one >= 1000.5
+    lambda: cramer_window_scan(1000.5, 2000, 4.0, Q4),
+], ids=["delta_series", "mean_square", "mean_square_sampled",
+        "cramer_window_scan"])
+def test_experiments_read_only_their_range(monkeypatch, run):
+    """One read, from the start of the experiment's range, not from 1."""
+    calls = record_reads(monkeypatch)
+    run()
+    assert [lo for lo, _ in calls] == [1000]
+
+
+def test_delta_series_starts_at_the_exact_window_sum():
+    assert delta_series(3e7, 1000, EVERYTHING).values[0] \
+        == delta(3e7, 1000, EVERYTHING)
 
 
 def test_window_events_refuse_other_targets():
@@ -135,13 +166,13 @@ def test_mean_square_validation():
 def test_mean_square_synthetic_box():
     """One event of weight w in [X, 2X] with zero drift: Delta is w on
     [n - h, n) ... value checked analytically."""
-    src = synthetic_source([150.0], [2.0], drift=0.0, span=400.0)
+    src = synthetic_source([150.0], [2.0], drift=0.0)
     # Delta = 2 on [150 - 20, 150), zero elsewhere in [100, 200]
     assert mean_square(100, 20, src) == pytest.approx(4.0 * 20.0)
 
 
 def test_mean_square_constant_drift_only():
-    src = synthetic_source([], [], drift=0.5, span=400.0)
+    src = synthetic_source([], [], drift=0.5)
     # Delta = -h * 0.5 everywhere
     assert mean_square(100, 10, src) == pytest.approx(25.0 * 100.0)
 
@@ -182,7 +213,7 @@ def gap_fixture(X=10**4, h=200.0):
     keep = (positions < gap_lo) | (positions >= gap_hi)
     positions = positions[keep]
     weights = np.full(len(positions), drift)
-    return synthetic_source(positions, weights, drift, 2.5 * X,
+    return synthetic_source(positions, weights, drift,
                             label="gap-fixture"), gap_lo, gap_hi
 
 
@@ -214,7 +245,7 @@ def test_inertia_persistence_is_honest():
 
 def test_inertia_empty_for_smooth_fixture():
     src = synthetic_source(np.arange(2, 25000, dtype=np.float64),
-                           np.ones(24998), 1.0, 25000.0)
+                           np.ones(24998), 1.0)
     report = inertia_scan(10**4, 200.0, src)
     assert report.is_empty
     assert report.persistence == []
@@ -227,21 +258,15 @@ def test_inertia_rejects_empty_range():
 
 
 def test_inertia_builds_one_source(monkeypatch):
-    calls = []
-
-    def counted(cls, hi):
-        calls.append(hi)
-        return window_source(cls, hi)
-
-    monkeypatch.setattr(intervals, "window_source", counted)
+    calls = record_reads(monkeypatch)
     inertia_scan(1000, 40, ResidueClass(4, 1))
-    assert calls == [2040]
+    assert calls == [(1000, 2040)]
 
 
 def test_inertia_range_warning(caplog):
     import logging
     src = synthetic_source(np.arange(2, 2600, dtype=np.float64),
-                           np.ones(2598), 1.0, 2600.0)
+                           np.ones(2598), 1.0)
     with caplog.at_level(logging.WARNING, logger="primelab.intervals"):
         inertia_scan(1000, 1.5, src)
     assert "range condition" in caplog.text

@@ -6,12 +6,12 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
-                      cramer_window_scan, dedekind_index_test,
+                      bt_check_field, cramer_window_scan, dedekind_index_test,
                       factor_degrees_mod_p, field_source, fppoly,
                       kronecker_symbol, numfield, pi_K, pi_ap,
                       poly_discriminant, preset, preset_names,
                       prime_ideal_events, psi_K, psi_ap,
-                      quadratic_splitting_oracle, sieve_primes,
+                      quadratic_splitting_oracle, ResidueClass, sieve_primes,
                       splitting_type, splitting_types)
 from primelab.numfield import ideal_event_arrays
 
@@ -463,6 +463,35 @@ def test_field_queries_reject_nan_and_inverted_ranges():
         cramer_window_scan(1000, math.nan, 4.0, qi)
     with pytest.raises(ValueError):
         ideal_event_arrays(qi, 10, 5)
+
+
+@pytest.mark.parametrize("lo,hi", [(1000.5, 1600.25), (7000.75, 7900.0)],
+                         ids=["below-cap", "above-cap"])
+def test_field_reads_keep_the_residue_class_on_both_sides_of_cap(
+        lo, hi, empty_stores, monkeypatch):
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    qi, cls = preset("Q(i)"), ResidueClass(5, 1)
+    got = ideal_event_arrays(qi, lo, hi, cls)
+    every = ideal_event_arrays(qi, lo, hi)
+    keep = every[0] % 5 == 1
+    assert 0 < keep.sum() < len(keep)
+    for a, b in zip(got, every):
+        assert np.array_equal(a, b[keep])
+
+
+def test_bad_prime_rejects_only_windows_holding_its_powers():
+    """x^2 + 3 has index 2 in the ring of integers of Q(sqrt-3); every odd
+    prime splits as in the preset, so a window with no power of 2 counts
+    the same, and one holding 128 raises."""
+    fld = NumberFieldSpec.from_poly([3, 0, 1], field_disc=3)
+    ref = preset("Q(sqrt-3)")
+    odd = sieve_primes(2, 2000)
+    assert [t.factors for t in splitting_types(fld, odd)] \
+        == [t.factors for t in splitting_types(ref, odd)]
+    assert bt_check_field(fld, 100, 20).metric \
+        == bt_check_field(ref, 100, 20).metric
+    with pytest.raises(UnsupportedPrimeError):
+        bt_check_field(fld, 120, 10)
 
 
 # --- capacity ceiling ---------------------------------------------------
