@@ -1,7 +1,10 @@
 """Golden CLI corpus: every README example plus the field-valued
-`explicit` / `smoothed` runs, two `inertia` scans, and far windows (two
-`bt` windows, a `field-scan` and a `smoothed` sum near x = 3e7, and a
-`meansq` at X = 2e7), in both output formats.
+`explicit` / `smoothed` runs, three `inertia` scans (one with its
+persistence level above the exceedance threshold), two more `sieve`
+windows (a class mod 7 at 1e7, below the event-store cap, and one mod 4
+at 3e7, above it), and far windows (two `bt` windows, a `field-scan` and
+a `smoothed` sum near x = 3e7, and a `meansq` at X = 2e7), in both
+output formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
@@ -52,6 +55,12 @@ CASES = [
                       "--eps", "0.5"], 0),
     ("meansq-far", ["meansq", "--X", "2e7", "--q", "4", "--a", "1",
                     "--h", "2000"], 0),
+    ("sieve-q7", ["sieve", "--lo", "1e7", "--hi", "1.0002e7", "--q", "7",
+                  "--a", "3"], 0),
+    ("sieve-far", ["sieve", "--lo", "3e7", "--hi", "3.0002e7", "--q", "4",
+                   "--a", "1"], 0),
+    ("inertia-persist", ["inertia", "--X", "10000", "--q", "4", "--a", "1",
+                         "--h", "200", "--persist-c", "0.5"], 0),
 ]
 
 
