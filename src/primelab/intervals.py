@@ -166,36 +166,30 @@ def inertia_scan(X: float, h: float, target, *,
     threshold = h * density / 4.0
     level = persist_c * h * density
     edges = np.concatenate(([X], series.breakpoints, [2 * X]))
-    vals = series.values
-    exceed = np.abs(vals) > threshold
-    nonzero = series.piece_lengths() > 0
-    intervals = []
-    spans = []          # (first_piece, last_piece) per interval
-    i = 0
-    while i < len(vals):
-        if exceed[i] and nonzero[i]:
-            j = i
-            while j + 1 < len(vals) and (exceed[j + 1] or not nonzero[j + 1]):
-                j += 1
-            while not (exceed[j] and nonzero[j]):
-                j -= 1
-            intervals.append((float(edges[i]), float(edges[j + 1])))
-            spans.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    persistence = []
-    above = np.abs(vals) > level
-    for first, last in spans:
-        k = first + int(np.argmax(np.abs(vals[first:last + 1])))
-        x_bar = 0.5 * (edges[k] + edges[k + 1])
-        lo, hi = k, k
-        while lo - 1 >= 0 and above[lo - 1]:
-            lo -= 1
-        while hi + 1 < len(vals) and above[hi + 1]:
-            hi += 1
-        radius = min(x_bar - edges[lo], edges[hi + 1] - x_bar)
-        persistence.append((float(x_bar), float(radius)))
+    size = np.abs(series.values)
+    live = series.piece_lengths() > 0
+    exceed = size > threshold
+    # an interval runs from a hit (a live piece above the threshold) to
+    # the last hit before the next live piece below it
+    hits = np.flatnonzero(exceed & live)
+    cuts = np.cumsum(live & ~exceed)[hits]
+    first = hits[np.diff(cuts, prepend=-1) != 0]
+    last = hits[np.diff(cuts, append=-1) != 0]
+    # the persistence walk spreads from each interval's worst piece k
+    # (which need not be above the level) over the pieces above it
+    k = np.array([f + int(np.argmax(size[f:j + 1]))
+                  for f, j in zip(first, last)], dtype=np.int64)
+    # the nearest piece at or before / at or after each index not above it
+    idx, n = np.arange(len(size)), len(size)
+    above = size > level
+    below_to = np.maximum.accumulate(np.where(above, -1, idx))
+    below_from = np.minimum.accumulate(np.where(above, n, idx)[::-1])[::-1]
+    lo = np.concatenate(([-1], below_to))[k] + 1
+    hi = np.concatenate((below_from, [n]))[k + 1] - 1
+    x_bar = 0.5 * (edges[k] + edges[k + 1])
+    radius = np.minimum(x_bar - edges[lo], edges[hi + 1] - x_bar)
+    intervals = list(zip(edges[first].tolist(), edges[last + 1].tolist()))
+    persistence = list(zip(x_bar.tolist(), radius.tolist()))
     return InertiaReport(float(threshold), float(level), intervals,
                          persistence, series)
 

@@ -15,6 +15,7 @@ Events come from one store per field, grown by doubling up to STORE_BOUND
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -279,24 +280,31 @@ def prime_ideal_events(fld: NumberFieldSpec, lo: float, hi: float):
             for n, p, f, m, w in zip(*_cached_events(fld, lo, hi))]
 
 
-def psi_K(fld: NumberFieldSpec, x: float) -> float:
-    """Sum of log N(P) over prime-ideal powers with norm <= x."""
-    if x < 0:
+def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
+    """One column of _cached_events (3 exponents, 4 weights) over norms
+    in (1, x] (for Q, in class cls), in reads of at most STORE_BOUND
+    norms: the first slices the store, and each later one is built and,
+    as only its column is kept, dropped before the next is built."""
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
-        return 0.0
-    _, weights, _, _ = ideal_event_arrays(fld, 1, x)
-    return math.fsum(weights)
+        return
+    sieve.check_capacity(x)             # before any read is built
+    for lo in range(0, math.floor(x), STORE_BOUND):
+        yield _cached_events(fld, max(lo, 1), min(lo + STORE_BOUND, x),
+                             cls)[column]
 
 
-def pi_K(fld: NumberFieldSpec, x: float) -> int:
-    """Number of prime ideals with norm <= x."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return 0
-    _, _, _, first = ideal_event_arrays(fld, 1, x)
-    return int(np.count_nonzero(first))
+def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
+    """Sum of log N(P) over prime-ideal powers with norm <= x (for Q, in
+    residue class cls), exactly rounded over all reads."""
+    return math.fsum(itertools.chain.from_iterable(_reads_to(fld, x, cls, 4)))
+
+
+def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:
+    """Number of prime ideals with norm <= x (for Q, in class cls)."""
+    return sum(int(np.count_nonzero(expo == 1))
+               for expo in _reads_to(fld, x, cls, 3))
 
 
 # ---------------------------------------------------------------------------

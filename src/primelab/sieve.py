@@ -163,9 +163,16 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     return pos, base, expo, weights
 
 
+def _q():
+    """numfield and its field Q, whose store serves every residue class."""
+    from . import numfield      # here, as numfield imports this module
+    return numfield, numfield.preset("Q")
+
+
 def prime_power_events(lo: float, hi: float, cls: ResidueClass = EVERYTHING
                        ) -> list[PrimePowerEvent]:
-    pos, base, expo, weights = event_arrays(lo, hi, cls)
+    numfield, q = _q()
+    pos, base, _, expo, weights = numfield._cached_events(q, lo, hi, cls)
     return [PrimePowerEvent(int(n), int(p), int(m), float(w))
             for n, p, m, w in zip(pos, base, expo, weights)]
 
@@ -176,21 +183,11 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     Uses exactly rounded summation (math.fsum), so partitioning the event
     set over residue classes cannot change the total.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return 0.0
-    _, _, _, weights = event_arrays(1, x, cls)
-    return math.fsum(weights)
+    numfield, q = _q()
+    return numfield.psi_K(q, x, cls)
 
 
 def pi_ap(x: float, cls: ResidueClass = EVERYTHING) -> int:
     """Number of primes p <= x with p = a (mod q)."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return 0
-    primes = sieve_primes(1, x)
-    if cls.modulus > 1:
-        primes = primes[primes % cls.modulus == cls.residue]
-    return int(len(primes))
+    numfield, q = _q()
+    return numfield.pi_K(q, x, cls)

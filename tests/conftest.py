@@ -40,6 +40,18 @@ def run_python(args):
                           preexec_fn=_cap_memory)
 
 
+def run_within_rss(code, budget_mb, *args):
+    """Run `code` in a run_python child, with args as its sys.argv[1:].
+    The child then prints its peak RSS to stderr and exits nonzero if
+    `code` set a nonzero `status` or the peak passed budget_mb MB."""
+    return run_python(["-c", "import resource, sys\nstatus = 0\n" + code
+                       + "\nkb = resource.getrusage(resource.RUSAGE_SELF)"
+                       ".ru_maxrss\n"
+                       "print(f'peak {kb} KB', file=sys.stderr)\n"
+                       f"sys.exit(status or kb > {budget_mb} * 1024)\n",
+                       *args])
+
+
 @contextlib.contextmanager
 def sieve_ceiling(value):
     """Lower the sieve ceiling inside a with-block; reset on leaving."""

@@ -10,7 +10,7 @@ from primelab import ExperimentReport, emit, pi_K, preset
 from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
                           EXIT_SINK, EXIT_USAGE, RUNNERS, build_parser, main)
 
-from conftest import run_python
+from conftest import run_python, run_within_rss
 from test_golden import CASES
 
 GOLDEN_ARGV = {name: argv for name, argv, _ in CASES}
@@ -360,15 +360,10 @@ def test_prime_modulus_near_2_to_62_answers_at_once():
 def test_far_scan_reads_only_its_window():
     """A Cramer window at 3e8 reads its own events: the child peaks under
     200 MB, where reading every event from 1 took about 0.9 GB."""
-    proc = run_python(["-c", "import resource, sys\n"
-                       "from primelab.cli import main\n"
-                       "code = main(sys.argv[1:])\n"
-                       "kb = resource.getrusage(resource.RUSAGE_SELF)"
-                       ".ru_maxrss\n"
-                       "print(f'peak {kb} KB', file=sys.stderr)\n"
-                       "sys.exit(code or kb > 200 * 1024)\n",
-                       "ap-scan", "--q", "4", "--a", "1", "--x-lo", "3e8",
-                       "--x-hi", "3.0001e8"])
+    proc = run_within_rss("from primelab.cli import main\n"
+                          "status = main(sys.argv[1:])", 200,
+                          "ap-scan", "--q", "4", "--a", "1", "--x-lo", "3e8",
+                          "--x-hi", "3.0001e8")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       bt_check_ap, bt_check_field, cramer_window_scan, delta,
@@ -81,6 +81,40 @@ def test_progression_reads_match_sieve_on_both_sides_of_cap(
         # the drift term is h times the density 1/phi(q)
         assert delta(x, h, cls) == math.fsum(w) - h * (1 / euler_phi(q))
     assert all(bound <= 2**12 for bound, _ in numfield._stores.values())
+
+
+# below, at and just above a store cap of 2^12, and three reads past it
+TOTAL_XS = (1000.5, 4096, 4097, 12288.5)
+
+
+def test_totals_read_in_bounded_reads_across_cap(empty_stores, monkeypatch):
+    """Under a store cap of 2^12 the totals read (1, x] in reads of at
+    most 2^12 norms: psi_ap and pi_ap equal the fsum and the prime count
+    of the sieve's events of the class, psi_K and pi_K of Q(i) their
+    values under the default cap, no store grows past the cap, and a
+    repeated total builds only the norms above it."""
+    qi = preset("Q(i)")
+    expected = {x: (psi_K(qi, x), pi_K(qi, x)) for x in TOTAL_XS}
+    monkeypatch.setattr(numfield, "_stores", {})
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    for x in TOTAL_XS:
+        for q in (1, 4, 7, 30):
+            cls = ResidueClass(q, 1 % q)
+            _, _, expo, w = event_arrays(1, x, cls)
+            assert psi_ap(x, cls) == math.fsum(w)
+            assert pi_ap(x, cls) == np.count_nonzero(expo == 1)
+        assert (psi_K(qi, x), pi_K(qi, x)) == expected[x]
+    assert all(bound <= 2**12 for bound, _ in numfield._stores.values())
+    built = []
+    build = numfield._build_events
+
+    def recorded(fld, lo, hi):
+        built.append(lo)
+        return build(fld, lo, hi)
+
+    monkeypatch.setattr(numfield, "_build_events", recorded)
+    assert psi_K(qi, 12288.5) == expected[12288.5][0]
+    assert built and min(built) >= 2**12
 
 
 def test_far_windows_are_exact_and_keep_no_store(empty_stores):
@@ -270,6 +304,68 @@ def test_inertia_range_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="primelab.intervals"):
         inertia_scan(1000, 1.5, src)
     assert "range condition" in caplog.text
+
+
+def inertia_walks(series, threshold, level):
+    """Exceedance intervals and persistence (x_bar, radius) by walking the
+    pieces one at a time: the reference for inertia_scan's array code."""
+    edges = np.concatenate(([series.start], series.breakpoints,
+                            [series.end]))
+    vals = series.values
+    exceed = np.abs(vals) > threshold
+    nonzero = series.piece_lengths() > 0
+    intervals = []
+    spans = []          # (first_piece, last_piece) per interval
+    i = 0
+    while i < len(vals):
+        if exceed[i] and nonzero[i]:
+            j = i
+            while j + 1 < len(vals) and (exceed[j + 1] or not nonzero[j + 1]):
+                j += 1
+            while not (exceed[j] and nonzero[j]):
+                j -= 1
+            intervals.append((float(edges[i]), float(edges[j + 1])))
+            spans.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    persistence = []
+    above = np.abs(vals) > level
+    for first, last in spans:
+        k = first + int(np.argmax(np.abs(vals[first:last + 1])))
+        x_bar = 0.5 * (edges[k] + edges[k + 1])
+        lo, hi = k, k
+        while lo - 1 >= 0 and above[lo - 1]:
+            lo -= 1
+        while hi + 1 < len(vals) and above[hi + 1]:
+            hi += 1
+        radius = min(x_bar - edges[lo], edges[hi + 1] - x_bar)
+        persistence.append((float(x_bar), float(radius)))
+    return intervals, persistence
+
+
+@settings(max_examples=300, deadline=None)
+@given(positions=st.lists(st.integers(101, 260), max_size=60),
+       weights=st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                        min_size=60, max_size=60),
+       h=st.integers(1, 40), drift=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+       persist_c=st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+# |Delta| = 1 = threshold on a live piece, which therefore cuts
+@example(positions=[108], weights=[3.0], h=16, drift=0.25, persist_c=0.25)
+# Delta = -39 everywhere: the worst piece is not above the level 39, and
+# the walk still starts there (radius 50, not 0)
+@example(positions=[], weights=[], h=39, drift=1.0, persist_c=1.0)
+def test_inertia_scan_equals_the_piece_walks(positions, weights, h, drift,
+                                             persist_c):
+    """Integer positions, repeated ones included, make zero-length pieces
+    and values exactly at the threshold; the persistence level lies below,
+    at and above the threshold (persist_c 0.25 is the threshold)."""
+    positions = sorted(positions)
+    src = synthetic_source(np.array(positions, dtype=np.float64),
+                           weights[:len(positions)], drift)
+    report = inertia_scan(100, h, src, persist_c=persist_c)
+    assert (report.exceedance_intervals, report.persistence) == inertia_walks(
+        report.series, report.threshold, report.persistence_level)
 
 
 # --- Brun-Titchmarsh ----------------------------------------------------

@@ -8,7 +8,7 @@ from primelab import (CapacityError, PrimePowerEvent, ResidueClass, pi_ap,
                       prime_power_events, psi_ap, sieve_primes)
 from primelab.sieve import DEFAULT_CEILING, check_capacity, event_arrays
 
-from conftest import sieve_ceiling, trial_primes
+from conftest import run_within_rss, sieve_ceiling, trial_primes
 
 
 def test_textbook_primes():
@@ -102,6 +102,22 @@ def test_pi_small_values():
     assert pi_ap(100, ResidueClass(4, 1)) == 11
     assert pi_ap(100, ResidueClass(4, 3)) == 13
     assert pi_ap(1) == 0
+
+
+def test_totals_reject_nan():
+    for total in (psi_ap, pi_ap):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            total(math.nan)
+
+
+def test_psi_to_1e8_stays_under_200_mb():
+    """psi_ap(1e8) reads (1, 1e8] in bounded reads: the child peaks under
+    200 MB, where building every event at once took about 460 MB."""
+    proc = run_within_rss("from primelab import psi_ap\n"
+                          "print(repr(psi_ap(1e8)))", 200)
+    assert proc.returncode == 0, proc.stderr
+    x = 1e8
+    assert abs(float(proc.stdout) - x) < 2 * math.sqrt(x) * math.log(x) ** 2
 
 
 def test_pi_partition_at_four():
