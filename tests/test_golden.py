@@ -3,7 +3,8 @@
 persistence level above the exceedance threshold), two more `sieve`
 windows (a class mod 7 at 1e7, below the event-store cap, and one mod 4
 at 3e7, above it), and far windows (two `bt` windows, a `field-scan` and
-a `smoothed` sum near x = 3e7, and a `meansq` at X = 2e7), in both
+a `smoothed` sum near x = 3e7, a `meansq` at X = 2e7, and `explicit`
+residuals whose probes straddle the event-store cap 2^24), in both
 output formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
@@ -61,6 +62,8 @@ CASES = [
                    "--a", "1"], 0),
     ("inertia-persist", ["inertia", "--X", "10000", "--q", "4", "--a", "1",
                          "--h", "200", "--persist-c", "0.5"], 0),
+    ("explicit-far", ["explicit", "--T", "500", "--x-lo", "1.6e7",
+                      "--x-hi", "1.7e7", "--x-step", "250000"], 0),
 ]
 
 
