@@ -10,7 +10,7 @@ from .explicit import TruncationSpec, residual_scan, smoothed_prediction, \
     smoothed_sum, triangle_weight, truncated_psi, unweighted_sandwich
 from .intervals import DeltaSeries, bt_check_ap, bt_check_field, \
     cramer_window_scan, delta, delta_K, delta_series, euler_phi, \
-    inertia_scan, mean_square, mean_square_sampled, meansq_ratio
+    inertia_scan, mean_square, meansq_ratio
 from .numfield import IdealPowerEvent, NumberFieldSpec, SplittingType, \
     dedekind_index_test, factor_degrees_mod_p, pi_K, poly_discriminant, \
     preset, preset_names, prime_ideal_events, psi_K, splitting_type, \

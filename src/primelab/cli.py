@@ -15,8 +15,7 @@ import math
 import sys
 
 from . import explicit, intervals, numfield, sieve, zeros
-from .counters import StepCounter, field_source, target_label, \
-    window_events
+from .counters import target_label, window_events
 from .errors import CapacityError, PrimeLabError
 from .report import ExperimentReport, emit
 
@@ -231,8 +230,7 @@ def _run_explicit(args):
     spec = explicit.TruncationSpec(
         args.T, zeros.field_table(args.field, args.zero_manifest),
         target.degree, target.field_disc)
-    counter = field_source(target, args.x_hi + 1).psi
-    scan = explicit.residual_scan(counter, spec, xs)
+    scan = explicit.residual_scan(target, spec, xs)
     return [ExperimentReport(
         "explicit_residual",
         {"x": float(xv), "T": args.T, "field": args.field},
@@ -246,13 +244,7 @@ def _run_smoothed(args):
     spec = explicit.TruncationSpec(
         args.T, zeros.field_table(args.field, args.zero_manifest),
         target.degree, target.field_disc)
-    if h <= 0:          # else the read below would have lo > hi
-        raise ValueError(f"h must be positive, got {h}")
-    # the widest smoothed window, (1 + eps) h with eps < 1, and the
-    # sandwich's (x - h, x + h] lie in (x - 2h, x + 2h]
-    counter = StepCounter.from_events(
-        *window_events(target, args.x - 2 * h, args.x + 2 * h)[:2])
-    w = explicit.smoothed_sum(args.x, h, counter)
+    w = explicit.smoothed_sum(args.x, h, target)
     pred = explicit.smoothed_prediction(args.x, h, spec)
     rows = [
         ExperimentReport("smoothed_sum",
@@ -265,8 +257,9 @@ def _run_smoothed(args):
     ]
     if args.eps is not None:
         lower, upper = explicit.unweighted_sandwich(args.x, h, args.eps,
-                                                    counter)
-        direct = counter.window(args.x - h, 2 * h)
+                                                    target)
+        start = args.x - h
+        direct = math.fsum(window_events(target, start, start + 2 * h)[1])
         rows.append(ExperimentReport(
             "sandwich", {"x": args.x, "h": h, "eps": args.eps,
                          "field": args.field, "lower": lower,

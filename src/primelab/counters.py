@@ -1,20 +1,19 @@
 """Step-function counters built from event arrays.
 
-A StepCounter is the right-continuous partial sum x -> sum_{n <= x} w_n
-over the events it was built from; its window sums are exactly rounded
-(`math.fsum` of the slice).  Every experiment reads the events of its own
-range through `window_events`, from the event store `numfield` keeps per
-field; a residue class is a filter on Q's events.  Whole-prefix counters
-(`progression_source`, `field_source`) are built only where a prefix
-value psi(x) is read.  A WindowSource bundles one counter with its
-expected density and label: synthetic fixtures build one from raw arrays
-and pass it where a residue class or a field would go.
+A StepCounter holds ascending event positions and their weights: the
+right-continuous partial sum x -> sum_{n <= x} w_n.  Every experiment
+reads the events of its own range through `window_events`, from the
+event store `numfield` keeps per field; a residue class is a filter on
+Q's events, and a StepCounter or WindowSource is sliced.  A WindowSource
+bundles one counter with its expected density and label: synthetic
+fixtures build one from raw arrays and pass it where a residue class or
+a field would go.  `window_source` still builds a whole-prefix counter
+over (0, hi]; no experiment reads one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .sieve import ResidueClass, euler_phi
 class StepCounter:
     positions: np.ndarray
     weights: np.ndarray
-    cumulative: np.ndarray = field(repr=False)
 
     @classmethod
     def from_events(cls, positions, weights) -> "StepCounter":
@@ -34,21 +32,7 @@ class StepCounter:
         weights = np.asarray(weights, dtype=np.float64)
         if len(positions) > 1 and np.any(np.diff(positions) < 0):
             raise ValueError("event positions must be ascending")
-        # cumulative[k] = sum of the first k weights (leading zero included)
-        return cls(positions, weights,
-                   np.concatenate(([0.0], np.cumsum(weights))))
-
-    def value(self, x):
-        """Counter value at x; scalar or numpy-broadcast."""
-        idx = np.searchsorted(self.positions, x, side="right")
-        out = self.cumulative[idx]
-        return float(out) if np.isscalar(x) else out
-
-    def window(self, x: float, h: float) -> float:
-        """Exactly rounded sum of weights over x < n <= x + h."""
-        lo = np.searchsorted(self.positions, x, side="right")
-        hi = np.searchsorted(self.positions, x + h, side="right")
-        return math.fsum(self.weights[lo:hi])
+        return cls(positions, weights)
 
 
 @dataclass(frozen=True)
@@ -74,11 +58,14 @@ def target_label(target) -> str:
 def window_events(target, lo: float, hi: float):
     """(positions, weights, first-power mask) in (lo, hi] of a number
     field, from its store in `numfield`, of a class, from Q's, or of a
-    WindowSource, whose events all count as first powers."""
+    StepCounter or WindowSource, whose events all count as first
+    powers."""
     if isinstance(target, WindowSource):
-        psi = target.psi
-        i, j = np.searchsorted(psi.positions, [lo, hi], side="right")
-        return psi.positions[i:j], psi.weights[i:j], np.ones(j - i, bool)
+        target = target.psi
+    if isinstance(target, StepCounter):
+        i, j = np.searchsorted(target.positions, [lo, hi], side="right")
+        return (target.positions[i:j], target.weights[i:j],
+                np.ones(j - i, bool))
     cls = sieve.EVERYTHING
     if isinstance(target, ResidueClass):
         target, cls = numfield.preset("Q"), target

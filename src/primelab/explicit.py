@@ -6,6 +6,11 @@ here is real by construction.  Terms are accumulated with exactly
 rounded summation (math.fsum), which subsumes the compensated
 descending-order accumulation one would otherwise need: the terms decay
 like 1/gamma and naive left-to-right addition loses digits by T ~ 10^3.
+
+Sources (a class, a field, a StepCounter or a WindowSource) are read
+through `counters.window_events`; `residual_scan` reads (0, max x] in
+reads of at most `numfield.STORE_BOUND` norms and carries psi(x) across
+them as a running float sum, the `np.cumsum` prefix (not exact).
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import StepCounter
+from . import numfield, sieve
+from .counters import window_events
 from .errors import ZeroTableError
 from .zeros import ZeroTable
 
@@ -90,34 +96,61 @@ class ResidualScan:
         return float(np.max(np.abs(self.normalized))) if len(self.xs) else 0.0
 
 
-def residual_scan(counter: StepCounter, spec: TruncationSpec,
-                  xs) -> ResidualScan:
-    """Pointwise residual counter(x) - truncated_psi(x) with the
-    normalization T / (x (n_K log x + log d_K) log x).
-
-    Probe points within EVENT_NUDGE of a jump are moved just past it so
-    the comparison sits on a consistent side of the discontinuity.
-    """
-    xs = np.asarray(list(xs), dtype=np.float64)
-    out_x = []
-    residuals = []
-    normalized = []
-    log_dk = math.log(spec.disc)
+def _psi_at(source, lo: float, hi: float, psi: float, xs):
+    """(psi(hi), [(x, psi(x)) for each probe x of xs]) from one read of
+    (lo, hi], given psi(lo); each x is nudged off a jump as
+    `residual_scan` says and, nudged, still lies in (lo, hi].  The read
+    is dropped on return, before the next one is built."""
+    pos, w, _ = window_events(source, lo, hi)
+    # float keys on an int64 array would convert it on every search
+    pos = np.asarray(pos, dtype=np.float64)
+    prefix = np.cumsum(np.concatenate(([psi], w)))
+    out = []
     for x in xs:
-        idx = np.searchsorted(counter.positions, x - EVENT_NUDGE)
-        if (idx < len(counter.positions)
-                and abs(counter.positions[idx] - x) <= EVENT_NUDGE):
+        idx = np.searchsorted(pos, x - EVENT_NUDGE)
+        if idx < len(pos) and abs(pos[idx] - x) <= EVENT_NUDGE:
             log.warning("probe x=%s collides with an event; nudging by %g",
                         x, EVENT_NUDGE)
-            x = float(counter.positions[idx]) + EVENT_NUDGE
-        r = counter.value(x) - truncated_psi(x, spec)
-        scale = spec.height / (x * (spec.degree * math.log(x) + log_dk)
-                               * math.log(x))
-        out_x.append(x)
-        residuals.append(r)
-        normalized.append(r * scale)
-    return ResidualScan(np.array(out_x), np.array(residuals),
-                        np.array(normalized))
+            x = float(pos[idx]) + EVENT_NUDGE
+        out.append((x, prefix[np.searchsorted(pos, x, side="right")]))
+    return prefix[-1], out
+
+
+def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
+    """Pointwise residual psi(x) - truncated_psi(x) with the
+    normalization T / (x (n_K log x + log d_K) log x), in the order of
+    xs, for any source `window_events` reads.
+
+    Probe points within EVENT_NUDGE of a jump are moved just past it so
+    the comparison sits on a consistent side of the discontinuity.  The
+    probes are taken in ascending order, in reads of at most STORE_BOUND
+    norms: a read that would end inside a probe's reach, which holds the
+    event it may be nudged past, ends with that reach instead.
+    """
+    xs = np.asarray(list(xs), dtype=np.float64)
+    order = np.argsort(xs, kind="stable")
+    starts = xs[order] - 2 * EVENT_NUDGE
+    ends = xs[order] + 3 * EVENT_NUDGE
+    if not np.all(ends >= 2):       # nudged, x stays below its end; NaN too
+        raise ValueError(f"x must be >= 2, got {xs.min()}")
+    sieve.check_capacity(np.max(ends, initial=0))      # before any read
+    out_x, residuals, normalized = (np.empty(len(xs)) for _ in range(3))
+    log_dk = math.log(spec.disc)
+    lo, psi, k = 0.0, 0.0, 0
+    while k < len(xs):
+        hi = min(lo + numfield.STORE_BOUND, ends[-1])
+        j = np.searchsorted(ends, hi, side="right")
+        while j < len(xs) and starts[j] < hi:
+            hi = ends[j]
+            j = np.searchsorted(ends, hi, side="right")
+        psi, values = _psi_at(source, lo, hi, psi, xs[order[k:j]])
+        for i, (x, value) in zip(order[k:j], values):
+            r = value - truncated_psi(x, spec)
+            scale = spec.height / (x * (spec.degree * math.log(x) + log_dk)
+                                   * math.log(x))
+            out_x[i], residuals[i], normalized[i] = x, r, r * scale
+        lo, k = hi, j
+    return ResidualScan(out_x, residuals, normalized)
 
 
 def triangle_weight(n: float, x: float, h: float) -> float:
@@ -127,17 +160,15 @@ def triangle_weight(n: float, x: float, h: float) -> float:
     return max(1.0 - abs(x - n) / h, 0.0)
 
 
-def smoothed_sum(x: float, h: float, counter: StepCounter) -> float:
+def smoothed_sum(x: float, h: float, source) -> float:
     """W(x, h) = sum of Lambda-type weights times the triangle weight
     over the open window (x-h, x+h); exact event sum."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    pos = counter.positions
-    i = np.searchsorted(pos, x - h, side="right")
-    j = np.searchsorted(pos, x + h, side="left")
-    window = pos[i:j]
-    tri = 1.0 - np.abs(x - window) / h
-    return math.fsum(counter.weights[i:j] * tri)
+    pos, w, _ = window_events(source, x - h, x + h)
+    j = np.searchsorted(pos, x + h)         # the window is open at x + h
+    tri = 1.0 - np.abs(x - pos[:j]) / h
+    return math.fsum(w[:j] * tri)
 
 
 def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
@@ -160,15 +191,14 @@ def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
     return h - math.fsum(terms) / h
 
 
-def unweighted_sandwich(x: float, h: float, eps: float,
-                        counter: StepCounter) -> tuple:
+def unweighted_sandwich(x: float, h: float, eps: float, source) -> tuple:
     """(lower, upper) bounds for psi(x+h) - psi(x-h) derived from three
     triangle-smoothed sums; valid for any nonnegative event weights."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    w_mid = smoothed_sum(x, h, counter)
-    w_lo = smoothed_sum(x, (1 - eps) * h, counter)
-    w_hi = smoothed_sum(x, (1 + eps) * h, counter)
+    w_mid = smoothed_sum(x, h, source)
+    w_lo = smoothed_sum(x, (1 - eps) * h, source)
+    w_hi = smoothed_sum(x, (1 + eps) * h, source)
     lower = -((1 - eps) * w_lo - w_mid) / eps
     upper = ((1 + eps) * w_hi - w_mid) / eps
     return lower, upper

@@ -9,8 +9,7 @@ class, a number field, or a prebuilt WindowSource (synthetic fixtures).
 
 Delta(x, h) is piecewise constant in x (the drift term is linear only in
 h, which is held fixed), so the mean-square integral is computed exactly
-by sweeping the jump events.  The fine-sampling Riemann sum is retained
-purely as a cross-check oracle.
+by sweeping the jump events.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import StepCounter, drift, target_label, window_events
+from .counters import drift, target_label, window_events
 from .numfield import NumberFieldSpec
 from .report import ExperimentReport
 from .sieve import ResidueClass, euler_phi
@@ -94,16 +93,6 @@ def mean_square(X: float, h: float, target) -> float:
         raise ValueError(f"need 2 <= h <= X, got h={h}, X={X}")
     series = delta_series(X, h, target)
     return float(np.dot(series.values**2, series.piece_lengths()))
-
-
-def mean_square_sampled(X: float, h: float, target,
-                        step: float = 1e-2) -> float:
-    """Riemann-sum cross-check of mean_square on a regular midpoint grid."""
-    psi = StepCounter.from_events(*window_events(target, X, 2 * X + h)[:2])
-    n = int(round(X / step))
-    xs = X + (np.arange(n) + 0.5) * step
-    d = psi.value(xs + h) - psi.value(xs) - h * drift(target)
-    return float(np.sum(d * d) * step)
 
 
 def _bound_for(target, X: float, h: float) -> float:

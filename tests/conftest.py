@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from primelab import numfield, sieve
+from primelab.counters import drift, window_events
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 1 << 30      # address-space cap for run_python children
@@ -67,6 +68,26 @@ def empty_stores(monkeypatch):
     """Run the test against empty field event stores; the shared stores
     come back afterwards."""
     monkeypatch.setattr(numfield, "_stores", {})
+
+
+def psi_prefix(positions, weights, x):
+    """psi(x): the exactly rounded sum of the weights at positions <= x."""
+    return math.fsum(np.asarray(weights)[np.asarray(positions) <= x])
+
+
+def mean_square_sampled(X, h, target, step=1e-2):
+    """Riemann-sum cross-check of mean_square on a regular midpoint grid;
+    psi is the running `np.cumsum` prefix of the events in (X, 2X + h]."""
+    pos, w, _ = window_events(target, X, 2 * X + h)
+    pos = pos.astype(np.float64)
+    cumulative = np.concatenate(([0.0], np.cumsum(w)))
+
+    def psi(t):
+        return cumulative[np.searchsorted(pos, t, side="right")]
+
+    xs = X + (np.arange(int(round(X / step))) + 0.5) * step
+    d = psi(xs + h) - psi(xs) - h * drift(target)
+    return float(np.sum(d * d) * step)
 
 
 def is_prime_trial(n: int) -> bool:

@@ -15,14 +15,14 @@ from primelab import (ResidueClass, StepCounter, TruncationSpec,
                       WindowSource, bt_check_ap, bt_check_field,
                       component_table, count_zeros, cramer_window_scan,
                       euler_phi, field_source, field_table, inertia_scan,
-                      mean_square, mean_square_sampled, meansq_ratio, pi_ap,
+                      mean_square, meansq_ratio, pi_ap,
                       predicted_count, preset, preset_names,
                       progression_source, psi_ap, quadratic_splitting_oracle,
                       sieve_primes, splitting_types, truncated_psi,
                       unweighted_sandwich)
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import is_prime_trial
+from conftest import is_prime_trial, mean_square_sampled, psi_prefix
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -165,7 +165,7 @@ def test_criterion_06_explicit_residual():
     the x-grid stays under 5 (x/T) log^2 x, and doubling T from 500 to
     1000 does not grow the max residual by more than a factor 2."""
     tbl = component_table("zeta")
-    counter = progression_source(EVERYTHING, 1100).psi
+    pos, _, _, w = event_arrays(1, 1100)
     xs = np.arange(50.5, 1000.6, 50.0)
     ok = True
 
@@ -173,7 +173,8 @@ def test_criterion_06_explicit_residual():
         spec = TruncationSpec(T, tbl)
         worst = 0.0
         for x in xs:
-            r = abs(counter.value(float(x)) - truncated_psi(float(x), spec))
+            r = abs(psi_prefix(pos, w, float(x))
+                    - truncated_psi(float(x), spec))
             worst = max(worst, r)
             if T == 1000.0 and r > 5 * (x / T) * math.log(x) ** 2:
                 nonlocal ok
@@ -203,7 +204,8 @@ def test_criterion_07_sandwich():
         h = float(rng.uniform(3, 0.02 * x))
         eps = float(rng.uniform(0.05, 0.95))
         lower, upper = unweighted_sandwich(x, h, eps, counter)
-        actual = counter.value(x + h) - counter.value(x - h)
+        pos, w = counter.positions, counter.weights
+        actual = psi_prefix(pos, w, x + h) - psi_prefix(pos, w, x - h)
         if not (lower <= actual + 1e-9 and actual <= upper + 2e-9):
             violations += 1
     report(7, violations == 0,

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import (StepCounter, TruncationSpec, ZeroTable, ZeroTableError,
-                      component_table, field_table, residual_scan,
-                      smoothed_prediction, smoothed_sum,
-                      triangle_weight, truncated_psi, unweighted_sandwich)
-from primelab.sieve import event_arrays
+from primelab import (CapacityError, ResidueClass, StepCounter,
+                      TruncationSpec, ZeroTable, ZeroTableError,
+                      component_table, explicit, field_table, numfield,
+                      preset, residual_scan, smoothed_prediction,
+                      smoothed_sum, triangle_weight, truncated_psi,
+                      unweighted_sandwich)
+from primelab.explicit import EVENT_NUDGE
+from primelab.numfield import ideal_event_arrays
+from primelab.sieve import EVERYTHING, event_arrays
+
+from conftest import psi_prefix, run_within_rss
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +72,7 @@ def test_truncated_psi_tracks_counter(zeta_spec, psi_counter):
     actual step function away from jumps."""
     for x in (1000.5, 10**4 + 0.5, 10**5 + 0.5):
         approx = truncated_psi(x, zeta_spec)
-        actual = psi_counter.value(x)
+        actual = psi_prefix(psi_counter.positions, psi_counter.weights, x)
         assert abs(approx - actual) \
             <= 5 * (x / zeta_spec.height) * math.log(x) ** 2
 
@@ -99,6 +105,90 @@ def test_doubling_height_shrinks_residual(psi_counter):
     hi = residual_scan(psi_counter, TruncationSpec(1000.0, tbl), xs)
     assert hi.max_abs < lo.max_abs
     assert hi.max_normalized < 4 * lo.max_normalized
+
+
+def cumsum_residuals(pos, w, spec, xs):
+    """(nudged x, residual) per probe from one whole-prefix np.cumsum,
+    nudging as residual_scan documents."""
+    pos = pos.astype(np.float64)
+    prefix = np.concatenate(([0.0], np.cumsum(w)))
+    out = []
+    for x in xs:
+        i = np.searchsorted(pos, x - EVENT_NUDGE)
+        if i < len(pos) and abs(pos[i] - x) <= EVENT_NUDGE:
+            x = float(pos[i]) + EVENT_NUDGE
+        value = prefix[np.searchsorted(pos, x, side="right")]
+        out.append((x, value - truncated_psi(x, spec)))
+    return out
+
+
+# unsorted, with a repeat, on both sides of the read boundaries 4096 and
+# 8192 under a store cap of 2^12, within EVENT_NUDGE of the prime powers
+# 4096 and 8192 (norms of ideals of Q(i) too) and of 12289 = 1 mod 4
+SCAN_XS = [12288.5, 1000.5, 4096 + 5e-7, 4096 - 5e-7, 4096.0, 4097.5,
+           1000.5, 8191.5, 8192 + 9e-7, 2.5, 8193.5, 12289 - 4e-7]
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "q=4,a=1"])
+def test_residual_scan_reads_bounded_pieces_across_cap(
+        name, empty_stores, monkeypatch):
+    """Under a store cap of 2^12 residual_scan reads (0, max x] in
+    consecutive reads of at most 2^12 norms, and each residual equals
+    the one from a whole-prefix cumsum over the target's events."""
+    top = max(SCAN_XS) + 1
+    if name == "Q(i)":
+        target = preset(name)
+        pos, w, _, _ = ideal_event_arrays(target, 1, top)
+        spec = TruncationSpec(100.0, field_table(name), 2, 4)
+    else:
+        cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)
+        target = preset("Q") if name == "Q" else cls
+        pos, _, _, w = event_arrays(1, top, cls)
+        spec = TruncationSpec(100.0, component_table("zeta"))
+    expected = cumsum_residuals(pos, w, spec, SCAN_XS)
+    monkeypatch.setattr(numfield, "_stores", {})
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    reads = []
+    read = explicit.window_events
+
+    def recorded(source, lo, hi):
+        reads.append((lo, hi))
+        return read(source, lo, hi)
+
+    monkeypatch.setattr(explicit, "window_events", recorded)
+    scan = residual_scan(target, spec, SCAN_XS)
+    assert list(zip(scan.xs.tolist(), scan.residuals.tolist())) == expected
+    assert any(x != probe for x, probe in zip(scan.xs, SCAN_XS))
+    assert len(reads) == 4 and reads[0][0] == 0
+    assert all(prev[1] == cur[0] for prev, cur in zip(reads, reads[1:]))
+    assert all(math.floor(hi) - math.floor(lo) <= 2**12 for lo, hi in reads)
+    assert all(bound <= 2**12 for bound, _ in numfield._stores.values())
+
+
+def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
+                                                    zeta_spec):
+    """A NaN or a probe past the ceiling would read on without end, even
+    from a counter, and a probe below 2 would read (1, x] with x < 1."""
+    with pytest.raises(ValueError, match="x must be >= 2, got nan"):
+        residual_scan(psi_counter, zeta_spec, [1000.5, math.nan])
+    with pytest.raises(CapacityError):
+        residual_scan(psi_counter, zeta_spec, [1000.5, 1e300])
+    with pytest.raises(ValueError, match="x must be >= 2, got 0.5"):
+        residual_scan(preset("Q(i)"), zeta_spec, [1000.5, 0.5])
+
+
+def test_explicit_at_1e8_stays_under_200_mb():
+    """explicit reads (1, 1e8] in bounded reads: the child peaks under
+    200 MB, where the whole-prefix counter took about 460 MB."""
+    proc = run_within_rss("from primelab.cli import main\n"
+                          "status = main(sys.argv[1:])", 200,
+                          "explicit", "--T", "100", "--x-lo", "1e8",
+                          "--x-hi", "1e8")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    residual = float(row.split(",")[-4])
+    x = 1e8
+    assert abs(residual) <= 5 * (x / 100) * math.log(x) ** 2
 
 
 # --- smoothed sums ------------------------------------------------------
@@ -163,13 +253,14 @@ def test_smoothed_prediction_validation(zeta_spec):
 # --- sandwich -----------------------------------------------------------
 
 def test_sandwich_brackets_window(psi_counter):
+    pos, w = psi_counter.positions, psi_counter.weights
     rng = np.random.default_rng(7)
     for _ in range(50):
         x = float(rng.uniform(100, 9 * 10**5))
         h = float(rng.uniform(5, 0.02 * x))
         eps = float(rng.uniform(0.05, 0.9))
         lower, upper = unweighted_sandwich(x, h, eps, psi_counter)
-        actual = psi_counter.value(x + h) - psi_counter.value(x - h)
+        actual = psi_prefix(pos, w, x + h) - psi_prefix(pos, w, x - h)
         assert lower <= actual + 1e-9 <= upper + 2e-9, (x, h, eps)
 
 

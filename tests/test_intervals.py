@@ -8,14 +8,14 @@ from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       bt_check_ap, bt_check_field, cramer_window_scan, delta,
                       delta_K, delta_series, euler_phi, field_source,
                       inertia_scan, intervals, mean_square,
-                      mean_square_sampled, meansq_ratio, pi_K, pi_ap,
+                      meansq_ratio, pi_K, pi_ap,
                       preset, prime_ideal_events, prime_power_events,
                       numfield, progression_source, psi_K, psi_ap,
                       sieve_primes, window_events)
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import is_prime_trial, sieve_ceiling
+from conftest import is_prime_trial, mean_square_sampled, sieve_ceiling
 
 
 def synthetic_source(positions, weights, drift, label="synthetic"):
@@ -143,11 +143,9 @@ def record_reads(monkeypatch):
 @pytest.mark.parametrize("run", [
     lambda: delta_series(1000, 50, Q4),
     lambda: mean_square(1000, 50, QI),
-    lambda: mean_square_sampled(1000, 50, Q4, step=1.0),
     # positions are integers, so (1000, ...] holds every one >= 1000.5
     lambda: cramer_window_scan(1000.5, 2000, 4.0, Q4),
-], ids=["delta_series", "mean_square", "mean_square_sampled",
-        "cramer_window_scan"])
+], ids=["delta_series", "mean_square", "cramer_window_scan"])
 def test_experiments_read_only_their_range(monkeypatch, run):
     """One read, from the start of the experiment's range, not from 1."""
     calls = record_reads(monkeypatch)
