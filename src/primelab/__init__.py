@@ -11,14 +11,11 @@ from .explicit import TruncationSpec, residual_scan, smoothed_prediction, \
 from .intervals import DeltaSeries, bt_check_ap, bt_check_field, \
     cramer_window_scan, delta, delta_K, delta_series, euler_phi, \
     inertia_scan, mean_square, meansq_ratio
-from .numfield import IdealPowerEvent, NumberFieldSpec, SplittingType, \
-    dedekind_index_test, factor_degrees_mod_p, pi_K, poly_discriminant, \
-    preset, preset_names, prime_ideal_events, psi_K, splitting_type, \
+from .numfield import NumberFieldSpec, SplittingType, dedekind_index_test, \
+    pi_K, poly_discriminant, preset, preset_names, psi_K, splitting_type, \
     splitting_types
-from .quadratic import kronecker_symbol, quadratic_splitting_oracle
 from .report import ExperimentReport, emit
-from .sieve import PrimePowerEvent, ResidueClass, pi_ap, prime_power_events, \
-    psi_ap, sieve_primes
+from .sieve import ResidueClass, pi_ap, psi_ap, sieve_primes
 from .zeros import ZeroTable, combine, component_table, count_zeros, \
     field_table, load_zeros, predicted_count
 

@@ -157,12 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_sieve(args):
     if args.hi - args.lo > MAX_SIEVE_WIDTH:
         raise ValueError(f"the sieve window is wider than {MAX_SIEVE_WIDTH}")
-    cls = sieve.ResidueClass(args.q, args.a)
-    events = sieve.prime_power_events(max(args.lo, 1.0), args.hi, cls)
+    columns = numfield.ideal_event_arrays(
+        numfield.preset("Q"), max(args.lo, 1.0), args.hi,
+        sieve.ResidueClass(args.q, args.a))
     return [ExperimentReport(
-        "sieve", {"position": e.position, "base": e.base,
-                  "exponent": e.exponent, "q": args.q, "a": args.a},
-        metric=e.weight) for e in events]
+        "sieve", {"position": n, "base": p, "exponent": m, "q": args.q,
+                  "a": args.a}, metric=w)
+        for n, p, m, w in zip(*(c.tolist() for c in columns))]
 
 
 def _run_scan(args):

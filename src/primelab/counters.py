@@ -2,13 +2,15 @@
 
 A StepCounter holds ascending event positions and their weights: the
 right-continuous partial sum x -> sum_{n <= x} w_n.  Every experiment
-reads the events of its own range through `window_events`, from the
-event store `numfield` keeps per field; a residue class is a filter on
-Q's events, and a StepCounter or WindowSource is sliced.  A WindowSource
-bundles one counter with its expected density and label: synthetic
-fixtures build one from raw arrays and pass it where a residue class or
-a field would go.  `window_source` still builds a whole-prefix counter
-over (0, hi]; no experiment reads one.
+reads the events of its own range through `window_events`: a field's
+and a residue class's come from `numfield.ideal_event_arrays` (a class
+is a filter on Q's events), and a StepCounter or WindowSource is sliced.
+A WindowSource bundles one counter with its expected density and label:
+synthetic fixtures build one from raw arrays and pass it where a residue
+class or a field would go.  An experiment target is a class, a field or
+a WindowSource; `drift` and `target_label` refuse anything else.
+`window_source` still builds a whole-prefix counter over (0, hi]; no
+experiment reads one.
 """
 
 from __future__ import annotations
@@ -52,14 +54,28 @@ def target_label(target) -> str:
         return target.label
     if isinstance(target, ResidueClass):
         return f"q={target.modulus},a={target.residue}"
-    return target.name or f"deg-{target.degree} field"
+    if isinstance(target, numfield.NumberFieldSpec):
+        return target.name or f"deg-{target.degree} field"
+    raise TypeError(f"{type(target).__name__} is not an experiment target")
+
+
+def drift(target) -> float:
+    """Expected psi density per unit length: 1/phi(q), 1 for a field, or
+    a WindowSource's own."""
+    if isinstance(target, WindowSource):
+        return target.drift
+    if isinstance(target, ResidueClass):
+        return 1.0 / euler_phi(target.modulus)
+    if isinstance(target, numfield.NumberFieldSpec):
+        return 1.0
+    raise TypeError(f"{type(target).__name__} is not an experiment target")
 
 
 def window_events(target, lo: float, hi: float):
     """(positions, weights, first-power mask) in (lo, hi] of a number
-    field, from its store in `numfield`, of a class, from Q's, or of a
-    StepCounter or WindowSource, whose events all count as first
-    powers."""
+    field or a class, through `numfield.ideal_event_arrays` (a class
+    reads Q's store), or of a StepCounter or WindowSource, whose events
+    all count as first powers."""
     if isinstance(target, WindowSource):
         target = target.psi
     if isinstance(target, StepCounter):
@@ -71,18 +87,9 @@ def window_events(target, lo: float, hi: float):
         target, cls = numfield.preset("Q"), target
     elif not isinstance(target, numfield.NumberFieldSpec):
         raise TypeError(f"cannot read events of {type(target)}")
-    pos, weights, _, first = numfield.ideal_event_arrays(
+    pos, _, expo, weights = numfield.ideal_event_arrays(
         target, max(lo, 1), hi, cls)
-    return pos, weights, first
-
-
-def drift(target) -> float:
-    """Expected psi density per unit length: 1/phi(q), 1 for a field, or
-    a WindowSource's own."""
-    if isinstance(target, WindowSource):
-        return target.drift
-    return 1.0 / euler_phi(target.modulus) \
-        if isinstance(target, ResidueClass) else 1.0
+    return pos, weights, expo == 1
 
 
 def window_source(target, hi: float) -> WindowSource:

@@ -31,14 +31,15 @@ log = logging.getLogger(__name__)
 MAX_WINDOWS = 10**5
 
 
-def delta(x: float, h: float, cls: ResidueClass) -> float:
-    """psi(x+h; q, a) - psi(x; q, a) - h/phi(q), read from (x, x+h]."""
-    return math.fsum(window_events(cls, x, x + h)[1]) - h * drift(cls)
+def delta(x: float, h: float, target) -> float:
+    """psi(x+h) - psi(x) - h * drift, read from (x, x+h]: for a class
+    mod q the drift is 1/phi(q), for a field 1."""
+    return math.fsum(window_events(target, x, x + h)[1]) - h * drift(target)
 
 
 def delta_K(fld: NumberFieldSpec, x: float, h: float) -> float:
-    """psi_K(x+h) - psi_K(x) - h, read from (x, x+h]."""
-    return math.fsum(window_events(fld, x, x + h)[1]) - h * drift(fld)
+    """psi_K(x+h) - psi_K(x) - h: `delta` of the field."""
+    return delta(x, h, fld)
 
 
 # ---------------------------------------------------------------------------

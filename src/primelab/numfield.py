@@ -9,8 +9,10 @@ primes at once, `splitting_type` one.  Primes dividing the index
 handled; the shipped presets are all monogenic, so this only bites
 user-supplied polynomials.
 
-Events come from one store per field, grown by doubling up to STORE_BOUND
-(reads above it are built alone); Q's store also serves residue classes.
+Every event read goes through `ideal_event_arrays`, which slices one
+store per field, grown by doubling up to STORE_BOUND; a read above the
+cap, or starting past what the store holds, is built alone.  Q's store
+also serves residue classes, and the totals `psi_K` and `pi_K` read it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ def poly_discriminant(coefficients) -> int:
 
 def _is_irreducible(coeffs) -> bool:
     return _sympy_poly(coeffs).is_irreducible
-
-
-def factor_degrees_mod_p(coefficients, p: int):
-    """Multiset of (degree, multiplicity) for the irreducible factors of
-    f mod p, one entry per factor."""
-    return fppoly.factor_degree_multiset(list(coefficients), p)
 
 
 def dedekind_index_test(coefficients, p: int) -> bool:
@@ -168,27 +164,17 @@ def splitting_types(fld: NumberFieldSpec, primes) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class IdealPowerEvent:
-    """A prime-ideal power P^m with N(P^m) = position."""
-
-    position: int
-    base: int                # rational prime below P
-    residue_degree: int
-    exponent: int
-    weight: float            # log N(P) = residue_degree * log(base)
-
-
 # one store per field: (bound, arrays) holding every event with norm <= bound
 _stores: dict = {}
 
-# largest bound a store grows to: Q's then holds 1.1M events (28 B each)
+# largest bound a store grows to: Q's then holds 1.1M events (26 B each)
 STORE_BOUND = 2**24
 
 
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
-    """All ideal-power events with norm in (lo, hi], ascending; equal
-    norms (one prime's) in ascending residue degree.
+    """(positions, bases, exponents, weights) of every ideal-power event
+    with norm in (lo, hi], ascending; equal norms (one prime's) in
+    ascending residue degree.
 
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them in one batched Frobenius pass
@@ -198,8 +184,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     """
     if fld.degree == 1:
         pos, base, expo, weights = sieve.event_arrays(lo, hi)
-        return (pos, base, np.ones(len(pos), dtype=np.int16),
-                expo.astype(np.int16), weights)
+        return pos, base, expo.astype(np.int16), weights
     root = math.isqrt(hi)
     primes = np.concatenate([sieve.sieve_primes(1, root),
                              sieve.sieve_primes(max(lo, root), hi)])
@@ -225,18 +210,21 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     order = np.lexsort((table[:, 2], table[:, 0]))
     pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
-    return pos, base, deg.astype(np.int16), expo.astype(np.int16), weights
+    return pos, base, expo.astype(np.int16), weights
 
 
-def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
-                   cls=sieve.EVERYTHING):
-    """(positions, bases, degrees, exponents, weights) for events with
-    norm in (lo, hi] and, for Q, in residue class cls.  Up to STORE_BOUND
-    a read slices the field's store, first growing it to the next power
-    of two (at most STORE_BOUND and the sieve ceiling, which every read
-    checks) by building only the new range; above, it builds (lo, hi].
-    A bad prime raises UnsupportedPrimeError if one of its powers, the
-    norms of the ideals above it, lies in (lo, hi]."""
+def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
+                       cls=sieve.EVERYTHING):
+    """(positions, bases, exponents, weights) of the events with norm in
+    (lo, hi] and in residue class cls; the weight of P^m is log N(P).
+
+    A read that starts inside the field's store (lo <= its bound) and
+    ends below STORE_BOUND slices it, first growing it to the next power
+    of two above hi (at most STORE_BOUND and the sieve ceiling, which
+    every read checks) by building only the new range; any other read
+    builds (lo, hi] alone and keeps nothing.  A bad prime raises
+    UnsupportedPrimeError if one of its powers, the norms of the ideals
+    above it, lies in (lo, hi]."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     ceiling = sieve.check_capacity(hi)
@@ -245,11 +233,11 @@ def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
     for p in sorted(fld.bad_primes):      # p^k <= hi needs k < bit_length
         if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
             raise UnsupportedPrimeError(p, fld.name)
-    if hi > STORE_BOUND:
+    key = (fld.coefficients, fld.field_disc)
+    bound, arrays = _stores.get(key, (1, None))
+    if hi > STORE_BOUND or lo > bound:
         out = _build_events(fld, lo, hi)
     else:
-        key = (fld.coefficients, fld.field_disc)
-        bound, arrays = _stores.get(key, (1, None))
         if arrays is None or hi > bound:
             new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
                                 ceiling, STORE_BOUND))
@@ -257,32 +245,17 @@ def _cached_events(fld: NumberFieldSpec, lo: float, hi: float,
             arrays = part if arrays is None else \
                 [np.concatenate(pair) for pair in zip(arrays, part)]
             _stores[key] = (new_bound, arrays)
-        i = np.searchsorted(arrays[0], lo, side="right")
-        j = np.searchsorted(arrays[0], hi, side="right")
+        i, j = np.searchsorted(arrays[0], [lo, hi], side="right")
         out = [a[i:j] for a in arrays]
     if cls.modulus > 1:
         keep = out[0] % cls.modulus == cls.residue
         out = [a[keep] for a in out]
-    return out
-
-
-def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
-                       cls=sieve.EVERYTHING):
-    """(positions, weights, exponents, first_power_mask) for events with
-    norm in (lo, hi], in residue class cls (for Q)."""
-    pos, _, _, expo, weights = _cached_events(fld, lo, hi, cls)
-    return pos, weights, expo, expo == 1
-
-
-def prime_ideal_events(fld: NumberFieldSpec, lo: float, hi: float):
-    """Ascending list of IdealPowerEvent with norm in (lo, hi]."""
-    return [IdealPowerEvent(int(n), int(p), int(f), int(m), float(w))
-            for n, p, f, m, w in zip(*_cached_events(fld, lo, hi))]
+    return tuple(out)
 
 
 def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
-    """One column of _cached_events (3 exponents, 4 weights) over norms
-    in (1, x] (for Q, in class cls), in reads of at most STORE_BOUND
+    """One column of ideal_event_arrays (2 exponents, 3 weights) over
+    norms in (1, x] (for Q, in class cls), in reads of at most STORE_BOUND
     norms: the first slices the store, and each later one is built and,
     as only its column is kept, dropped before the next is built."""
     if not x >= 0:
@@ -291,20 +264,20 @@ def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
         return
     sieve.check_capacity(x)             # before any read is built
     for lo in range(0, math.floor(x), STORE_BOUND):
-        yield _cached_events(fld, max(lo, 1), min(lo + STORE_BOUND, x),
-                             cls)[column]
+        yield ideal_event_arrays(fld, max(lo, 1), min(lo + STORE_BOUND, x),
+                                 cls)[column]
 
 
 def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
     """Sum of log N(P) over prime-ideal powers with norm <= x (for Q, in
     residue class cls), exactly rounded over all reads."""
-    return math.fsum(itertools.chain.from_iterable(_reads_to(fld, x, cls, 4)))
+    return math.fsum(itertools.chain.from_iterable(_reads_to(fld, x, cls, 3)))
 
 
 def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:
     """Number of prime ideals with norm <= x (for Q, in class cls)."""
     return sum(int(np.count_nonzero(expo == 1))
-               for expo in _reads_to(fld, x, cls, 3))
+               for expo in _reads_to(fld, x, cls, 2))
 
 
 # ---------------------------------------------------------------------------

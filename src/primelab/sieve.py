@@ -3,6 +3,9 @@
 Positions are integers; query bounds are arbitrary reals.  All counting
 sums run over n <= x (right-continuous convention), so the window sum
 psi(x+h) - psi(x) covers x < n <= x+h.
+
+`event_arrays` builds Q's events; every read of them, for the totals
+`psi_ap` and `pi_ap` too, goes through Q's store in `numfield`.
 """
 
 from __future__ import annotations
@@ -78,16 +81,6 @@ def euler_phi(q: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class PrimePowerEvent:
-    """A prime power n = p^m carrying the von Mangoldt weight log p."""
-
-    position: int
-    base: int
-    exponent: int
-    weight: float
-
-
 # base-prime cache (primes up to sqrt(ceiling)), grown monotonically
 _base_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
 
@@ -138,22 +131,17 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
     primes = sieve_primes(lo, hi)
-    positions = [primes]
-    bases = [primes]
-    exponents = [np.ones(len(primes), dtype=np.int64)]
-    if hi >= 4:
-        for p in sieve_primes(1, math.sqrt(hi)):
-            p = int(p)
-            n, m = p * p, 2
-            while n <= hi:
-                if n > lo:
-                    positions.append(np.array([n], dtype=np.int64))
-                    bases.append(np.array([p], dtype=np.int64))
-                    exponents.append(np.array([m], dtype=np.int64))
-                n, m = n * p, m + 1
-    pos = np.concatenate(positions)
-    base = np.concatenate(bases)
-    expo = np.concatenate(exponents)
+    rows = []                # (p^m, p, m) for m >= 2
+    for p in sieve_primes(1, math.sqrt(hi)).tolist():
+        n, m = p * p, 2
+        while n <= hi:
+            if n > lo:
+                rows.append((n, p, m))
+            n, m = n * p, m + 1
+    powers = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    pos = np.concatenate([primes, powers[0]])
+    base = np.concatenate([primes, powers[1]])
+    expo = np.concatenate([np.ones(len(primes), dtype=np.int64), powers[2]])
     if cls.modulus > 1:
         keep = pos % cls.modulus == cls.residue
         pos, base, expo = pos[keep], base[keep], expo[keep]
@@ -167,14 +155,6 @@ def _q():
     """numfield and its field Q, whose store serves every residue class."""
     from . import numfield      # here, as numfield imports this module
     return numfield, numfield.preset("Q")
-
-
-def prime_power_events(lo: float, hi: float, cls: ResidueClass = EVERYTHING
-                       ) -> list[PrimePowerEvent]:
-    numfield, q = _q()
-    pos, base, _, expo, weights = numfield._cached_events(q, lo, hi, cls)
-    return [PrimePowerEvent(int(n), int(p), int(m), float(w))
-            for n, p, m, w in zip(pos, base, expo, weights)]
 
 
 def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:

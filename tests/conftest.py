@@ -1,9 +1,7 @@
-"""Shared brute-force oracles and fixtures.
+"""Shared fixtures, child-process runners and cross-checks.
 
-The oracles here deliberately avoid the package's sieving and
-factorization code paths: primality is trial division, prime powers are
-found by repeated division, splitting checks go through the Kronecker
-symbol or, for cyclotomic fields, the multiplicative order of p.
+The brute-force oracles, which share no code with the package, live in
+`oracles.py`.
 """
 
 import contextlib
@@ -19,6 +17,8 @@ import pytest
 
 from primelab import numfield, sieve
 from primelab.counters import drift, window_events
+
+from oracles import trial_prime_power
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_MEMORY = 1 << 30      # address-space cap for run_python children
@@ -41,14 +41,26 @@ def run_python(args):
                           preexec_fn=_cap_memory)
 
 
+# the child's own peak RSS in KB: VmHWM, which starts afresh at exec,
+# where Linux's ru_maxrss keeps the peak of the process that forked it
+# (the test runner's, often above 100 MB)
+PEAK_KB = """
+try:
+    with open('/proc/self/status') as fh:
+        kb = next(int(line.split()[1]) for line in fh
+                  if line.startswith('VmHWM:'))
+except (OSError, StopIteration):
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+
 def run_within_rss(code, budget_mb, *args):
     """Run `code` in a run_python child, with args as its sys.argv[1:].
     The child then prints its peak RSS to stderr and exits nonzero if
     `code` set a nonzero `status` or the peak passed budget_mb MB."""
     return run_python(["-c", "import resource, sys\nstatus = 0\n" + code
-                       + "\nkb = resource.getrusage(resource.RUSAGE_SELF)"
-                       ".ru_maxrss\n"
-                       "print(f'peak {kb} KB', file=sys.stderr)\n"
+                       + PEAK_KB
+                       + "print(f'peak {kb} KB', file=sys.stderr)\n"
                        f"sys.exit(status or kb > {budget_mb} * 1024)\n",
                        *args])
 
@@ -88,54 +100,6 @@ def mean_square_sampled(X, h, target, step=1e-2):
     xs = X + (np.arange(int(round(X / step))) + 0.5) * step
     d = psi(xs + h) - psi(xs) - h * drift(target)
     return float(np.sum(d * d) * step)
-
-
-def is_prime_trial(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def trial_primes(lo: float, hi: float):
-    return [n for n in range(2, math.floor(hi) + 1)
-            if n > lo and is_prime_trial(n)]
-
-
-def cyclotomic_splitting(m: int, p: int):
-    """Prime ideals above p in Q(zeta_m), as sorted (residue degree,
-    ramification index) pairs.  With m = p^a m' and p not dividing m',
-    e = phi(p^a), f is the order of p mod m' and phi(m')/f ideals lie
-    above p.  Uses only pow and gcd."""
-    a, rest = 0, m
-    while rest % p == 0:
-        a, rest = a + 1, rest // p
-    e = p**a - p**(a - 1) if a else 1
-    f = 1
-    while rest > 1 and pow(p, f, rest) != 1:
-        f += 1
-    phi = sum(1 for k in range(1, rest + 1) if math.gcd(k, rest) == 1)
-    return ((f, e),) * (phi // f)
-
-
-def trial_prime_power(n: int):
-    """(p, m) if n = p^m for a prime p, else None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m, rest = 0, n
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            return (p, m) if rest == 1 else None
-        p += 1
-    return (n, 1)
 
 
 @pytest.fixture(scope="session")

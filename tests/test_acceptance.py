@@ -17,12 +17,12 @@ from primelab import (ResidueClass, StepCounter, TruncationSpec,
                       euler_phi, field_source, field_table, inertia_scan,
                       mean_square, meansq_ratio, pi_ap,
                       predicted_count, preset, preset_names,
-                      progression_source, psi_ap, quadratic_splitting_oracle,
-                      sieve_primes, splitting_types, truncated_psi,
-                      unweighted_sandwich)
+                      progression_source, psi_ap, sieve_primes,
+                      splitting_types, truncated_psi, unweighted_sandwich)
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import is_prime_trial, mean_square_sampled, psi_prefix
+from conftest import mean_square_sampled, psi_prefix
+from oracles import quadratic_splitting
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -84,7 +84,7 @@ def test_criterion_02_splitting_oracle():
     for name, d in QUADRATIC_PRESETS.items():
         fld = preset(name)
         for st in splitting_types(fld, sieve_primes(1, 10**5)):
-            if st.factors != quadratic_splitting_oracle(d, st.prime).factors:
+            if st.factors != quadratic_splitting(d, st.prime):
                 bad.append((name, st.prime))
     ok = not bad and pi_K(preset("Q(i)"), 20) == 8
     report(2, ok, f"Kronecker oracle, 5 presets, p<=1e5 ({bad[:3]!r} bad)"

@@ -368,6 +368,20 @@ def test_far_scan_reads_only_its_window():
     assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bt", "--field", "Q(i)", "--x", "1e7", "--h", "1000"],
+    ["sieve", "--lo", "1e7", "--hi", "1.0002e7", "--q", "7", "--a", "3"],
+], ids=["bt-Qi", "sieve-q7"])
+def test_cold_narrow_read_builds_only_its_window(argv):
+    """A cold read at 1e7, below the store cap, builds (x, x + h] alone:
+    the child peaks under 60 MB, where growing the store to 2^24 took
+    about 190 MB for Q(i) and 104 MB for Q."""
+    proc = run_within_rss("from primelab.cli import main\n"
+                          "status = main(sys.argv[1:])", 60, *argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(csv_rows(proc.stdout)) == (1 if argv[0] == "bt" else 18)
+
+
 def test_wide_sieve_window_is_refused_before_any_row():
     # 10^9 wide: building its rows would take tens of GB
     proc = run_python(["-m", "primelab.cli", "sieve", "--lo", "1",

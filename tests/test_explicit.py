@@ -138,7 +138,7 @@ def test_residual_scan_reads_bounded_pieces_across_cap(
     top = max(SCAN_XS) + 1
     if name == "Q(i)":
         target = preset(name)
-        pos, w, _, _ = ideal_event_arrays(target, 1, top)
+        pos, _, _, w = ideal_event_arrays(target, 1, top)
         spec = TruncationSpec(100.0, field_table(name), 2, 4)
     else:
         cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)

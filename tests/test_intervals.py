@@ -8,14 +8,15 @@ from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       bt_check_ap, bt_check_field, cramer_window_scan, delta,
                       delta_K, delta_series, euler_phi, field_source,
                       inertia_scan, intervals, mean_square,
-                      meansq_ratio, pi_K, pi_ap,
-                      preset, prime_ideal_events, prime_power_events,
-                      numfield, progression_source, psi_K, psi_ap,
-                      sieve_primes, window_events)
+                      meansq_ratio, pi_K, pi_ap, preset, numfield,
+                      progression_source, psi_K, psi_ap, sieve_primes,
+                      window_events)
+from primelab.counters import drift, target_label
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import is_prime_trial, mean_square_sampled, sieve_ceiling
+from conftest import mean_square_sampled, sieve_ceiling
+from oracles import is_prime_trial
 
 
 def synthetic_source(positions, weights, drift, label="synthetic"):
@@ -161,6 +162,20 @@ def test_delta_series_starts_at_the_exact_window_sum():
 def test_window_events_refuse_other_targets():
     with pytest.raises(TypeError):
         window_events("Q(i)", 1, 100)
+
+
+def test_experiments_refuse_what_is_not_a_target():
+    """A bare StepCounter has events but no drift and no label: a delta
+    or a mean square of one raises TypeError instead of treating it as
+    Q (drift 1) or failing on a missing attribute; so does any other
+    object that is not a class, a field or a WindowSource."""
+    counter = StepCounter.from_events([2, 3], [math.log(2), math.log(3)])
+    for call in (lambda: drift(counter), lambda: target_label(counter),
+                 lambda: delta(1, 3, counter),
+                 lambda: mean_square(100, 10, counter),
+                 lambda: drift("Q(i)"), lambda: target_label(4)):
+        with pytest.raises(TypeError, match="not an experiment target"):
+            call()
 
 
 def test_delta_series_matches_direct_probes():
@@ -453,14 +468,12 @@ Q4 = ResidueClass(4, 1)
 ENTRY_POINTS = {
     "sieve_primes": lambda: sieve_primes(1, 1000),
     "event_arrays": lambda: event_arrays(1, 1000),
-    "prime_power_events": lambda: prime_power_events(1, 1000),
     "psi_ap": lambda: psi_ap(1000),
     "pi_ap": lambda: pi_ap(1000, Q4),
     "progression_source": lambda: progression_source(Q4, 1000),
     "psi_K": lambda: psi_K(QI, 1000),
     "pi_K": lambda: pi_K(QI, 1000),
     "ideal_event_arrays": lambda: ideal_event_arrays(QI, 1, 1000),
-    "prime_ideal_events": lambda: prime_ideal_events(QI, 1, 1000),
     "field_source": lambda: field_source(QI, 1000),
     "delta": lambda: delta(500, 100, Q4),
     "delta_K": lambda: delta_K(QI, 500, 100),

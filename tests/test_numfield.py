@@ -7,16 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       bt_check_field, cramer_window_scan, dedekind_index_test,
-                      factor_degrees_mod_p, field_source, fppoly,
-                      kronecker_symbol, numfield, pi_K, pi_ap,
-                      poly_discriminant, preset, preset_names,
-                      prime_ideal_events, psi_K, psi_ap,
-                      quadratic_splitting_oracle, ResidueClass, sieve_primes,
-                      splitting_type, splitting_types)
+                      field_source, fppoly, numfield, pi_K, pi_ap,
+                      poly_discriminant, preset, preset_names, psi_K, psi_ap,
+                      ResidueClass, sieve_primes, splitting_type,
+                      splitting_types)
+from primelab.fppoly import factor_degree_multiset
 from primelab.numfield import ideal_event_arrays
 
-from conftest import (cyclotomic_splitting, is_prime_trial, run_python,
-                      sieve_ceiling)
+from conftest import run_python, sieve_ceiling
+from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
+                     quadratic_splitting)
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -25,6 +25,13 @@ QUADRATIC_PRESETS = {
     "Q(sqrt2)": 8,
     "Q(sqrt-2)": -8,
 }
+
+
+def residue_degrees(bases, weights):
+    """The residue degree f of each event, read from its weight
+    f * log(base)."""
+    return np.rint(np.asarray(weights) / np.log(np.asarray(bases, float))
+                   ).astype(int)
 
 
 # --- discriminants -----------------------------------------------------
@@ -58,15 +65,15 @@ def test_discriminant_requires_monic():
 # --- factorization mod p and the index test ----------------------------
 
 def test_factor_degrees_gaussian_poly():
-    assert factor_degrees_mod_p([1, 0, 1], 5) == [(1, 1), (1, 1)]
-    assert factor_degrees_mod_p([1, 0, 1], 3) == [(2, 1)]
-    assert factor_degrees_mod_p([1, 0, 1], 2) == [(1, 2)]
+    assert factor_degree_multiset([1, 0, 1], 5) == [(1, 1), (1, 1)]
+    assert factor_degree_multiset([1, 0, 1], 3) == [(2, 1)]
+    assert factor_degree_multiset([1, 0, 1], 2) == [(1, 2)]
 
 
 def test_factor_degrees_sum_to_degree():
     coeffs = [3, 1, 4, 1, 5, 1]  # arbitrary monic quintic
     for p in (2, 3, 5, 7, 11, 101):
-        assert sum(d * m for d, m in factor_degrees_mod_p(coeffs, p)) == 5
+        assert sum(d * m for d, m in factor_degree_multiset(coeffs, p)) == 5
 
 
 def test_dedekind_index_test():
@@ -100,10 +107,9 @@ def test_non_monogenic_polynomial_with_disc():
     with pytest.raises(UnsupportedPrimeError):
         splitting_type(fld, 2)
     with pytest.raises(UnsupportedPrimeError):
-        prime_ideal_events(fld, 1, 10)
+        ideal_event_arrays(fld, 1, 10)
     # odd primes still split fine and match the maximal-order oracle
-    assert splitting_type(fld, 11).factors \
-        == quadratic_splitting_oracle(5, 11).factors
+    assert splitting_type(fld, 11).factors == quadratic_splitting(5, 11)
 
 
 def test_reducible_polynomial_rejected():
@@ -189,7 +195,7 @@ def test_quadratic_oracle_agreement_small():
         assert fld.poly_disc == d
         for p in sieve_primes(1, 2000):
             assert splitting_type(fld, int(p)).factors \
-                == quadratic_splitting_oracle(d, int(p)).factors, (name, p)
+                == quadratic_splitting(d, int(p)), (name, p)
 
 
 @pytest.mark.parametrize("m", [5, 7, 8, 12])
@@ -209,7 +215,8 @@ def test_cyclotomic_oracle_agreement(m, empty_stores):
     expected = sorted((p ** (f * k), p, f, k)
                       for p in primes for f, _ in oracle[p]
                       for k in range(1, 18) if p ** (f * k) <= 10**5)
-    pos, base, deg, expo, _ = numfield._cached_events(fld, 1, 10**5)
+    pos, base, expo, weights = ideal_event_arrays(fld, 1, 10**5)
+    deg = residue_degrees(base, weights)
     assert sorted(zip(*(a.tolist() for a in (pos, base, deg, expo)))) \
         == expected
     for x in (10, 100, 1000, 10**4, 10**5):
@@ -239,7 +246,7 @@ PRIMES = st.one_of(st.integers(1, 60).map(_next_prime),
 @example(lower=[1, 1, 0, 1, 0, 0, 7, 1], primes=[2, 4294967311])
 def test_kernel_matches_sympy_factorisation(lower, primes):
     """The Frobenius kernel against sympy's factorisation over F_p, which
-    shares no code with fppoly: factor_degrees_mod_p per prime, and one
+    shares no code with fppoly: factor_degree_multiset per prime, and one
     batched degree_counts and count_roots call over the primes where f is
     squarefree."""
     f = lower + [1]
@@ -249,7 +256,7 @@ def test_kernel_matches_sympy_factorisation(lower, primes):
     for p in primes:
         factors = sympy.Poly(f[::-1], x, modulus=p).factor_list()[1]
         expected = sorted((g.degree(), mult) for g, mult in factors)
-        assert factor_degrees_mod_p(f, p) == expected, (f, p)
+        assert factor_degree_multiset(f, p) == expected, (f, p)
         if all(mult == 1 for _, mult in expected):
             squarefree.append(p)
             expected_counts.append([sum(1 for d, _ in expected if d == k)
@@ -263,13 +270,13 @@ def test_kernel_matches_sympy_factorisation(lower, primes):
 
 
 def test_oracle_cases():
-    assert quadratic_splitting_oracle(-4, 13).factors == ((1, 1), (1, 1))
-    assert quadratic_splitting_oracle(-4, 7).factors == ((2, 1),)
-    assert quadratic_splitting_oracle(-4, 2).factors == ((1, 2),)
+    assert quadratic_splitting(-4, 13) == ((1, 1), (1, 1))
+    assert quadratic_splitting(-4, 7) == ((2, 1),)
+    assert quadratic_splitting(-4, 2) == ((1, 2),)
     with pytest.raises(ValueError):
-        quadratic_splitting_oracle(6, 5)            # not fundamental
+        quadratic_splitting(6, 5)                   # not fundamental
     with pytest.raises(ValueError):
-        quadratic_splitting_oracle(-12, 5)
+        quadratic_splitting(-12, 5)
 
 
 def test_kronecker_symbol_euler_criterion():
@@ -293,15 +300,17 @@ def test_kronecker_symbol_multiplicative():
 
 def test_gaussian_events_to_twenty():
     qi = preset("Q(i)")
-    events = prime_ideal_events(qi, 1, 20)
-    assert [e.position for e in events] \
-        == [2, 4, 5, 5, 8, 9, 13, 13, 16, 17, 17]
+    pos, base, expo, weights = ideal_event_arrays(qi, 1, 20)
+    assert pos.tolist() == [2, 4, 5, 5, 8, 9, 13, 13, 16, 17, 17]
+    assert base.tolist() == [2, 2, 5, 5, 2, 3, 13, 13, 2, 17, 17]
+    assert expo.tolist() == [1, 2, 1, 1, 3, 1, 1, 1, 4, 1, 1]
     expected_w = [math.log(v) for v in [2, 2, 5, 5, 2, 9, 13, 13, 2, 17, 17]]
-    assert [e.weight for e in events] == pytest.approx(expected_w, rel=1e-14)
+    assert weights.tolist() == pytest.approx(expected_w, rel=1e-14)
 
 
 def test_gaussian_no_ideal_of_norm_three():
-    assert prime_ideal_events(preset("Q(i)"), 2.5, 3.5) == []
+    assert all(len(a) == 0
+               for a in ideal_event_arrays(preset("Q(i)"), 2.5, 3.5))
 
 
 def test_gaussian_counts_at_twenty():
@@ -346,8 +355,9 @@ def test_split_prime_stress_window():
     p = next(int(p) for p in sieve_primes(10**6 - 10**3, 10**6)
              if p % 4 == 1)
     assert is_prime_trial(p)
-    events = prime_ideal_events(qi, p - 1, p + 1)
-    assert [e.position for e in events] == [p, p]
+    pos, base, expo, _ = ideal_event_arrays(qi, p - 1, p + 1)
+    assert pos.tolist() == base.tolist() == [p, p]
+    assert expo.tolist() == [1, 1]
 
 
 def test_event_enumeration_against_brute_force():
@@ -369,8 +379,7 @@ def test_event_enumeration_against_brute_force():
             while norm <= 200:
                 expected.extend([norm] * count)
                 norm *= p**f
-    events = prime_ideal_events(fld, 1, 200)
-    assert sorted(expected) == [e.position for e in events]
+    assert sorted(expected) == ideal_event_arrays(fld, 1, 200)[0].tolist()
 
 
 # --- the event store ----------------------------------------------------
@@ -395,7 +404,7 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     while bound <= 2**15:
         pi_K(fld, bound)
         bound *= 2
-    grown = numfield._cached_events(fld, 1, 2**15)
+    grown = ideal_event_arrays(fld, 1, 2**15)
     root_lanes = [p for top, lanes in calls if top == 1 for p in lanes]
     assert root_lanes or fld.degree == 1
     assert len(set(root_lanes)) == len(root_lanes) \
@@ -403,18 +412,42 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     assert all(p <= math.isqrt(2**15)
                for top, lanes in calls if top > 1 for p in lanes)
     monkeypatch.setattr(numfield, "_stores", {})
-    fresh = numfield._cached_events(fld, 1, 2**15)
+    fresh = ideal_event_arrays(fld, 1, 2**15)
     for a, b in zip(grown, fresh):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
 
 
-def test_store_columns_take_28_bytes_per_event(empty_stores):
-    """Residue degrees and exponents (at most 30 below 10^9) are int16."""
-    arrays = numfield._cached_events(preset("Q(i)"), 1, 2**12)
+def test_store_columns_take_26_bytes_per_event(empty_stores):
+    """Exponents (at most 30 below 10^9) are int16, and no residue degree
+    is kept: it is weight / log(base)."""
+    arrays = ideal_event_arrays(preset("Q(i)"), 1, 2**12)
     assert [a.dtype for a in arrays] == [np.int64, np.int64, np.int16,
-                                         np.int16, np.float64]
-    assert sum(a.itemsize for a in arrays) == 28
+                                         np.float64]
+    assert sum(a.itemsize for a in arrays) == 26
+
+
+def test_read_past_the_store_builds_only_its_window(empty_stores):
+    """A read that starts past the store's bound builds (lo, hi] alone
+    and leaves the store as it was; one that starts inside it grows the
+    store to the next power of two above hi.  Both give the events of
+    one fresh build."""
+    qi = preset("Q(i)")
+    key = (qi.coefficients, qi.field_disc)
+    window = ideal_event_arrays(qi, 5000.5, 6000)
+    assert key not in numfield._stores
+    ideal_event_arrays(qi, 1, 100)
+    assert numfield._stores[key][0] == 1024
+    ideal_event_arrays(qi, 1024, 1500)          # starts at the bound
+    assert numfield._stores[key][0] == 2048
+    ideal_event_arrays(qi, 2049, 3000)
+    assert numfield._stores[key][0] == 2048
+    whole = ideal_event_arrays(qi, 1, 8000)
+    assert numfield._stores[key][0] == 8192
+    keep = (whole[0] > 5000) & (whole[0] <= 6000)
+    for a, b in zip(window, whole):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b[keep])
 
 
 @pytest.mark.parametrize("name", ["Q", "Q(i)"])
@@ -424,11 +457,11 @@ def test_fractional_bounds_slice_like_their_floors(name):
     norm gets it or not as the half-open window says."""
     fld = preset(name)
     for lo, hi in [(4.5, 13.9), (4.999, 13.0), (5.0, 12.999), (1.5, 2.0)]:
-        got = numfield._cached_events(fld, lo, hi)
-        ref = [n for n in numfield._cached_events(fld, 1, 20)[0].tolist()
+        got = ideal_event_arrays(fld, lo, hi)
+        ref = [n for n in ideal_event_arrays(fld, 1, 20)[0].tolist()
                if lo < n <= hi]
         assert got[0].tolist() == ref
-        expect = numfield._cached_events(fld, math.floor(lo), math.floor(hi))
+        expect = ideal_event_arrays(fld, math.floor(lo), math.floor(hi))
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
 
@@ -439,7 +472,8 @@ def test_equal_norms_in_ascending_residue_degree(empty_stores):
     store lists equal norms by ascending residue degree, as one prime's
     factors were always listed."""
     fld = NumberFieldSpec.from_poly([-2, 0, 0, 1], name="Q(cbrt2)")
-    pos, _, deg, expo, _ = numfield._cached_events(fld, 1, 10**4)
+    pos, base, expo, weights = ideal_event_arrays(fld, 1, 10**4)
+    deg = residue_degrees(base, weights)
     rows = list(zip(pos.tolist(), deg.tolist(), expo.tolist()))
     assert rows == sorted(rows)
     assert [r for r in rows if r[0] == 25] == [(25, 1, 2), (25, 2, 1)]
@@ -471,6 +505,8 @@ def test_field_reads_keep_the_residue_class_on_both_sides_of_cap(
         lo, hi, empty_stores, monkeypatch):
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
     qi, cls = preset("Q(i)"), ResidueClass(5, 1)
+    if hi <= 2**12:
+        pi_K(qi, hi)        # grows the store, so that both reads slice it
     got = ideal_event_arrays(qi, lo, hi, cls)
     every = ideal_event_arrays(qi, lo, hi)
     keep = every[0] % 5 == 1
@@ -510,9 +546,8 @@ def test_field_queries_honour_ceiling(empty_stores):
             for query in (pi_K, psi_K):
                 with pytest.raises(CapacityError):
                     query(qi, 1000)
-            for query in (ideal_event_arrays, prime_ideal_events):
-                with pytest.raises(CapacityError):
-                    query(qi, 1, 1000)
+            with pytest.raises(CapacityError):
+                ideal_event_arrays(qi, 1, 1000)
         pi_K(qi, 1000)              # grows the store to 1024
 
 

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primelab import (CapacityError, PrimePowerEvent, ResidueClass, pi_ap,
-                      prime_power_events, psi_ap, sieve_primes)
-from primelab.sieve import DEFAULT_CEILING, check_capacity, event_arrays
+from primelab import (CapacityError, ResidueClass, pi_ap, preset, psi_ap,
+                      sieve_primes)
+from primelab.numfield import ideal_event_arrays
+from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
+                            event_arrays)
 
-from conftest import run_within_rss, sieve_ceiling, trial_primes
+from conftest import run_within_rss, sieve_ceiling
+from oracles import trial_primes
+
+
+def q_events(lo, hi, cls=EVERYTHING):
+    """Q's (positions, bases, exponents, weights) in (lo, hi] and cls, as
+    lists, read through the event store."""
+    return [a.tolist() for a in ideal_event_arrays(preset("Q"), lo, hi, cls)]
 
 
 def test_textbook_primes():
@@ -68,26 +77,25 @@ def test_sieve_matches_trial_division(lo, width):
 
 
 def test_prime_power_events_to_ten():
-    events = prime_power_events(1, 10)
-    assert [e.position for e in events] == [2, 3, 4, 5, 7, 8, 9]
+    pos, base, expo, weights = q_events(1, 10)
+    assert pos == [2, 3, 4, 5, 7, 8, 9]
+    assert base == [2, 3, 2, 5, 7, 2, 3]
+    assert expo == [1, 1, 2, 1, 1, 3, 2]
     expected = [math.log(p) for p in [2, 3, 2, 5, 7, 2, 3]]
-    assert [e.weight for e in events] == pytest.approx(expected, rel=1e-15)
-    e = events[2]
-    assert (e.position, e.base, e.exponent) == (4, 2, 2)
-    assert e.weight == pytest.approx(math.log(2), rel=1e-15)
+    assert weights == pytest.approx(expected, rel=1e-15)
+    assert (pos[2], base[2], expo[2]) == (4, 2, 2)
+    assert weights[2] == pytest.approx(math.log(2), rel=1e-15)
 
 
 def test_events_respect_residue_class():
-    events = prime_power_events(1, 100, ResidueClass(4, 1))
-    positions = [e.position for e in events]
+    positions = q_events(1, 100, ResidueClass(4, 1))[0]
     assert 5 in positions and 9 in positions and 13 in positions \
         and 97 in positions
     assert all(p % 4 == 1 for p in positions)
 
 
 def test_even_prime_powers_are_powers_of_two():
-    events = prime_power_events(1, 10, ResidueClass(2, 0))
-    assert [e.position for e in events] == [2, 4, 8]
+    assert q_events(1, 10, ResidueClass(2, 0))[0] == [2, 4, 8]
 
 
 def test_psi_small_values():
@@ -169,7 +177,7 @@ def test_residue_class_validation():
 
 def test_events_require_lo_at_least_one():
     with pytest.raises(ValueError):
-        prime_power_events(0, 10)
+        q_events(0, 10)
 
 
 def test_euler_phi_on_both_sides_of_the_sympy_switch():
