@@ -100,6 +100,9 @@ def _bound_for(target, X: float, h: float) -> float:
     if isinstance(target, ResidueClass):
         q = target.modulus
         return h * X * math.log(q * X) ** 2
+    if not isinstance(target, NumberFieldSpec):
+        raise TypeError(f"{type(target).__name__} is not a residue class "
+                        f"or a number field, so it has no mean-square bound")
     L = math.log(X)
     return X * (h + L**2) * (target.degree * L + target.log_disc) ** 2
 
@@ -257,6 +260,9 @@ def _window_law(target):
     if isinstance(target, ResidueClass):
         phi = euler_phi(target.modulus)
         return (lambda c, x, m=math: c * phi * m.sqrt(x) * m.log(x)), phi
+    if not isinstance(target, NumberFieldSpec):
+        raise TypeError(f"{type(target).__name__} is not a residue class "
+                        f"or a number field, so it has no window law")
     n_K, log_dk = target.degree, target.log_disc
     return (lambda c, x, m=math: c * (n_K * m.log(x) + log_dk) * m.sqrt(x)), 1
 

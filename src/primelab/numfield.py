@@ -12,12 +12,12 @@ user-supplied polynomials.
 Every event read goes through `ideal_event_arrays`, which slices one
 store per field, grown by doubling up to STORE_BOUND; a read above the
 cap, or starting past what the store holds, is built alone.  Q's store
-also serves residue classes, and the totals `psi_K` and `pi_K` read it.
+also serves residue classes, and the totals `psi_K` and `pi_K` read it;
+`psi_K` sums exactly in integer fixed point and rounds once, as fsum does.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -270,8 +270,18 @@ def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
 
 def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
     """Sum of log N(P) over prime-ideal powers with norm <= x (for Q, in
-    residue class cls), exactly rounded over all reads."""
-    return math.fsum(itertools.chain.from_iterable(_reads_to(fld, x, cls, 3)))
+    residue class cls), exactly rounded: a weight w >= 1/2 is the whole
+    number w 2^53 = a 2^26 + b over 2^53, with exact float limbs
+    a = floor(w 2^27) and b = (w 2^27 - a) 2^26, summed as ints."""
+    total = 0
+    for w in _reads_to(fld, x, cls, 3):
+        if not w.min(initial=0.5) >= 0.5:             # NaN fails too
+            raise ArithmeticError("a weight below 1/2 has inexact limbs")
+        limb = w * 2.0**27
+        total += int(np.floor(limb, out=limb).sum(dtype=np.int64)) << 26  # a
+        np.subtract(w, np.multiply(limb, 2.0**-27, out=limb), out=limb)
+        total += int(np.multiply(limb, 2.0**53, out=limb).sum(dtype=np.int64))
+    return total / 2**53
 
 
 def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:

@@ -178,6 +178,20 @@ def test_experiments_refuse_what_is_not_a_target():
             call()
 
 
+def test_theorem_experiments_refuse_a_window_source():
+    """A WindowSource has a drift and a label but no modulus, degree or
+    discriminant: meansq_ratio (its envelope) and cramer_window_scan (its
+    window law) raise TypeError naming it, not AttributeError."""
+    src = synthetic_source(np.arange(2.0, 5000.0), np.ones(4998), 1.0)
+    assert mean_square(1000, 30, src) >= 0
+    with pytest.raises(TypeError, match="WindowSource is not a residue "
+                       "class or a number field, so it has no mean-square"):
+        meansq_ratio(1000, 30, src)
+    with pytest.raises(TypeError, match="WindowSource is not a residue "
+                       "class or a number field, so it has no window law"):
+        cramer_window_scan(100, 1000, 1.0, src)
+
+
 def test_delta_series_matches_direct_probes():
     X, h = 1000, 50
     for target in (EVERYTHING, ResidueClass(4, 1), preset("Q(i)")):

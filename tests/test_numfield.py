@@ -329,6 +329,31 @@ def test_degree_one_preset_reduces_to_rational_counters():
         assert pi_K(q, x) == pi_ap(x)
 
 
+def test_psi_total_is_the_fsum_of_its_reads(monkeypatch):
+    """psi_K adds weights >= 1/2 in integer fixed point, across reads,
+    and rounds once: the value math.fsum gives, also where a float
+    running sum drifts."""
+    rng = np.random.default_rng(7)
+    reads = [np.array([0.5, np.nextafter(0.5, 1), math.log(2)]),
+             np.array([]), rng.uniform(0.5, 21, 10**5),
+             np.full(10**5, 20.1), np.array([np.nextafter(21, 0)])]
+    monkeypatch.setattr(numfield, "_reads_to", lambda *args: iter(reads))
+    total = psi_K(preset("Q(i)"), 100)
+    assert total == math.fsum(np.concatenate(reads))
+    assert total != np.cumsum(np.concatenate(reads))[-1]
+
+
+@pytest.mark.parametrize("weight", [0.25, 0.5 - 2**-54, math.nan, -1.0])
+def test_psi_total_refuses_a_weight_below_one_half(weight, monkeypatch):
+    """The limbs are exact only for weights >= 1/2 (f log p >= log 2
+    always is): a read holding a smaller weight or NaN raises
+    ArithmeticError rather than give an inexact total."""
+    reads = [np.ones(3), np.array([1.0, weight, 2.0])]
+    monkeypatch.setattr(numfield, "_reads_to", lambda *args: iter(reads))
+    with pytest.raises(ArithmeticError, match="below 1/2"):
+        psi_K(preset("Q(i)"), 100)
+
+
 def test_fast_path_matches_full_splitting():
     """Root counting for large primes must agree with the full
     factorization route."""

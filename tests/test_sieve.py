@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, ResidueClass, pi_ap, preset, psi_ap,
-                      sieve_primes)
+                      sieve, sieve_primes)
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
                             event_arrays)
 
 from conftest import run_within_rss, sieve_ceiling
-from oracles import trial_primes
+from oracles import trial_prime_power, trial_primes
 
 
 def q_events(lo, hi, cls=EVERYTHING):
@@ -76,6 +76,48 @@ def test_sieve_matches_trial_division(lo, width):
     assert list(sieve_primes(lo, lo + width)) == trial_primes(lo, lo + width)
 
 
+@settings(max_examples=60, deadline=None)
+@given(segment=st.integers(8, 64),
+       lo=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 3000)),
+       width=st.one_of(st.integers(0, 3), st.integers(0, 600)))
+@example(segment=8, lo=0, width=2).via("2 alone, added by hand")
+@example(segment=8, lo=2, width=0).via("an empty window")
+@example(segment=8, lo=3, width=16).via("an odd window one segment wide")
+@example(segment=8, lo=1, width=49).via("an odd end, 49 = 7^2")
+def test_odd_only_segments_match_trial_division(segment, lo, width):
+    """Segments of a few odd numbers each put many segment ends inside
+    the window; lo in {0, 1, 2, 3} puts 2 and 3 at its start."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+        primes = sieve_primes(lo, lo + width)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == trial_primes(lo, lo + width)
+
+
+# prime powers p^k, k >= 2, on which the test windows start or end
+PRIME_POWERS = [4, 8, 9, 16, 25, 27, 32, 49, 121, 125, 128, 243, 256, 343,
+                1024, 1331, 2187, 2197, 3125, 4096, 6561, 16807, 65536]
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS)
+def test_merge_puts_prime_powers_in_order(n):
+    """Windows that start or end on a prime power n: the powers merged
+    into the sieved primes sit where trial division puts them, with and
+    without a class (one that keeps n, one that drops it)."""
+    windows = [(n - 1, n), (n, n), (n, n + 40), (max(1, n - 40), n),
+               (max(1, n - 40), n + 40)]
+    for lo, hi in windows:
+        for cls in (EVERYTHING, ResidueClass(5, n % 5),
+                    ResidueClass(6, (n + 1) % 6)):
+            pos, base, expo, weights = event_arrays(lo, hi, cls)
+            expect = [(k, *trial_prime_power(k)) for k in range(lo + 1, hi + 1)
+                      if trial_prime_power(k) and k % cls.modulus
+                      == cls.residue]
+            assert list(zip(pos.tolist(), base.tolist(),
+                            expo.tolist())) == expect
+            assert np.array_equal(weights, np.log(base.astype(np.float64)))
+
+
 def test_prime_power_events_to_ten():
     pos, base, expo, weights = q_events(1, 10)
     assert pos == [2, 3, 4, 5, 7, 8, 9]
@@ -118,14 +160,28 @@ def test_totals_reject_nan():
             total(math.nan)
 
 
+# psi(1e8; 30, a) for the units a mod 30, recorded from a math.fsum total
+PSI_1E8_MOD_30 = {1: 12500396.052297065, 7: 12499988.766029537,
+                  11: 12500808.224994626, 13: 12497040.625280749,
+                  17: 12499143.984889342, 19: 12503524.041703759,
+                  23: 12501666.09971179, 29: 12495621.698279563}
+
+
 def test_psi_to_1e8_stays_under_200_mb():
     """psi_ap(1e8) reads (1, 1e8] in bounded reads: the child peaks under
-    200 MB, where building every event at once took about 460 MB."""
-    proc = run_within_rss("from primelab import psi_ap\n"
-                          "print(repr(psi_ap(1e8)))", 200)
+    200 MB, where building every event at once took about 460 MB.  Its
+    totals are pinned: pi(10^8) = 5761455, and psi, whole and mod 30, to
+    the bit of the math.fsum totals they were recorded from."""
+    proc = run_within_rss(
+        "from primelab import ResidueClass, pi_ap, psi_ap\n"
+        "print(pi_ap(1e8), repr(psi_ap(1e8)))\n"
+        "for a in (1, 7, 11, 13, 17, 19, 23, 29):\n"
+        "    print(a, repr(psi_ap(1e8, ResidueClass(30, a))))", 200)
     assert proc.returncode == 0, proc.stderr
-    x = 1e8
-    assert abs(float(proc.stdout) - x) < 2 * math.sqrt(x) * math.log(x) ** 2
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "5761455 99998242.79662678"
+    assert {int(a): float(psi) for a, psi in map(str.split, lines[1:])} \
+        == PSI_1E8_MOD_30
 
 
 def test_pi_partition_at_four():
