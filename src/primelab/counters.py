@@ -4,7 +4,9 @@ A StepCounter holds ascending event positions and their weights: the
 right-continuous partial sum x -> sum_{n <= x} w_n.  Every experiment
 reads the events of its own range through `window_events`: a field's
 and a residue class's come from `numfield.ideal_event_arrays` (a class
-is a filter on Q's events), and a StepCounter or WindowSource is sliced.
+reads Q's events: a slice of Q's store with the class kept, or past the
+store a sieve of the class alone), and a StepCounter or WindowSource is
+sliced.
 A WindowSource bundles one counter with its expected density and label:
 synthetic fixtures build one from raw arrays and pass it where a residue
 class or a field would go.  An experiment target is a class, a field or

@@ -290,18 +290,20 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     # float keys on an int64 array would convert it on every search
     pos = pos[first].astype(np.float64)
 
-    windows = []
+    starts, widths = [], []
     x = x_lo
     while x < x_hi:
-        if len(windows) == MAX_WINDOWS:
+        if len(starts) == MAX_WINDOWS:
             # also ends a step h/2 too small to change x in floating point
             raise ValueError(f"the scan exceeds {MAX_WINDOWS} windows; "
                              f"c1={c1} is too small")
-        h = law(c1, x)
-        count = int(np.searchsorted(pos, x + h, side="right")
-                    - np.searchsorted(pos, x, side="right"))
-        windows.append((x, h, count, count * density * math.log(x) / h))
-        x += h / 2
+        starts.append(x)
+        widths.append(law(c1, x))
+        x += widths[-1] / 2
+    counts = (np.searchsorted(pos, np.add(starts, widths), side="right")
+              - np.searchsorted(pos, starts, side="right")).tolist()
+    windows = [(x, h, count, count * density * math.log(x) / h)
+               for x, h, count in zip(starts, widths, counts)]
 
     # normalized gaps between consecutive events inside the scan range
     inside = pos[(pos >= x_lo) & (pos <= x_hi)]

@@ -12,7 +12,8 @@ user-supplied polynomials.
 Every event read goes through `ideal_event_arrays`, which slices one
 store per field, grown by doubling up to STORE_BOUND; a read above the
 cap, or starting past what the store holds, is built alone.  Q's store
-also serves residue classes, and the totals `psi_K` and `pi_K` read it;
+also serves residue classes: a slice of it keeps its class, and a read
+built alone sieves only the class.  The totals `psi_K` and `pi_K` read it;
 `psi_K` sums exactly in integer fixed point and rounds once, as fsum does.
 """
 
@@ -171,10 +172,19 @@ _stores: dict = {}
 STORE_BOUND = 2**24
 
 
-def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
-    """(positions, bases, exponents, weights) of every ideal-power event
-    with norm in (lo, hi], ascending; equal norms (one prime's) in
-    ascending residue degree.
+def _in_class(columns, cls):
+    """The columns' events whose norm lies in residue class cls."""
+    if cls.modulus == 1:
+        return tuple(columns)
+    keep = (columns[0] % cls.modulus == cls.residue).nonzero()[0]
+    return tuple([a.take(keep) for a in columns])
+
+
+def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
+                  cls=sieve.EVERYTHING):
+    """(positions, bases, exponents, weights) of the ideal-power events
+    with norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
+    equal norms (one prime's) in ascending residue degree.
 
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them in one batched Frobenius pass
@@ -183,7 +193,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     with no norm in range, are not read.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(lo, hi)
+        pos, base, expo, weights = sieve.event_arrays(lo, hi, cls)
         return pos, base, expo.astype(np.int16), weights
     root = math.isqrt(hi)
     primes = np.concatenate([sieve.sieve_primes(1, root),
@@ -210,7 +220,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int):
     order = np.lexsort((table[:, 2], table[:, 0]))
     pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
-    return pos, base, expo.astype(np.int16), weights
+    return _in_class((pos, base, expo.astype(np.int16), weights), cls)
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
@@ -222,7 +232,7 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
     ends below STORE_BOUND slices it, first growing it to the next power
     of two above hi (at most STORE_BOUND and the sieve ceiling, which
     every read checks) by building only the new range; any other read
-    builds (lo, hi] alone and keeps nothing.  A bad prime raises
+    builds (lo, hi] alone, in class cls, and keeps nothing.  A bad prime raises
     UnsupportedPrimeError if one of its powers, the norms of the ideals
     above it, lies in (lo, hi]."""
     if not 1 <= lo <= hi:
@@ -236,21 +246,16 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
     key = (fld.coefficients, fld.field_disc)
     bound, arrays = _stores.get(key, (1, None))
     if hi > STORE_BOUND or lo > bound:
-        out = _build_events(fld, lo, hi)
-    else:
-        if arrays is None or hi > bound:
-            new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
-                                ceiling, STORE_BOUND))
-            part = _build_events(fld, bound, new_bound)
-            arrays = part if arrays is None else \
-                [np.concatenate(pair) for pair in zip(arrays, part)]
-            _stores[key] = (new_bound, arrays)
-        i, j = np.searchsorted(arrays[0], [lo, hi], side="right")
-        out = [a[i:j] for a in arrays]
-    if cls.modulus > 1:
-        keep = out[0] % cls.modulus == cls.residue
-        out = [a[keep] for a in out]
-    return tuple(out)
+        return _build_events(fld, lo, hi, cls)
+    if arrays is None or hi > bound:
+        new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
+                            ceiling, STORE_BOUND))
+        part = _build_events(fld, bound, new_bound)
+        arrays = part if arrays is None else \
+            [np.concatenate(pair) for pair in zip(arrays, part)]
+        _stores[key] = (new_bound, arrays)
+    i, j = np.searchsorted(arrays[0], [lo, hi], side="right")
+    return _in_class([a[i:j] for a in arrays], cls)
 
 
 def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):

@@ -357,6 +357,15 @@ def test_prime_modulus_near_2_to_62_answers_at_once():
     assert csv_rows(proc.stdout)[0]["experiment"] == "meansq"
 
 
+def test_sieve_rows_of_a_modulus_near_2_to_62_exit_cleanly():
+    # step lcm(2, q) = 2^63 + 2 does not fit in int64
+    proc = run_python(["-m", "primelab.cli", "sieve", "--lo", "1e7",
+                       "--hi", "1.0002e7", "--q", "4611686018427387905",
+                       "--a", "101"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert csv_rows(proc.stdout) == []
+
+
 def test_far_scan_reads_only_its_window():
     """A Cramer window at 3e8 reads its own events: the child peaks under
     200 MB, where reading every event from 1 took about 0.9 GB."""

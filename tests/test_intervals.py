@@ -109,9 +109,9 @@ def test_totals_read_in_bounded_reads_across_cap(empty_stores, monkeypatch):
     built = []
     build = numfield._build_events
 
-    def recorded(fld, lo, hi):
+    def recorded(fld, lo, hi, *cls):
         built.append(lo)
-        return build(fld, lo, hi)
+        return build(fld, lo, hi, *cls)
 
     monkeypatch.setattr(numfield, "_build_events", recorded)
     assert psi_K(qi, 12288.5) == expected[12288.5][0]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primelab import (CapacityError, ResidueClass, pi_ap, preset, psi_ap,
-                      sieve, sieve_primes)
+from primelab import (CapacityError, ResidueClass, numfield, pi_ap, preset,
+                      psi_ap, sieve, sieve_primes)
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
                             event_arrays)
@@ -92,6 +92,99 @@ def test_odd_only_segments_match_trial_division(segment, lo, width):
         primes = sieve_primes(lo, lo + width)
     assert primes.dtype == np.int64
     assert primes.tolist() == trial_primes(lo, lo + width)
+
+
+@st.composite
+def classes(draw):
+    q = draw(st.integers(1, 60))
+    return ResidueClass(q, draw(st.integers(0, q - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment=st.integers(8, 64), cls=classes(),
+       lo=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 3000)),
+       width=st.one_of(st.integers(0, 3), st.integers(0, 2000)))
+@example(segment=8, cls=ResidueClass(3, 2), lo=0, width=40).via(
+    "2 in a unit class of odd q, added by hand")
+@example(segment=8, cls=ResidueClass(4, 2), lo=1, width=40).via(
+    "even q and even a: 2 alone")
+@example(segment=8, cls=ResidueClass(9, 3), lo=0, width=100).via(
+    "a non-unit class holding its prime 3")
+@example(segment=8, cls=ResidueClass(5, 0), lo=4, width=1).via(
+    "a = 0: the prime is q")
+@example(segment=8, cls=ResidueClass(60, 49), lo=100, width=2000).via(
+    "step 60, r = 49 = 7^2")
+@example(segment=8, cls=ResidueClass(59, 2), lo=0, width=150).via(
+    "step 118, wider than the first windows")
+def test_class_segments_match_trial_division(segment, cls, lo, width):
+    """Segments of a few class members each put many segment ends inside
+    the window; q runs over odd and even moduli and a over every residue,
+    non-units and 0 among them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+        primes = sieve_primes(lo, lo + width, cls)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == [p for p in trial_primes(lo, lo + width)
+                               if p % cls.modulus == cls.residue]
+
+
+@pytest.mark.parametrize("q", [2**62 + 1, 2**63 - 1, 10**9 + 7])
+def test_steps_wider_than_the_window_are_tested_alone(q):
+    """A step past the window, or past int64, leaves one member at most
+    in a window: 101 is the only prime of 101 mod q below 10^9."""
+    for a, prime in ((101, [101]), (2, [2]), (100, []), (0, [])):
+        cls = ResidueClass(q, a)
+        assert sieve_primes(0, 1000, cls).tolist() == prime
+        assert sieve_primes(1e7, 1.0002e7, cls).tolist() == []
+    assert pi_ap(3e7, ResidueClass(q, 101)) == 1
+
+
+def columns_in_class(columns, cls):
+    keep = columns[0] % cls.modulus == cls.residue
+    return [a[keep] for a in columns]
+
+
+@pytest.mark.parametrize("lo,hi", [(100, 900), (2500.5, 3900), (3000, 9000.5),
+                                   (5000, 5000.5)],
+                         ids=["store", "past-store", "above-cap", "empty"])
+def test_class_reads_equal_the_filtered_whole_read(lo, hi, empty_stores,
+                                                   monkeypatch):
+    """Under a cap of 2^12, a class read that slices the store, starts
+    past it or ends above the cap gives, column for column, the dtypes
+    and bytes of Q's whole read with the class kept."""
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    psi_ap(1024)                        # the store holds (1, 1024]
+    for q in (1, 2, 3, 4, 6, 30, 49):
+        for a in range(min(q, 8)):
+            cls = ResidueClass(q, a)
+            got = ideal_event_arrays(preset("Q"), lo, hi, cls)
+            want = columns_in_class(ideal_event_arrays(preset("Q"), lo, hi),
+                                    cls)
+            assert [(c.dtype, c.tobytes()) for c in got] \
+                == [(c.dtype, c.tobytes()) for c in want]
+    q_field = preset("Q")
+    assert numfield._stores[(q_field.coefficients, q_field.field_disc)][0] \
+        == 1024
+
+
+def test_class_reads_above_the_cap_sieve_only_their_class(empty_stores,
+                                                          monkeypatch):
+    """A total above the cap hands its class to the sieve, so each class
+    sieves its own progression rather than every odd number."""
+    calls = []
+    sieve_all = sieve.sieve_primes
+
+    def recorded(lo, hi, cls=EVERYTHING):
+        calls.append((hi, cls))
+        return sieve_all(lo, hi, cls)
+
+    monkeypatch.setattr(sieve, "sieve_primes", recorded)
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    cls = ResidueClass(30, 7)
+    assert pi_ap(20000, cls) == sum(1 for p in trial_primes(0, 20000)
+                                    if p % 30 == 7)
+    above = [c for hi, c in calls if hi > 2**12]
+    assert above and set(above) == {cls}
 
 
 # prime powers p^k, k >= 2, on which the test windows start or end
