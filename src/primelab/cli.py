@@ -6,11 +6,13 @@ run), 1 some verdict failed, 2 usage error, 3 data error (zero tables,
 unsupported primes), 4 capacity, 5 output sink failure.  Each subcommand
 takes only the flags it reads, by full name, and every usage error,
 argparse's own included, leaves `main` as `primelab: <message>` and exit 2.
+In-process callers of `main` share one parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -86,7 +88,10 @@ def _window(args, x: float) -> float:
     return h
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; argparse keeps each parse's state in
+    its namespace, so `main` reuses it."""
     ap = _Parser(
         prog="primelab", allow_abbrev=False,
         description="Short-interval experiments for primes in progressions "
@@ -157,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_sieve(args):
     if args.hi - args.lo > MAX_SIEVE_WIDTH:
         raise ValueError(f"the sieve window is wider than {MAX_SIEVE_WIDTH}")
-    columns = numfield.ideal_event_arrays(
-        numfield.preset("Q"), max(args.lo, 1.0), args.hi,
+    if args.lo > args.hi:
+        raise ValueError(f"need lo <= hi, got lo={args.lo}, hi={args.hi}")
+    columns = numfield.ideal_event_arrays(   # no norm lies below 2
+        numfield.preset("Q"), max(args.lo, 1.0), max(args.hi, 1.0),
         sieve.ResidueClass(args.q, args.a))
     return [ExperimentReport(
         "sieve", {"position": n, "base": p, "exponent": m, "q": args.q,

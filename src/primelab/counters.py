@@ -77,7 +77,8 @@ def window_events(target, lo: float, hi: float):
     """(positions, weights, first-power mask) in (lo, hi] of a number
     field or a class, through `numfield.ideal_event_arrays` (a class
     reads Q's store), or of a StepCounter or WindowSource, whose events
-    all count as first powers."""
+    all count as first powers.  A field's or a class's window raises
+    ValueError if lo > hi and is empty if it ends below 1."""
     if isinstance(target, WindowSource):
         target = target.psi
     if isinstance(target, StepCounter):
@@ -89,8 +90,11 @@ def window_events(target, lo: float, hi: float):
         target, cls = numfield.preset("Q"), target
     elif not isinstance(target, numfield.NumberFieldSpec):
         raise TypeError(f"cannot read events of {type(target)}")
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
+    # no norm lies below 2: a window ending below 1 reads (1, 1]
     pos, _, expo, weights = numfield.ideal_event_arrays(
-        target, max(lo, 1), hi, cls)
+        target, max(lo, 1), max(hi, 1), cls)
     return pos, weights, expo == 1
 
 

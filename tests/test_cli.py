@@ -11,7 +11,7 @@ from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
                           EXIT_SINK, EXIT_USAGE, RUNNERS, build_parser, main)
 
 from conftest import run_python, run_within_rss
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 
 GOLDEN_ARGV = {name: argv for name, argv, _ in CASES}
 
@@ -262,6 +262,8 @@ def test_flag_surface():
      "unrecognized arguments: --zero x"),
     (["meansq", "--X", "1000", "--fie", "Q(i)", "--h", "30"],
      "one of the arguments --q --field"),
+    # an inverted window quotes the values as given
+    (["sieve", "--lo", "0.7", "--hi", "0.5"], "got lo=0.7, hi=0.5"),
 ])
 def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -269,6 +271,58 @@ def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
     assert out == ""
     assert err.startswith("primelab: ")
     assert message in err
+
+
+# a window (lo, hi] ending below 1 holds no norm: no rows, or a count of 0
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--lo", "0.5", "--hi", "0.7"],
+    ["bt", "--q", "4", "--a", "1", "--x", "-1000", "--h", "400"],
+], ids=["sieve", "bt"])
+def test_window_below_1_is_empty(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("experiment,")
+    assert [r["metric"] for r in csv_rows(out)] == \
+        (["0"] if argv[0] == "bt" else [])
+
+
+# the parser is built once per process and reused by every main call
+PARSER_BUILDS = """
+import argparse, os
+calls = []
+add_argument = argparse.ArgumentParser.add_argument
+def counted(self, *args, **kwargs):
+    calls.append(args)
+    return add_argument(self, *args, **kwargs)
+argparse.ArgumentParser.add_argument = counted
+import primelab.cli
+print(len(calls))
+for _ in range(2):
+    primelab.cli.main(["zeros", "--component", "zeta", "--T", "50",
+                       "--output", os.devnull])
+    print(len(calls))
+"""
+
+
+def test_parser_is_built_by_the_first_main_call_only():
+    proc = run_python(["-c", PARSER_BUILDS])
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert first > 0
+    assert second == first
+
+
+def test_reused_parser_keeps_nothing_between_parses(capsys):
+    bad = ["bt", "--q", "4", "--a", "1", "--field", "Q(i)", "--x", "10000",
+           "--h", "400"]
+    before = run(capsys, *bad)
+    valid = run(capsys, *GOLDEN_ARGV["bt"])
+    after = run(capsys, *bad)
+    assert before == after
+    assert before[:2] == (EXIT_USAGE, "")
+    assert before[2].startswith("primelab: argument --field: ")
+    assert valid == (EXIT_OK, (GOLDEN / "bt.csv").read_bytes().decode(), "")
 
 
 def test_unknown_preset_message_is_unquoted(capsys):

@@ -9,7 +9,9 @@ output formats.
 
 Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
-reproduce it byte for byte, with the same exit code.  Do not re-record
+reproduce it byte for byte, with the same exit code.  The corpus also
+replays in reverse order in one process, through the one parser `main`
+reuses, so that state left by one run would show in a later output.  Do not re-record
 these files to make a refactor pass: a changed row is a changed result.
 """
 
@@ -76,3 +78,12 @@ def test_golden_cli(capsys, name, argv, exit_code, fmt):
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert code == exit_code
     assert out.encode() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_golden_cli_in_reverse_in_one_process(capsys, fmt):
+    for name, argv, exit_code in reversed(CASES):
+        code = main(argv + ["--format", fmt])
+        out = capsys.readouterr().out
+        assert code == exit_code, name
+        assert out.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes(), name

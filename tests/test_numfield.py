@@ -10,7 +10,7 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       field_source, fppoly, numfield, pi_K, pi_ap,
                       poly_discriminant, preset, preset_names, psi_K, psi_ap,
                       ResidueClass, sieve_primes, splitting_type,
-                      splitting_types)
+                      splitting_types, window_events)
 from primelab.fppoly import factor_degree_multiset
 from primelab.numfield import ideal_event_arrays
 
@@ -522,6 +522,20 @@ def test_field_queries_reject_nan_and_inverted_ranges():
         cramer_window_scan(1000, math.nan, 4.0, qi)
     with pytest.raises(ValueError):
         ideal_event_arrays(qi, 10, 5)
+
+
+def test_windows_may_start_or_end_below_1():
+    """No norm is below 2: a field's or a class's window from below 1
+    reads the same events as one from 1, one ending below 1 reads none,
+    and an inverted window's message quotes the values as given."""
+    for target in (preset("Q(i)"), ResidueClass(4, 1)):
+        from_1 = window_events(target, 1, 50)
+        for got, want in zip(window_events(target, -7.5, 50), from_1):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        for got, want in zip(window_events(target, -7.5, 0.5), from_1):
+            assert (got.dtype, len(got)) == (want.dtype, 0)
+        with pytest.raises(ValueError, match="got lo=0.7, hi=0.5"):
+            window_events(target, 0.7, 0.5)
 
 
 @pytest.mark.parametrize("lo,hi", [(1000.5, 1600.25), (7000.75, 7900.0)],
