@@ -11,8 +11,9 @@ Each `tests/golden/<name>.<format>` file holds the exact stdout of one
 command line, recorded before the refactors it guards; a refactor must
 reproduce it byte for byte, with the same exit code.  The corpus also
 replays in reverse order in one process, through the one parser `main`
-reuses, so that state left by one run would show in a later output.  Do not re-record
-these files to make a refactor pass: a changed row is a changed result.
+reuses, so that state left by one run would show in a later output.  Do
+not re-record these files to make a refactor pass: a changed row is a
+changed result.
 """
 
 from pathlib import Path
