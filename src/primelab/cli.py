@@ -36,11 +36,21 @@ MAX_X_GRID = 10**5
 MAX_SIEVE_WIDTH = 10**6
 
 
+class _Exit(Exception):
+    """argparse finished the command itself (`--help`) with status args[0]."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors for `main` to report, instead of exiting."""
+    """Raises usage errors for `main` to report, and `--help`'s exit for
+    `main` to return, instead of exiting."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _add_target(p):
@@ -352,6 +362,8 @@ def main(argv=None) -> int:
             reports = RUNNERS[args.command](args)
         finally:
             sieve.CEILING.reset(token)
+    except _Exit as exc:
+        return exc.args[0]
     except (OSError, ValueError, KeyError, PrimeLabError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -1,114 +1,17 @@
-"""Polynomial arithmetic over the prime field F_p.
+"""Polynomial arithmetic over the prime field F_p, for fields given by
+a polynomial (`NumberFieldSpec.from_poly`); the presets split from
+their conductor instead.
 
-Two layers.  Scalar: polynomials are lists of ints in [0, p), constant
-coefficient first; they serve the squarefree decomposition and
-Dedekind's index test, once per prime that needs them.  Batched:
 `degree_counts` reads the residue-degree pattern of one monic f modulo
-many primes at once, one numpy lane per prime, and is the splitting
-path of every number-field event build.
+many primes at once, one numpy lane per prime, and is the splitting path
+of every such field's event build.  The few primes where f is not
+squarefree go through `factor_degree_multiset`, which takes the
+squarefree decomposition from `sympy.polys.galoistools`.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 import numpy as np
-
-
-def trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def degree(a) -> int:
-    return len(a) - 1  # -1 for the zero polynomial
-
-
-def reduce_mod(coeffs, p):
-    return trim([c % p for c in coeffs])
-
-
-def monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], p - 2, p) if a[-1] != 1 else 1
-    return [(c * inv) % p for c in a]
-
-
-def mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return trim(out)
-
-
-def divmod_poly(a, b, p):
-    """Quotient and remainder of a by b (b nonzero)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    db, lead = degree(b), b[-1]
-    inv = pow(lead, p - 2, p) if lead != 1 else 1
-    q = [0] * max(len(a) - db, 0)
-    while degree(a) >= db:
-        shift = degree(a) - db
-        factor = (a[-1] * inv) % p
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bc) % p
-        trim(a)
-    return trim(q), a
-
-
-def mod(a, b, p):
-    return divmod_poly(a, b, p)[1]
-
-
-def gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, mod(a, b, p)
-    return monic(a, p)
-
-
-def derivative(a, p):
-    return trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _pth_root(a, p):
-    # over F_p the Frobenius fixes scalars, so the p-th root of
-    # sum c_i x^(p i) is sum c_i x^i
-    return trim([a[i] for i in range(0, len(a), p)])
-
-
-def squarefree_parts(f, p):
-    """Squarefree decomposition of monic f: list of (factor, multiplicity)
-    with f = prod factor^multiplicity and the factors pairwise coprime."""
-    out = []
-    c = gcd(f, derivative(f, p), p)
-    w = divmod_poly(f, c, p)[0]
-    i = 1
-    while degree(w) > 0:
-        y = gcd(w, c, p)
-        fac, _ = divmod_poly(w, y, p)
-        if degree(fac) > 0:
-            out.append((fac, i))
-        w = y
-        c = divmod_poly(c, y, p)[0]
-        i += 1
-    if degree(c) > 0:
-        for fac, m in squarefree_parts(_pth_root(c, p), p):
-            out.append((fac, m * p))
-    return out
-
-
-def sub(a, b, p):
-    return trim([(c1 - c2) % p for c1, c2 in zip_longest(a, b, fillvalue=0)])
 
 
 CHUNK = 4096    # lanes per pass; temporaries stay O(CHUNK * n^2)
@@ -116,11 +19,14 @@ CHUNK = 4096    # lanes per pass; temporaries stay O(CHUNK * n^2)
 
 def factor_degree_multiset(f, p):
     """Multiset of (degree, multiplicity), one entry per irreducible
-    factor of monic f over F_p; each squarefree part is one lane of
-    `degree_counts`."""
+    factor of monic f over F_p; each squarefree part (sympy's) is one
+    lane of `degree_counts`."""
+    from sympy.polys.domains import ZZ   # heavyweight; imported on demand
+    from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_list
     out = []
-    for part, mult in squarefree_parts(monic(reduce_mod(f, p), p), p):
-        counts = degree_counts(part, [p], degree(part))[0]
+    # galoistools lists coefficients leading term first
+    for part, mult in gf_sqf_list(gf_from_int_poly(f[::-1], p), p, ZZ)[1]:
+        counts = degree_counts(part[::-1], [p], len(part) - 1)[0]
         out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
     return sorted(out)
 

@@ -1,13 +1,15 @@
 """Number fields via a monic irreducible defining polynomial.
 
-Prime-ideal splitting is read off the factorization of the polynomial
-mod p (Dedekind's theorem).  Only the degrees of the factors matter, and
-`fppoly.degree_counts` finds them for a whole array of primes in one
-batched Frobenius pass: event builds and `splitting_types` hand it many
-primes at once, `splitting_type` one.  Primes dividing the index
-[O_K : Z[theta]] are rejected with UnsupportedPrimeError rather than
-handled; the shipped presets are all monogenic, so this only bites
-user-supplied polynomials.
+Every preset is abelian: a subfield of Q(zeta_m) fixed by a subgroup H
+of (Z/m)^*, so the splitting of a prime follows from the conductor m
+and H alone (Artin reciprocity), one table entry per residue class mod
+m.  A field from `NumberFieldSpec.from_poly` reads its splitting off
+the factorization of the polynomial mod p (Dedekind's theorem): only
+the degrees of the factors matter, and `fppoly.degree_counts` finds
+them for a whole array of primes in one batched Frobenius pass.  Primes
+dividing the index [O_K : Z[theta]] are rejected with
+UnsupportedPrimeError rather than handled; the shipped presets are all
+monogenic, so this only bites user-supplied polynomials.
 
 Every event read goes through `ideal_event_arrays`, which slices one
 store per field, grown by doubling up to STORE_BOUND; a read above the
@@ -19,8 +21,9 @@ built alone sieves only the class.  The totals `psi_K` and `pi_K` read it;
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -43,10 +46,6 @@ def poly_discriminant(coefficients) -> int:
     return int(discriminant(_sympy_poly(coeffs)))
 
 
-def _is_irreducible(coeffs) -> bool:
-    return _sympy_poly(coeffs).is_irreducible
-
-
 def dedekind_index_test(coefficients, p: int) -> bool:
     """True iff p does not divide the index [O_K : Z[theta]].
 
@@ -55,20 +54,22 @@ def dedekind_index_test(coefficients, p: int) -> bool:
     where g*, h* are lifts of g, h.  Both come from the squarefree
     decomposition f = prod s_j^j mod p: g = prod s_j, h = prod s_j^(j-1).
     """
-    f = [int(c) for c in coefficients]
-    g = [1]
-    h = [1]
-    for part, mult in fppoly.squarefree_parts(fppoly.reduce_mod(f, p), p):
-        g = fppoly.mul(g, part, p)
+    from sympy.polys.domains import ZZ   # heavyweight; imported on demand
+    from sympy.polys.galoistools import (gf_from_int_poly, gf_gcd, gf_mul,
+                                         gf_sqf_list, gf_sub)
+    f = [int(c) for c in reversed(coefficients)]    # leading term first
+    g = h = [1]
+    for part, mult in gf_sqf_list(gf_from_int_poly(f, p), p, ZZ)[1]:
+        g = gf_mul(g, part, p, ZZ)
         for _ in range(mult - 1):
-            h = fppoly.mul(h, part, p)
+            h = gf_mul(h, part, p, ZZ)
     # g*h - f is needed only mod p^2: its quotient by p is read mod p
-    diff = fppoly.sub(fppoly.mul(g, h, p * p), f, p * p)
+    q = p * p
+    diff = gf_sub(gf_mul(g, h, q, ZZ), gf_from_int_poly(f, q), q, ZZ)
     if any(d % p for d in diff):
         raise ArithmeticError("g*h != f mod p; decomposition bug")
     fbar = [d // p for d in diff]
-    cand = fppoly.gcd(fppoly.gcd(fbar, g, p), h, p)
-    return fppoly.degree(cand) <= 0
+    return len(gf_gcd(gf_gcd(fbar, g, p, ZZ), h, p, ZZ)) <= 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,10 @@ class NumberFieldSpec:
     field_disc: int              # |d_K|
     bad_primes: frozenset        # primes dividing the index
     name: str = ""
+    # a preset's conductor m and generators of the subgroup H of (Z/m)^*
+    # fixing it; None and () for a field from from_poly
+    conductor: int | None = field(default=None, compare=False)
+    subgroup: tuple = field(default=(), compare=False)
 
     @classmethod
     def from_poly(cls, coefficients, field_disc=None,
@@ -103,12 +108,12 @@ class NumberFieldSpec:
         n = len(coeffs) - 1
         if n < 1 or coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic, deg >= 1")
-        if not _is_irreducible(coeffs):
+        if not _sympy_poly(coeffs).is_irreducible:
             raise ValueError(f"{list(coeffs)} is reducible over Q")
-        disc = poly_discriminant(coeffs)
-        bad = frozenset(
-            p for p in _square_divisor_primes(disc)
-            if not dedekind_index_test(coeffs, p))
+        disc = poly_discriminant(coeffs)     # nonzero: f is irreducible
+        from sympy import factorint
+        bad = frozenset(p for p, k in factorint(abs(disc)).items()
+                        if k >= 2 and not dedekind_index_test(coeffs, p))
         if field_disc is None:
             if bad:
                 raise ValueError(
@@ -129,40 +134,79 @@ class NumberFieldSpec:
         return math.log(self.field_disc)
 
 
-def _square_divisor_primes(disc: int):
-    if disc == 0:
-        raise ValueError("zero discriminant")
-    from sympy import factorint
-    return sorted(p for p, e in factorint(abs(disc)).items() if e >= 2)
-
-
 def splitting_type(fld: NumberFieldSpec, p: int) -> SplittingType:
-    """Splitting of the rational prime p via Dedekind's theorem.  One
+    """Splitting of the rational prime p.  For a field from from_poly one
     prime costs a whole kernel pass; split many with splitting_types."""
     return splitting_types(fld, [p])[0]
 
 
 def splitting_types(fld: NumberFieldSpec, primes) -> list:
-    """splitting_type of each prime; f is squarefree mod the primes not
-    dividing disc f, which go through the Frobenius kernel as one batch."""
+    """splitting_type of each prime: a preset's from its table, read at
+    p mod m; otherwise via Dedekind's theorem, where f is squarefree mod
+    the primes not dividing disc f, which go through the Frobenius kernel
+    as one batch."""
     primes = [int(p) for p in primes]
     for p in primes:
         if p in fld.bad_primes:
             raise UnsupportedPrimeError(p, fld.name)
-    lanes = [p for p in primes if fld.poly_disc % p]
-    counts = dict(zip(lanes, fppoly.degree_counts(
-        fld.coefficients, np.array(lanes, dtype=object), fld.degree).tolist()))
-    out = []
-    for p in primes:
-        degrees = fppoly.factor_degree_multiset(fld.coefficients, p) \
-            if p not in counts else \
-            [(d, 1) for d, c in enumerate(counts[p], 1) for _ in range(c)]
-        out.append(SplittingType(prime=p, factors=tuple(degrees)))
-        if out[-1].degree_sum != fld.degree:
+    if fld.conductor is not None:
+        table = _abelian_splitting(fld.conductor, fld.subgroup)
+        out = [SplittingType(p, table[p % fld.conductor]) for p in primes]
+    else:
+        lanes = [p for p in primes if fld.poly_disc % p]
+        counts = dict(zip(lanes, fppoly.degree_counts(
+            fld.coefficients, np.array(lanes, dtype=object),
+            fld.degree).tolist()))
+        out = [SplittingType(p, tuple(
+            fppoly.factor_degree_multiset(fld.coefficients, p)
+            if p not in counts else
+            [(d, 1) for d, c in enumerate(counts[p], 1) for _ in range(c)]))
+            for p in primes]
+    for st in out:
+        if st.degree_sum != fld.degree:
             raise ArithmeticError(
-                f"splitting degrees at p={p} sum to {out[-1].degree_sum}, "
+                f"splitting degrees at p={st.prime} sum to {st.degree_sum}, "
                 f"expected {fld.degree}")
     return out
+
+
+def _subgroup(m: int, gens) -> set:
+    """The subgroup of (Z/m)^* that gens generate: the group is abelian,
+    so <A, g> is A<g>, A times the powers of g."""
+    group = {1 % m}
+    for g in gens:
+        while not (more := {x * g % m for x in group}) <= group:
+            group |= more
+    return group
+
+
+@functools.cache
+def _abelian_splitting(m: int, gens: tuple) -> tuple:
+    """SplittingType factors for each residue class mod m, in the field
+    fixed by H = <gens> in (Z/m)^* (Artin reciprocity; Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13 and ch. 3).  For p in the
+    class, write m = p^k m' (k = 0 if p does not divide m).  The inertia
+    group I = {u = 1 mod m'} gives e = |IH/H|, and f is the order modulo
+    IH of the units u = p mod m' (one coset of I): for p not dividing m,
+    the order of p in (Z/m)^*/H; for m' = 1, p is totally ramified.  A
+    class that holds no prime gets ()."""
+    units = [u for u in range(m) if math.gcd(u, m) == 1]
+    H = _subgroup(m, gens)
+    table = []
+    for r in range(m):
+        p = math.gcd(r, m)          # 1, or the one prime class r may hold
+        if p > 1 and (p % m != r or any(p % d == 0 for d in range(2, p))):
+            table.append(())
+            continue
+        rest = m // math.gcd(m, p ** m.bit_length())    # m' = m / p^k
+        IH = _subgroup(m, gens + tuple(u for u in units
+                                       if (u - 1) % rest == 0))
+        frob = next(u for u in units if (u - r) % rest == 0)
+        e, f, x = len(IH) // len(H), 1, frob
+        while x not in IH:              # f: the order of frob mod IH
+            f, x = f + 1, x * frob % m
+        table.append(((f, e),) * (len(units) // (len(H) * e * f)))
+    return tuple(table)
 
 
 # one store per field: (bound, arrays) holding every event with norm <= bound
@@ -186,11 +230,11 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     with norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
     equal norms (one prime's) in ascending residue degree.
 
-    The unramified primes above sqrt(hi) need only their root counts,
-    read for all of them in one batched Frobenius pass
-    (`fppoly.count_roots`); the primes below, and the few ramified ones
-    (p | disc f), go through `splitting_types`; those in (sqrt(hi), lo],
-    with no norm in range, are not read.
+    The unramified primes above sqrt(hi) need only their root counts:
+    for a preset one gather from its splitting table, otherwise one
+    batched Frobenius pass (`fppoly.count_roots`).  The primes below,
+    and the few ramified ones (p | disc f), go through `splitting_types`;
+    those in (sqrt(hi), lo], with no norm in range, are not read.
     """
     if fld.degree == 1:
         pos, base, expo, weights = sieve.event_arrays(lo, hi, cls)
@@ -205,7 +249,13 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     # root of f mod p; the rest need the full pattern
     full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
     lanes = primes[~full]
-    large = np.repeat(lanes, fppoly.count_roots(fld.coefficients, lanes))
+    if fld.conductor is None:
+        roots = fppoly.count_roots(fld.coefficients, lanes)
+    else:               # per class mod m, its ideals of residue degree 1
+        classes = _abelian_splitting(fld.conductor, fld.subgroup)
+        roots = np.array([[f for f, _ in t].count(1) for t in classes],
+                         dtype=np.int64)[lanes % fld.conductor]
+    large = np.repeat(lanes, roots)
     rows = []                # (norm, p, residue degree, exponent)
     for st in splitting_types(fld, primes[full]):
         for f, _ in st.factors:
@@ -300,10 +350,13 @@ def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:
 
 def load_presets() -> dict:
     """Parse the package's preset file: lines `name; n_K; d_K; c_0 c_1 ...
-    c_{n-1}` (d_K signed; monic, constant term first, leading 1 implied).
+    c_{n-1}; m; h_1 h_2 ...` (d_K signed; monic, constant term first,
+    leading 1 implied; conductor m and generators of H in (Z/m)^*).
 
     The presets are monogenic, so d_K is also the signed disc(f) and no
-    prime divides the index: each is built directly, without sympy.
+    prime divides the index: each is built directly, without sympy.  A
+    line whose generators are not units mod m, or whose n_K is not
+    phi(m)/|H|, raises ValueError.
     """
     out = {}
     path = resources.files("primelab") / "data" / "field_presets.txt"
@@ -313,15 +366,22 @@ def load_presets() -> dict:
             if not line:
                 continue
             parts = [s.strip() for s in line.split(";")]
-            if len(parts) != 4:
-                raise ValueError(f"preset line {lineno}: expected 4 fields")
-            name, n_str, d_str, coeff_str = parts
+            if len(parts) != 6:
+                raise ValueError(f"preset line {lineno}: expected 6 fields")
+            name, n_str, d_str, coeff_str, m_str, gens_str = parts
             coeffs = tuple(int(c) for c in coeff_str.split()) + (1,)
-            n, d = int(n_str), int(d_str)
+            n, d, m = int(n_str), int(d_str), int(m_str)
+            gens = tuple(int(g) % m for g in gens_str.split())
             if n != len(coeffs) - 1:
                 raise ValueError(f"preset {name}: degree mismatch")
+            if any(math.gcd(g, m) != 1 for g in gens):
+                raise ValueError(f"preset line {lineno}: a generator of H "
+                                 f"is not a unit mod {m}")
+            if n * len(_subgroup(m, gens)) != sieve.euler_phi(m):
+                raise ValueError(f"preset line {lineno}: n_K = {n} is not "
+                                 f"phi({m})/|H|")
             out[name] = NumberFieldSpec(coeffs, n, d, abs(d), frozenset(),
-                                        name)
+                                        name, m, gens)
     return out
 
 

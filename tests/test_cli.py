@@ -333,10 +333,12 @@ def test_unknown_preset_message_is_unquoted(capsys):
 
 
 def test_help_still_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bt", "--help"])
-    assert exc.value.code == 0
-    assert "--h-coef" in capsys.readouterr().out
+    """`main` returns 0 on --help, the program's or a subcommand's,
+    rather than raising SystemExit; the help goes to stdout."""
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "") and "field-scan" in out
+    code, out, err = run(capsys, "bt", "--help")
+    assert (code, err) == (EXIT_OK, "") and "--h-coef" in out
 
 
 # each case runs in a child process, so that a hang fails the test

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,8 +146,10 @@ def test_cyclotomic_preset_discriminants(m):
 
 
 def test_presets_and_field_commands_do_not_import_sympy():
-    """sympy serves user polynomials only: loading the presets, counting
-    on every one and running the field CLI commands leave it unloaded."""
+    """sympy and fppoly serve user polynomials only: loading the presets,
+    splitting each one's ramified primes, counting on every one below and
+    above the store cap and running the field CLI commands call no fppoly
+    function and leave sympy unloaded."""
     argvs = [
         ["zeros", "--field", "Q(i)", "--T", "100"],
         ["field-scan", "--field", "Q(i)", "--x-lo", "1000", "--x-hi", "1e4"],
@@ -157,17 +160,47 @@ def test_presets_and_field_commands_do_not_import_sympy():
          "--eps", "0.5"],
     ]
     proc = run_python(["-c", "import contextlib, io, sys\n"
-                       "from primelab import cli, numfield\n"
-                       "for fld in numfield.load_presets().values():\n"
+                       "from primelab import cli, fppoly, numfield\n"
+                       "def refuse(*args):\n"
+                       "    raise AssertionError('a preset called fppoly')\n"
+                       "for name in ('count_roots', 'degree_counts',"
+                       " 'factor_degree_multiset'):\n"
+                       "    setattr(fppoly, name, refuse)\n"
+                       "fields = numfield.load_presets().values()\n"
+                       "for fld in fields:\n"
                        "    numfield.pi_K(fld, 1000)\n"
+                       "    numfield.splitting_types(fld, [p for p in"
+                       " (2, 3, 5, 7) if fld.field_disc % p == 0])\n"
                        "codes = []\n"
                        f"for argv in {argvs!r}:\n"
                        "    with contextlib.redirect_stdout(io.StringIO()):\n"
                        "        codes.append(cli.main(argv))\n"
+                       "numfield.STORE_BOUND = 2**12\n"
+                       "for fld in fields:\n"
+                       "    numfield.pi_K(fld, 10**4)   # 2 reads past cap\n"
                        "print(codes, [m for m in sys.modules"
                        " if m.split('.')[0] == 'sympy'])\n"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{[0] * len(argvs)} []\n", proc.stderr
+
+
+@pytest.mark.parametrize("line,message", [
+    ("Q(i); 2; -4; 1 0; 4; 2", "line 3: a generator of H is not a unit "
+                                "mod 4"),
+    ("Q(i); 2; -4; 1 0; 5;", r"line 3: n_K = 2 is not phi\(5\)/\|H\|"),
+    ("Q(sqrt5); 2; 5; -1 -1; 5; 2", r"line 3: n_K = 2 is not phi\(5\)/"),
+], ids=["non-unit", "conductor", "subgroup"])
+def test_presets_with_a_wrong_subgroup_are_refused(line, message, tmp_path,
+                                                   monkeypatch):
+    """A preset line whose generators are not units mod m, or whose
+    degree is not phi(m)/|H|, raises ValueError naming its line."""
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "field_presets.txt").write_text(
+        f"# header\nQ; 1; 1; -1; 1;\n{line}\n")
+    monkeypatch.setattr(numfield, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ValueError, match=f"^preset {message}"):
+        numfield.load_presets()
 
 
 # --- splitting types ----------------------------------------------------
@@ -222,6 +255,32 @@ def test_cyclotomic_oracle_agreement(m, empty_stores):
     for x in (10, 100, 1000, 10**4, 10**5):
         assert pi_K(fld, x) == sum(1 for n, _, _, k in expected
                                    if k == 1 and n <= x)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_table_matches_the_polynomial_to_1e6(name):
+    """A preset's splitting table, built from its conductor and subgroup,
+    against its polynomial for every p <= 10^6: the unramified primes
+    against one batched degree_counts call, and each ramified prime
+    against sympy's factorisation mod p."""
+    fld = preset(name)
+    types = splitting_types(fld, sieve_primes(1, 10**6))
+    unramified = [st for st in types if fld.poly_disc % st.prime]
+    counts = fppoly.degree_counts(
+        fld.coefficients, [st.prime for st in unramified], fld.degree)
+    assert [st.factors for st in unramified] == [
+        tuple((d, 1) for d, c in enumerate(row, 1) for _ in range(c))
+        for row in counts.tolist()]
+    ramified = [st for st in types if fld.poly_disc % st.prime == 0]
+    assert [st.prime for st in ramified] == [
+        p for p in range(2, fld.field_disc + 1)
+        if fld.field_disc % p == 0 and is_prime_trial(p)]
+    x = sympy.Symbol("x")
+    for st in ramified:
+        factors = sympy.Poly(fld.coefficients[::-1], x,
+                             modulus=st.prime).factor_list()[1]
+        assert st.factors == tuple(sorted((g.degree(), e)
+                                          for g, e in factors)), st.prime
 
 
 def _next_prime(n):
@@ -412,24 +471,33 @@ def test_event_enumeration_against_brute_force():
 @pytest.mark.parametrize("name", preset_names())
 def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     """Growing a field's store by doubling its bound gives the arrays of
-    one fresh build, and builds each norm range once: every prime up to
-    the final bound enters the kernel's N_1 lanes at most once, and only
-    primes up to sqrt(2^15) get the full pattern."""
+    one fresh build, and builds each norm range once.  On the preset's
+    from_poly twin, which the kernel splits, every prime up to the final
+    bound enters the kernel's N_1 lanes at most once, and only primes up
+    to sqrt(2^15) get the full pattern.  The preset itself, split from
+    its conductor, makes no kernel call and grows the same arrays.  Both
+    share one store key, so the stores are emptied between builds."""
     fld = preset(name)
+    twin = NumberFieldSpec.from_poly(fld.coefficients, name=name)
     calls = []
     degree_counts = fppoly.degree_counts
 
     def counted(f, primes, top=1):
-        if tuple(f) == fld.coefficients:    # not a ramified prime's part
-            calls.append((top, [int(p) for p in primes]))
+        calls.append((tuple(f), top, [int(p) for p in primes]))
         return degree_counts(f, primes, top)
 
+    def grow(target):
+        bound = 1024
+        while bound <= 2**15:
+            pi_K(target, bound)
+            bound *= 2
+        return ideal_event_arrays(target, 1, 2**15)
+
     monkeypatch.setattr(fppoly, "degree_counts", counted)
-    bound = 1024
-    while bound <= 2**15:
-        pi_K(fld, bound)
-        bound *= 2
-    grown = ideal_event_arrays(fld, 1, 2**15)
+    grown = grow(twin)
+    # a ramified prime's squarefree parts are other polynomials
+    calls = [(top, lanes) for f, top, lanes in calls
+             if f == fld.coefficients]
     root_lanes = [p for top, lanes in calls if top == 1 for p in lanes]
     assert root_lanes or fld.degree == 1
     assert len(set(root_lanes)) == len(root_lanes) \
@@ -437,10 +505,15 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     assert all(p <= math.isqrt(2**15)
                for top, lanes in calls if top > 1 for p in lanes)
     monkeypatch.setattr(numfield, "_stores", {})
-    fresh = ideal_event_arrays(fld, 1, 2**15)
+    fresh = ideal_event_arrays(twin, 1, 2**15)
     for a, b in zip(grown, fresh):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+    monkeypatch.setattr(numfield, "_stores", {})
+    calls = []
+    for a, b in zip(grow(fld), grown):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    assert calls == []
 
 
 def test_store_columns_take_26_bytes_per_event(empty_stores):
