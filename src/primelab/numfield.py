@@ -224,16 +224,26 @@ def _in_class(columns, cls):
     return tuple([a.take(keep) for a in columns])
 
 
+def _root_counts(fld: NumberFieldSpec, primes):
+    """Ideals of norm p above each unramified prime p: a preset's by one
+    gather from its table, another field's from the kernel's root count
+    of f mod p."""
+    if fld.conductor is None:
+        return fppoly.count_roots(fld.coefficients, primes)
+    classes = _abelian_splitting(fld.conductor, fld.subgroup)
+    return np.array([[f for f, _ in t].count(1) for t in classes],
+                    dtype=np.int64)[primes % fld.conductor]
+
+
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                   cls=sieve.EVERYTHING):
     """(positions, bases, exponents, weights) of the ideal-power events
     with norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
     equal norms (one prime's) in ascending residue degree.
 
-    The unramified primes above sqrt(hi) need only their root counts:
-    for a preset one gather from its splitting table, otherwise one
-    batched Frobenius pass (`fppoly.count_roots`).  The primes below,
-    and the few ramified ones (p | disc f), go through `splitting_types`;
+    The unramified primes above sqrt(hi) need only their root counts,
+    read for all of them at once (`_root_counts`); the primes below, and
+    the few ramified ones (p | disc f), go through `splitting_types`;
     those in (sqrt(hi), lo], with no norm in range, are not read.
     """
     if fld.degree == 1:
@@ -249,13 +259,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     # root of f mod p; the rest need the full pattern
     full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
     lanes = primes[~full]
-    if fld.conductor is None:
-        roots = fppoly.count_roots(fld.coefficients, lanes)
-    else:               # per class mod m, its ideals of residue degree 1
-        classes = _abelian_splitting(fld.conductor, fld.subgroup)
-        roots = np.array([[f for f, _ in t].count(1) for t in classes],
-                         dtype=np.int64)[lanes % fld.conductor]
-    large = np.repeat(lanes, roots)
+    large = np.repeat(lanes, _root_counts(fld, lanes))
     rows = []                # (norm, p, residue degree, exponent)
     for st in splitting_types(fld, primes[full]):
         for f, _ in st.factors:

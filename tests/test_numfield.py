@@ -496,21 +496,21 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     monkeypatch.setattr(fppoly, "degree_counts", counted)
     grown = grow(twin)
     # a ramified prime's squarefree parts are other polynomials
-    calls = [(top, lanes) for f, top, lanes in calls
-             if f == fld.coefficients]
-    root_lanes = [p for top, lanes in calls if top == 1 for p in lanes]
+    kernel = [(top, lanes) for f, top, lanes in calls
+              if f == fld.coefficients]
+    root_lanes = [p for top, lanes in kernel if top == 1 for p in lanes]
     assert root_lanes or fld.degree == 1
     assert len(set(root_lanes)) == len(root_lanes) \
         <= len(sieve_primes(1, 2**15))
     assert all(p <= math.isqrt(2**15)
-               for top, lanes in calls if top > 1 for p in lanes)
+               for top, lanes in kernel if top > 1 for p in lanes)
     monkeypatch.setattr(numfield, "_stores", {})
     fresh = ideal_event_arrays(twin, 1, 2**15)
     for a, b in zip(grown, fresh):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     monkeypatch.setattr(numfield, "_stores", {})
-    calls = []
+    calls.clear()
     for a, b in zip(grow(fld), grown):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
     assert calls == []
