@@ -244,11 +244,12 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them at once (`_root_counts`); the primes below, and
     the few ramified ones (p | disc f), go through `splitting_types`;
-    those in (sqrt(hi), lo], with no norm in range, are not read.
+    those in (sqrt(hi), lo], with no norm in range, are not read.  The
+    large primes, repeated once per ideal, are merged with the rest by
+    `sieve.merge_events`.
     """
     if fld.degree == 1:
-        pos, base, expo, weights = sieve.event_arrays(lo, hi, cls)
-        return pos, base, expo.astype(np.int16), weights
+        return sieve.event_arrays(lo, hi, cls)
     root = math.isqrt(hi)
     primes = np.concatenate([sieve.sieve_primes(1, root),
                              sieve.sieve_primes(max(lo, root), hi)])
@@ -259,7 +260,6 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     # root of f mod p; the rest need the full pattern
     full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
     lanes = primes[~full]
-    large = np.repeat(lanes, _root_counts(fld, lanes))
     rows = []                # (norm, p, residue degree, exponent)
     for st in splitting_types(fld, primes[full]):
         for f, _ in st.factors:
@@ -268,13 +268,9 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                 if norm > lo:
                     rows.append((norm, st.prime, f, m))
                 norm, m = norm * st.prime**f, m + 1
-    ones = np.ones_like(large)
-    table = np.concatenate([np.array(rows, dtype=np.int64).reshape(-1, 4),
-                            np.stack([large, large, ones, ones], axis=1)])
-    order = np.lexsort((table[:, 2], table[:, 0]))
-    pos, base, deg, expo = table[order].T.copy()
-    weights = deg * np.log(base.astype(np.float64))
-    return _in_class((pos, base, expo.astype(np.int16), weights), cls)
+    del primes, disc, full
+    return _in_class(sieve.merge_events(
+        np.repeat(lanes, _root_counts(fld, lanes)), rows), cls)
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
@@ -340,6 +336,7 @@ def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
         total += int(np.floor(limb, out=limb).sum(dtype=np.int64)) << 26  # a
         np.subtract(w, np.multiply(limb, 2.0**-27, out=limb), out=limb)
         total += int(np.multiply(limb, 2.0**53, out=limb).sum(dtype=np.int64))
+        del w, limb                     # before the next read is built
     return total / 2**53
 
 

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,17 @@ def run_within_rss(code, budget_mb, *args):
                        + "print(f'peak {kb} KB', file=sys.stderr)\n"
                        f"sys.exit(status or kb > {budget_mb} * 1024)\n",
                        *args])
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes of what it allocated while it ran), by
+    tracemalloc: numpy reports its buffers there, so unlike a child's peak
+    RSS the figure does not depend on where glibc places them."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager

@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -14,8 +15,9 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       splitting_types, window_events)
 from primelab.fppoly import factor_degree_multiset
 from primelab.numfield import ideal_event_arrays
+from primelab.sieve import EVERYTHING, base_primes
 
-from conftest import run_python, sieve_ceiling
+from conftest import run_python, sieve_ceiling, traced_peak
 from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
                      quadratic_splitting)
 
@@ -523,6 +525,113 @@ def test_store_columns_take_26_bytes_per_event(empty_stores):
     assert [a.dtype for a in arrays] == [np.int64, np.int64, np.int16,
                                          np.float64]
     assert sum(a.itemsize for a in arrays) == 26
+
+
+def reference_event_arrays(lo, hi, cls=EVERYTHING):
+    """Q's events as sieve.event_arrays built them before merge_events:
+    the powers go into the sieved primes by three np.insert calls, and the
+    exponents are int64."""
+    primes = sieve_primes(lo, hi, cls)
+    rows = []                # (p^m, p, m) for m >= 2
+    for p in sieve_primes(1, math.sqrt(hi)).tolist():
+        n, m = p * p, 2
+        while n <= hi:
+            if n > lo and n % cls.modulus == cls.residue:
+                rows.append((n, p, m))
+            n, m = n * p, m + 1
+    powers = np.array(sorted(rows), dtype=np.int64).reshape(-1, 3).T
+    at = np.searchsorted(primes, powers[0])
+    pos = np.insert(primes, at, powers[0])
+    base = np.insert(primes, at, powers[1])
+    expo = np.insert(np.ones(len(primes), dtype=np.int64), at, powers[2])
+    weights = np.log(base.astype(np.float64))
+    return pos, base, expo, weights
+
+
+def reference_build_events(fld, lo, hi, cls=EVERYTHING):
+    """numfield._build_events before merge_events: every event a row of
+    one int64 table, stacked, lexsorted by (norm, degree) and split into
+    columns."""
+    if fld.degree == 1:
+        pos, base, expo, weights = reference_event_arrays(lo, hi, cls)
+        return pos, base, expo.astype(np.int16), weights
+    root = math.isqrt(hi)
+    primes = np.concatenate([sieve_primes(1, root),
+                             sieve_primes(max(lo, root), hi)])
+    primes = primes[~np.isin(primes, sorted(fld.bad_primes))]
+    disc = primes.astype(object if abs(fld.poly_disc) >> 62 else np.int64)
+    full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
+    lanes = primes[~full]
+    large = np.repeat(lanes, numfield._root_counts(fld, lanes))
+    rows = []                # (norm, p, residue degree, exponent)
+    for st in splitting_types(fld, primes[full]):
+        for f, _ in st.factors:
+            norm, m = st.prime**f, 1
+            while norm <= hi:
+                if norm > lo:
+                    rows.append((norm, st.prime, f, m))
+                norm, m = norm * st.prime**f, m + 1
+    ones = np.ones_like(large)
+    table = np.concatenate([np.array(rows, dtype=np.int64).reshape(-1, 4),
+                            np.stack([large, large, ones, ones], axis=1)])
+    order = np.lexsort((table[:, 2], table[:, 0]))
+    pos, base, deg, expo = table[order].T.copy()
+    weights = deg * np.log(base.astype(np.float64))
+    return numfield._in_class((pos, base, expo.astype(np.int16), weights),
+                              cls)
+
+
+@functools.cache
+def twin(name):
+    """The preset's from_poly twin, which the Frobenius kernel splits."""
+    return NumberFieldSpec.from_poly(preset(name).coefficients, name=name)
+
+
+BOUNDS = st.lists(st.integers(1, 2**20), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=BOUNDS, target=st.one_of(
+    st.sampled_from(preset_names()).map(preset),
+    st.sampled_from(["Q(i)", "cyclo5", "cyclo12"]).map(twin),
+    st.integers(1, 60).flatmap(lambda q: st.builds(
+        lambda a: (preset("Q"), ResidueClass(q, a)), st.integers(0, q - 1)))))
+@example(bounds=[1, 2**20], target=preset("cyclo7"))
+@example(bounds=[1, 2**20], target=twin("cyclo5"))
+@example(bounds=[2**10, 2**10 + 1], target=twin("Q(i)"))   # one norm p^2
+@example(bounds=[120, 125], target=(preset("Q"), ResidueClass(5, 0)))
+def test_builds_equal_the_stacked_reference(bounds, target):
+    """_build_events, which merges the first-degree primes with the other
+    rows, equals the builds it replaced column by column: the same dtypes,
+    the same values and bit-equal weights.  Covers every preset, Q with a
+    class (units and not) and from_poly twins, whose root counts come from
+    fppoly.count_roots and whose ramified primes from sympy."""
+    lo, hi = bounds
+    fld, cls = target if isinstance(target, tuple) else (target, EVERYTHING)
+    got = numfield._build_events(fld, lo, hi, cls)
+    for a, b in zip(got, reference_build_events(fld, lo, hi, cls),
+                    strict=True):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("target, cls, budget", [
+    ("Q", EVERYTHING, 30), ("Q", ResidueClass(30, 7), 30),
+    ("Q(i)", EVERYTHING, 40), ("Q(sqrt5)", EVERYTHING, 40),
+    ("cyclo7", EVERYTHING, 40), ("cyclo5 twin", EVERYTHING, 40)])
+def test_a_read_is_built_in_its_final_layout(target, cls, budget):
+    """One read of (2^22, 2^23] allocates little beyond the 26 B per event
+    it keeps (tracemalloc's peak; the stacked builds peaked at 48 B on Q
+    and 145 B on fields): Q's columns are filled in place around the
+    sieved primes, which the merge frees once the positions are built, and
+    a field's large primes are repeated after the prime list is dropped.
+    Every column owns its buffer, so no column keeps another alive."""
+    name, _, kind = target.partition(" ")
+    fld = twin(name) if kind else preset(name)
+    base_primes(2**12)                  # grows the cache before the trace
+    columns, peak = traced_peak(
+        lambda: numfield._build_events(fld, 2**22, 2**23, cls))
+    assert peak <= budget * len(columns[0])
+    assert all(a.base is None for a in columns)
 
 
 def test_read_past_the_store_builds_only_its_window(empty_stores):
