@@ -244,9 +244,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     The unramified primes above sqrt(hi) need only their root counts,
     read for all of them at once (`_root_counts`); the primes below, and
     the few ramified ones (p | disc f), go through `splitting_types`;
-    those in (sqrt(hi), lo], with no norm in range, are not read.  The
-    large primes, repeated once per ideal, are merged with the rest by
-    `sieve.merge_events`.
+    those in (sqrt(hi), lo], with no norm in range, are not read.
     """
     if fld.degree == 1:
         return sieve.event_arrays(lo, hi, cls)
@@ -268,7 +266,7 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                 if norm > lo:
                     rows.append((norm, st.prime, f, m))
                 norm, m = norm * st.prime**f, m + 1
-    del primes, disc, full
+    del primes, disc, full              # before the stream is built
     return _in_class(sieve.merge_events(
         np.repeat(lanes, _root_counts(fld, lanes)), rows), cls)
 

@@ -7,6 +7,7 @@ psi(x+h) - psi(x) covers x < n <= x+h.
 `event_arrays` builds Q's events, and those of one residue class alone
 from a sieve of that class's progression; every read of them, for the
 totals `psi_ap` and `pi_ap` too, goes through Q's store in `numfield`.
+`merge_events` lays out the columns of every read, Q's and a field's.
 """
 
 from __future__ import annotations
@@ -139,15 +140,12 @@ def sieve_primes(lo: float, hi: float,
 
 
 def merge_events(stream, rows):
-    """Event columns (positions, bases, exponents, weights): int64,
-    int64, int16 and float64, each owning its buffer.
-
-    stream holds ascending first-degree primes p (base p, exponent 1,
-    weight log p); rows is a short list of (norm, base, residue degree,
-    exponent), with weight degree * log(base), whose norms are not in
-    stream.  Equal norms come in ascending degree.  Pass stream as a call
-    expression: the merge then holds its only reference and frees it
-    once the positions are built."""
+    """Event columns (positions, bases, exponents, weights), int64, int64,
+    int16 and float64 arrays owning their buffers: the ascending primes p
+    of stream (base p, exponent 1, weight log p) merged with rows (norm,
+    base, residue degree f, exponent; weight f log base) whose norms are
+    not in stream, equal norms in ascending f.  Pass stream as a call
+    expression: the merge then frees it once the positions are built."""
     rows = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
     at = np.searchsorted(stream, rows[0])
     pos = np.insert(stream, at, rows[0])

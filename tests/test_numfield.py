@@ -520,11 +520,14 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
 
 def test_store_columns_take_26_bytes_per_event(empty_stores):
     """Exponents (at most 30 below 10^9) are int16, and no residue degree
-    is kept: it is weight / log(base)."""
+    is kept: it is weight / log(base).  Each store column is a buffer of
+    its own, so a store built in one piece holds nothing more (rows of a
+    (4, N) int64 block kept 42 B per event)."""
     arrays = ideal_event_arrays(preset("Q(i)"), 1, 2**12)
     assert [a.dtype for a in arrays] == [np.int64, np.int64, np.int16,
                                          np.float64]
     assert sum(a.itemsize for a in arrays) == 26
+    assert sum(a.base.nbytes for a in arrays) == 26 * len(arrays[0])
 
 
 def reference_event_arrays(lo, hi, cls=EVERYTHING):
