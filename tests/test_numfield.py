@@ -601,7 +601,8 @@ BOUNDS = st.lists(st.integers(1, 2**20), min_size=2, max_size=2).map(sorted)
         lambda a: (preset("Q"), ResidueClass(q, a)), st.integers(0, q - 1)))))
 @example(bounds=[1, 2**20], target=preset("cyclo7"))
 @example(bounds=[1, 2**20], target=twin("cyclo5"))
-@example(bounds=[2**10, 2**10 + 1], target=twin("Q(i)"))   # one norm p^2
+@example(bounds=[840, 841], target=twin("Q(i)"))    # two ideals of norm 29^2
+@example(bounds=[960, 961], target=preset("Q(i)"))  # 31 is inert
 @example(bounds=[120, 125], target=(preset("Q"), ResidueClass(5, 0)))
 def test_builds_equal_the_stacked_reference(bounds, target):
     """_build_events, which merges the first-degree primes with the other
