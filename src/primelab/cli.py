@@ -177,10 +177,11 @@ def _run_sieve(args):
     columns = numfield.ideal_event_arrays(   # no norm lies below 2
         numfield.preset("Q"), max(args.lo, 1.0), max(args.hi, 1.0),
         sieve.ResidueClass(args.q, args.a))
+    # n = p^m <= 10^9 < 2^53, so p is n^(1/m) rounded
     return [ExperimentReport(
-        "sieve", {"position": n, "base": p, "exponent": m, "q": args.q,
-                  "a": args.a}, metric=w)
-        for n, p, m, w in zip(*(c.tolist() for c in columns))]
+        "sieve", {"position": n, "base": round(n ** (1 / m)), "exponent": m,
+                  "q": args.q, "a": args.a}, metric=w)
+        for n, m, w in zip(*(c.tolist() for c in columns))]
 
 
 def _run_scan(args):

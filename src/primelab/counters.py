@@ -3,10 +3,10 @@
 A StepCounter holds ascending event positions and their weights: the
 right-continuous partial sum x -> sum_{n <= x} w_n.  Every experiment
 reads the events of its own range through `window_events`: a field's
-and a residue class's come from `numfield.ideal_event_arrays` (a class
-reads Q's events: a slice of Q's store with the class kept, or past the
-store a sieve of the class alone), and a StepCounter or WindowSource is
-sliced.
+and a residue class's come from `numfield.ideal_event_arrays`, exponents
+as a first-power mask (a class reads Q's events: a slice of Q's store
+with the class kept, or past the store a sieve of the class alone), and
+a StepCounter or WindowSource is sliced.
 A WindowSource bundles one counter with its expected density and label:
 synthetic fixtures build one from raw arrays and pass it where a residue
 class or a field would go.  An experiment target is a class, a field or
@@ -82,7 +82,7 @@ def window_events(target, lo: float, hi: float):
     if isinstance(target, WindowSource):
         target = target.psi
     if isinstance(target, StepCounter):
-        i, j = np.searchsorted(target.positions, [lo, hi], side="right")
+        i, j = target.positions.searchsorted((lo, hi), side="right")
         return (target.positions[i:j], target.weights[i:j],
                 np.ones(j - i, bool))
     cls = sieve.EVERYTHING
@@ -93,7 +93,7 @@ def window_events(target, lo: float, hi: float):
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
     # no norm lies below 2: a window ending below 1 reads (1, 1]
-    pos, _, expo, weights = numfield.ideal_event_arrays(
+    pos, expo, weights = numfield.ideal_event_arrays(
         target, max(lo, 1), max(hi, 1), cls)
     return pos, weights, expo == 1
 

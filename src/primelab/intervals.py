@@ -27,8 +27,8 @@ from .sieve import ResidueClass, euler_phi
 
 log = logging.getLogger(__name__)
 
-# most windows one Cramer scan may slide
-MAX_WINDOWS = 10**5
+MAX_WINDOWS = 10**5         # most windows one Cramer scan may slide
+GAP_PIECE = 1 << 16         # most gaps it normalizes at once
 
 
 def delta(x: float, h: float, target) -> float:
@@ -305,11 +305,13 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     windows = [(x, h, count, count * density * math.log(x) / h)
                for x, h, count in zip(starts, widths, counts)]
 
-    # normalized gaps between consecutive events inside the scan range
-    inside = pos[(pos >= x_lo) & (pos <= x_hi)]
+    # normalized gaps of the events inside the scan range, piece by piece
+    inside = pos[pos.searchsorted(x_lo):pos.searchsorted(x_hi, side="right")]
     c1_emp = 0.0
-    if len(inside) >= 2:
-        c1_emp = float(np.max(np.diff(inside) / law(1.0, inside[:-1], np)))
+    for k in range(0, len(inside) - 1, GAP_PIECE):
+        gaps = np.diff(inside[k:k + GAP_PIECE + 1])
+        gaps /= law(1.0, inside[k:k + len(gaps)], np)
+        c1_emp = max(c1_emp, float(gaps.max()))
 
     c2 = min((norm for _, _, _, norm in windows), default=math.inf)
     verdict = "pass" if all(c >= 1 for _, _, c, _ in windows) else "fail"

@@ -212,7 +212,7 @@ def _abelian_splitting(m: int, gens: tuple) -> tuple:
 # one store per field: (bound, arrays) holding every event with norm <= bound
 _stores: dict = {}
 
-# largest bound a store grows to: Q's then holds 1.1M events (26 B each)
+# largest bound a store grows to: Q's then holds 1.1M events (18 B each)
 STORE_BOUND = 2**24
 
 
@@ -237,8 +237,8 @@ def _root_counts(fld: NumberFieldSpec, primes):
 
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                   cls=sieve.EVERYTHING):
-    """(positions, bases, exponents, weights) of the ideal-power events
-    with norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
+    """(positions, exponents, weights) of the ideal-power events with
+    norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
     equal norms (one prime's) in ascending residue degree.
 
     The unramified primes above sqrt(hi) need only their root counts,
@@ -273,8 +273,8 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
                        cls=sieve.EVERYTHING):
-    """(positions, bases, exponents, weights) of the events with norm in
-    (lo, hi] and in residue class cls; the weight of P^m is log N(P).
+    """(positions, exponents, weights) of the events with norm in (lo, hi]
+    and in residue class cls; the weight of P^m is log N(P).
 
     A read that starts inside the field's store (lo <= its bound) and
     ends below STORE_BOUND slices it, first growing it to the next power
@@ -302,12 +302,12 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
         arrays = part if arrays is None else \
             [np.concatenate(pair) for pair in zip(arrays, part)]
         _stores[key] = (new_bound, arrays)
-    i, j = np.searchsorted(arrays[0], [lo, hi], side="right")
+    i, j = arrays[0].searchsorted((lo, hi), side="right")
     return _in_class([a[i:j] for a in arrays], cls)
 
 
 def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
-    """One column of ideal_event_arrays (2 exponents, 3 weights) over
+    """One column of ideal_event_arrays (1 exponents, 2 weights) over
     norms in (1, x] (for Q, in class cls), in reads of at most STORE_BOUND
     norms: the first slices the store, and each later one is built and,
     as only its column is kept, dropped before the next is built."""
@@ -327,7 +327,7 @@ def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
     number w 2^53 = a 2^26 + b over 2^53, with exact float limbs
     a = floor(w 2^27) and b = (w 2^27 - a) 2^26, summed as ints."""
     total = 0
-    for w in _reads_to(fld, x, cls, 3):
+    for w in _reads_to(fld, x, cls, 2):
         if not w.min(initial=0.5) >= 0.5:             # NaN fails too
             raise ArithmeticError("a weight below 1/2 has inexact limbs")
         limb = w * 2.0**27
@@ -340,8 +340,9 @@ def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
 
 def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:
     """Number of prime ideals with norm <= x (for Q, in class cls)."""
-    return sum(int(np.count_nonzero(expo == 1))
-               for expo in _reads_to(fld, x, cls, 2))
+    # map, unlike a generator expression, drops each read before the next
+    return sum(map(lambda expo: int(np.count_nonzero(expo == 1)),
+                   _reads_to(fld, x, cls, 1)))
 
 
 # ---------------------------------------------------------------------------

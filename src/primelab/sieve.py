@@ -7,7 +7,7 @@ psi(x+h) - psi(x) covers x < n <= x+h.
 `event_arrays` builds Q's events, and those of one residue class alone
 from a sieve of that class's progression; every read of them, for the
 totals `psi_ap` and `pi_ap` too, goes through Q's store in `numfield`.
-`merge_events` lays out the columns of every read, Q's and a field's.
+`merge_events` lays out the three columns of every read, Q's and a field's.
 """
 
 from __future__ import annotations
@@ -108,15 +108,15 @@ def sieve_primes(lo: float, hi: float,
     at most, a (q when a = 0), and a window narrower than the step one
     member: such a number is tested alone, off numpy (a step may pass
     int64)."""
-    if hi < lo:
-        raise ValueError(f"hi={hi} below lo={lo}")
+    if not lo <= hi:                    # NaN fails too
+        raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
     check_capacity(hi)
     q, a = cls.modulus, cls.residue
     few, chunks = [a or q], []          # the one prime a non-unit may hold
     if cls.is_unit:
         step = q if q % 2 == 0 else 2 * q
         r = a if a % 2 else a + q
-        start, end = max(3, math.floor(lo) + 1), math.floor(hi)
+        start, end = math.floor(max(lo, 2)) + 1, math.floor(max(hi, 2))
         i_lo, i_hi = -((r - start) // step), (end - r) // step
         few = [2] if 2 % q == a else []
         if i_hi <= i_lo:                # one member at most
@@ -140,12 +140,12 @@ def sieve_primes(lo: float, hi: float,
 
 
 def merge_events(stream, rows):
-    """Event columns (positions, bases, exponents, weights), int64, int64,
-    int16 and float64 arrays owning their buffers: the ascending primes p
-    of stream (base p, exponent 1, weight log p) merged with rows (norm,
-    base, residue degree f, exponent; weight f log base) whose norms are
-    not in stream, equal norms in ascending f.  Pass stream as a call
-    expression: the merge then frees it once the positions are built."""
+    """Event columns (positions, exponents, weights), int64, int16 and
+    float64 arrays owning their buffers: the ascending primes p of stream
+    (exponent 1, weight log p) merged with rows (norm, base p, residue
+    degree f, exponent; weight f log p) whose norms are not in stream,
+    equal norms in ascending f.  Pass stream as a call expression: the
+    merge then frees it once the positions are built."""
     rows = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
     at = np.searchsorted(stream, rows[0])
     pos = np.insert(stream, at, rows[0])
@@ -153,20 +153,16 @@ def merge_events(stream, rows):
     at += np.arange(len(at))            # the rows' slots in pos
     weights = np.log(pos, dtype=np.float64)
     weights[at] = rows[2] * np.log(rows[1], dtype=np.float64)
-    base = pos.copy()
-    base[at] = rows[1]
     expo = np.ones(len(pos), np.int16)
     expo[at] = rows[3]
-    return pos, base, expo, weights
+    return pos, expo, weights
 
 
 def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     """Prime-power events with position in (lo, hi] restricted to cls.
 
-    Returns (positions, bases, exponents, weights) as parallel numpy
-    arrays (exponents int16, the rest int64 and float64) sorted by
-    position: `merge_events` of the primes, from a sieve of the class
-    alone, and the powers p^m, m >= 2.
+    The columns of `merge_events`, sorted by position, of the primes,
+    from a sieve of the class alone, and the powers p^m, m >= 2.
     """
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
@@ -192,8 +188,8 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     Exactly rounded (`numfield.psi_K` sums in integer fixed point), so
     partitioning the event set over residue classes cannot change the
     total.  Above Q's store only the class is sieved.  A cold
-    psi_ap(1e8) on a 2-core host: 0.3-0.4 s and 83 MB peak for q = 1,
-    0.1 s and 66 MB for q = 30.
+    psi_ap(1e8) on a 2-core host: 0.3-0.4 s and 67 MB peak for q = 1,
+    0.1 s and 59 MB for q = 30.
     """
     numfield, q = _q()
     return numfield.psi_K(q, x, cls)

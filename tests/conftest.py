@@ -117,7 +117,7 @@ def mean_square_sampled(X, h, target, step=1e-2):
 @pytest.fixture(scope="session")
 def oracle_events_1e5():
     """Trial-division prime-power events up to 10^5 as numpy arrays
-    (positions, bases, exponents, weights)."""
+    (positions, exponents, weights), the weight of p^m being log p."""
     pos, base, expo = [], [], []
     for n in range(2, 10**5 + 1):
         pm = trial_prime_power(n)
@@ -125,7 +125,5 @@ def oracle_events_1e5():
             pos.append(n)
             base.append(pm[0])
             expo.append(pm[1])
-    pos = np.array(pos)
-    base = np.array(base)
-    expo = np.array(expo)
-    return pos, base, expo, np.log(base.astype(np.float64))
+    return (np.array(pos), np.array(expo),
+            np.log(np.array(base, dtype=np.float64)))

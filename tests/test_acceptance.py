@@ -44,27 +44,29 @@ def test_criterion_01_counter_oracle(oracle_events_1e5):
     """pi_ap / psi_ap equal the trial-division oracle for all x <= 1e5,
     all q <= 30, exactly.
 
-    Event positions and weights are compared as exact arrays per residue
-    class; since both counters are plain partial sums of those arrays,
+    Event positions, exponents and weights (log of the base trial
+    division finds) are compared as exact arrays per residue class;
+    since both counters are plain partial sums of those arrays,
     array equality gives pointwise equality at every x.  Random probes
     double-check the summation layer.
     """
-    o_pos, o_base, _, o_w = oracle_events_1e5
+    o_pos, o_expo, o_w = oracle_events_1e5
     x_max = 10**5
     rng = np.random.default_rng(1)
     probes = np.sort(rng.uniform(2, x_max, 25))
     ok = True
     for q in range(1, 31):
         for a in range(q):
-            pos, base, _, w = event_arrays(1, x_max, ResidueClass(q, a))
+            pos, expo, w = event_arrays(1, x_max, ResidueClass(q, a))
             keep = o_pos % q == a
             if not (np.array_equal(pos, o_pos[keep])
+                    and np.array_equal(expo, o_expo[keep])
                     and np.array_equal(w, o_w[keep])):
                 ok = False
             # probe the counters directly against oracle partial sums
             cls = ResidueClass(q, a)
             opos_q, ow_q = o_pos[keep], o_w[keep]
-            oprime_q = o_pos[keep & (o_pos == o_base)]
+            oprime_q = o_pos[keep & (o_expo == 1)]
             for x in probes:
                 if psi_ap(float(x), cls) != math.fsum(ow_q[opos_q <= x]):
                     ok = False
@@ -165,7 +167,7 @@ def test_criterion_06_explicit_residual():
     the x-grid stays under 5 (x/T) log^2 x, and doubling T from 500 to
     1000 does not grow the max residual by more than a factor 2."""
     tbl = component_table("zeta")
-    pos, _, _, w = event_arrays(1, 1100)
+    pos, _, w = event_arrays(1, 1100)
     xs = np.arange(50.5, 1000.6, 50.0)
     ok = True
 

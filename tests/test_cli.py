@@ -11,6 +11,7 @@ from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
                           EXIT_SINK, EXIT_USAGE, RUNNERS, build_parser, main)
 
 from conftest import run_python, run_within_rss
+from oracles import trial_prime_power
 from test_golden import CASES, GOLDEN
 
 GOLDEN_ARGV = {name: argv for name, argv, _ in CASES}
@@ -69,6 +70,30 @@ def test_sieve_window(capsys):
     rows = csv_rows(out)
     positions = [json.loads(r["param_json"])["position"] for r in rows]
     assert positions == [2, 3, 4, 5, 7, 8, 9]
+
+
+# p^2, p^3 and p^5 (2^5 and 3^5 below 300), up to the largest prime
+# square below the 10^9 ceiling
+POWER_WINDOWS = [(1, 300, 243), (844596251, 844596351, 61**5),
+                 (991026923, 991027023, 997**3),
+                 (999002399, 999002499, 31607**2)]
+
+
+@pytest.mark.parametrize("lo, hi, power", POWER_WINDOWS)
+def test_sieve_row_bases_are_trial_division_bases(capsys, lo, hi, power):
+    """The store keeps no bases: a `sieve` row's base is n^(1/m) rounded,
+    which equals the base trial division finds on every row, with and
+    without a class (one that keeps the power)."""
+    for q in (1, 7):
+        code, out, _ = run(capsys, "sieve", "--lo", str(lo), "--hi", str(hi),
+                           "--q", str(q), "--a", str(power % q),
+                           "--format", "jsonl")
+        assert code == EXIT_OK
+        params = [json.loads(line)["params"] for line in out.splitlines()]
+        assert power in [p["position"] for p in params]
+        for p in params:
+            assert (p["base"], p["exponent"]) \
+                == trial_prime_power(p["position"])
 
 
 def test_bt_example(capsys):

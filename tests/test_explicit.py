@@ -25,7 +25,7 @@ def zeta_spec():
 
 @pytest.fixture(scope="module")
 def psi_counter():
-    pos, _, _, w = event_arrays(1, 10**6)
+    pos, _, w = event_arrays(1, 10**6)
     return StepCounter.from_events(pos, w)
 
 
@@ -138,12 +138,12 @@ def test_residual_scan_reads_bounded_pieces_across_cap(
     top = max(SCAN_XS) + 1
     if name == "Q(i)":
         target = preset(name)
-        pos, _, _, w = ideal_event_arrays(target, 1, top)
+        pos, _, w = ideal_event_arrays(target, 1, top)
         spec = TruncationSpec(100.0, field_table(name), 2, 4)
     else:
         cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)
         target = preset("Q") if name == "Q" else cls
-        pos, _, _, w = event_arrays(1, top, cls)
+        pos, _, w = event_arrays(1, top, cls)
         spec = TruncationSpec(100.0, component_table("zeta"))
     expected = cumsum_residuals(pos, w, spec, SCAN_XS)
     monkeypatch.setattr(numfield, "_stores", {})

@@ -69,14 +69,14 @@ def test_progression_reads_match_sieve_on_both_sides_of_cap(
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
     cls = ResidueClass(q, 1 % q)
     for hi in (3000.5, 2**12, 9000.25):
-        pos, _, expo, w = event_arrays(1, hi, cls)
+        pos, expo, w = event_arrays(1, hi, cls)
         src = progression_source(cls, hi)
         assert np.array_equal(src.psi.positions, pos.astype(np.float64))
         assert np.array_equal(src.psi.weights, w)
         got, _, first = window_events(cls, 1, hi)
         assert np.array_equal(got[first], pos[expo == 1])
     for x, top in CAPPED_WINDOWS:
-        pos, _, expo, w = event_arrays(x, top, cls)
+        pos, expo, w = event_arrays(x, top, cls)
         h = top - x
         assert bt_check_ap(x, h, cls).metric == np.count_nonzero(expo == 1)
         # the drift term is h times the density 1/phi(q)
@@ -101,7 +101,7 @@ def test_totals_read_in_bounded_reads_across_cap(empty_stores, monkeypatch):
     for x in TOTAL_XS:
         for q in (1, 4, 7, 30):
             cls = ResidueClass(q, 1 % q)
-            _, _, expo, w = event_arrays(1, x, cls)
+            _, expo, w = event_arrays(1, x, cls)
             assert psi_ap(x, cls) == math.fsum(w)
             assert pi_ap(x, cls) == np.count_nonzero(expo == 1)
         assert (psi_K(qi, x), pi_K(qi, x)) == expected[x]
@@ -122,7 +122,7 @@ def test_far_windows_are_exact_and_keep_no_store(empty_stores):
     """Windows above the store cap are built alone: delta is the exactly
     rounded window sum, and no store grows past the cap."""
     cls = ResidueClass(4, 1)
-    _, _, _, w = event_arrays(1e8, 1e8 + 1000, cls)
+    _, _, w = event_arrays(1e8, 1e8 + 1000, cls)
     assert delta(1e8, 1000, cls) == math.fsum(w) - 500
     assert bt_check_field(preset("Q(i)"), 3e7, 1000).metric == 68
     assert all(bound <= numfield.STORE_BOUND
@@ -447,6 +447,47 @@ def test_cramer_scan_gaussian_field():
     x, h, _, _ = res.windows[0]
     expect = 4 * (2 * math.log(x) + math.log(4)) * math.sqrt(x)
     assert h == pytest.approx(expect)
+
+
+def whole_range_scan(x_lo, x_hi, target, windows):
+    """c1_empirical and each window's (count, normalized count) as the
+    scan computed them from whole-range arrays: the gaps of the first
+    powers in [x_lo, x_hi] over law(1, x), and a boolean count of
+    (x, x + h]."""
+    law, density = intervals._window_law(target)
+    pos, _, first = window_events(target, 1, x_hi + 2 * windows[-1][1])
+    pos = pos[first].astype(np.float64)
+    inside = pos[(pos >= x_lo) & (pos <= x_hi)]
+    c1 = 0.0
+    if len(inside) >= 2:
+        c1 = float(np.max(np.diff(inside) / law(1.0, inside[:-1], np)))
+    counts = [int(np.count_nonzero((pos > x) & (pos <= x + h)))
+              for x, h, _, _ in windows]
+    return c1, [(count, count * density * math.log(x) / h)
+                for (x, h, _, _), count in zip(windows, counts)]
+
+
+@pytest.mark.parametrize("piece", [None, 1000])
+@pytest.mark.parametrize("target, x_lo, x_hi", [
+    (EVERYTHING, 1e3, 2e6), (ResidueClass(30, 7), 1e3, 1e7),
+    (preset("Q(i)"), 1e3, 2e6), (EVERYTHING, 1000, 1008),
+    (EVERYTHING, 1000, 1013)],
+    ids=["q=1", "q=30", "Q(i)", "no-gap", "one-gap"])
+def test_cramer_statistic_equals_the_whole_range_expression(
+        target, x_lo, x_hi, piece, monkeypatch):
+    """The gaps are normalized a piece at a time (GAP_PIECE, or 1000
+    here), over a view of the events inside the range; c1_empirical and
+    the window counts equal, bit for bit, the whole-range expression
+    np.max(np.diff(inside) / law(1.0, inside[:-1], np)) they replaced.
+    The first three ranges hold 83,000-150,000 first powers, more than
+    one default piece; the last two hold none and two (1009, 1013)."""
+    if piece is not None:
+        monkeypatch.setattr(intervals, "GAP_PIECE", piece)
+    res = cramer_window_scan(x_lo, x_hi, 4.0, target)
+    c1, windows = whole_range_scan(x_lo, x_hi, target, res.windows)
+    assert repr(res.c1_empirical) == repr(c1)
+    assert [(count, norm) for _, _, count, norm in res.windows] == windows
+    assert (c1 == 0.0) == (x_hi == 1008)
 
 
 def test_cramer_scan_counts_against_oracle():

@@ -19,7 +19,7 @@ from primelab.sieve import EVERYTHING, base_primes
 
 from conftest import run_python, sieve_ceiling, traced_peak
 from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
-                     quadratic_splitting)
+                     quadratic_splitting, trial_prime_power)
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -30,11 +30,22 @@ QUADRATIC_PRESETS = {
 }
 
 
-def residue_degrees(bases, weights):
-    """The residue degree f of each event, read from its weight
-    f * log(base)."""
-    return np.rint(np.asarray(weights) / np.log(np.asarray(bases, float))
-                   ).astype(int)
+def bases_and_degrees(positions, exponents):
+    """Each event's base p and residue degree f, from trial division of
+    its norm p^k: f = k / m for its exponent m, which must divide k."""
+    bases, degrees = [], []
+    for n, m in zip(positions.tolist(), exponents.tolist()):
+        p, k = trial_prime_power(n)
+        assert k % m == 0, (n, m)
+        bases.append(p)
+        degrees.append(k // m)
+    return np.array(bases, np.int64), np.array(degrees, np.int64)
+
+
+def assert_weights_are_f_log_p(weights, bases, degrees):
+    """An event's weight is f log p, to the bit."""
+    assert np.array_equal(weights,
+                          degrees * np.log(bases.astype(np.float64)))
 
 
 # --- discriminants -----------------------------------------------------
@@ -250,8 +261,9 @@ def test_cyclotomic_oracle_agreement(m, empty_stores):
     expected = sorted((p ** (f * k), p, f, k)
                       for p in primes for f, _ in oracle[p]
                       for k in range(1, 18) if p ** (f * k) <= 10**5)
-    pos, base, expo, weights = ideal_event_arrays(fld, 1, 10**5)
-    deg = residue_degrees(base, weights)
+    pos, expo, weights = ideal_event_arrays(fld, 1, 10**5)
+    base, deg = bases_and_degrees(pos, expo)
+    assert_weights_are_f_log_p(weights, base, deg)
     assert sorted(zip(*(a.tolist() for a in (pos, base, deg, expo)))) \
         == expected
     for x in (10, 100, 1000, 10**4, 10**5):
@@ -361,9 +373,11 @@ def test_kronecker_symbol_multiplicative():
 
 def test_gaussian_events_to_twenty():
     qi = preset("Q(i)")
-    pos, base, expo, weights = ideal_event_arrays(qi, 1, 20)
+    pos, expo, weights = ideal_event_arrays(qi, 1, 20)
+    base, deg = bases_and_degrees(pos, expo)
     assert pos.tolist() == [2, 4, 5, 5, 8, 9, 13, 13, 16, 17, 17]
     assert base.tolist() == [2, 2, 5, 5, 2, 3, 13, 13, 2, 17, 17]
+    assert deg.tolist() == [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1]
     assert expo.tolist() == [1, 2, 1, 1, 3, 1, 1, 1, 4, 1, 1]
     expected_w = [math.log(v) for v in [2, 2, 5, 5, 2, 9, 13, 13, 2, 17, 17]]
     assert weights.tolist() == pytest.approx(expected_w, rel=1e-14)
@@ -419,7 +433,7 @@ def test_fast_path_matches_full_splitting():
     """Root counting for large primes must agree with the full
     factorization route."""
     fld = preset("cyclo12")
-    pos, _, _, _ = ideal_event_arrays(fld, 1100, 1300)
+    pos = ideal_event_arrays(fld, 1100, 1300)[0]
     for p in sieve_primes(1100, 1300):
         st = splitting_type(fld, int(p))
         assert st.norm_count(1) == int(np.sum(pos == p))
@@ -441,9 +455,11 @@ def test_split_prime_stress_window():
     p = next(int(p) for p in sieve_primes(10**6 - 10**3, 10**6)
              if p % 4 == 1)
     assert is_prime_trial(p)
-    pos, base, expo, _ = ideal_event_arrays(qi, p - 1, p + 1)
+    pos, expo, weights = ideal_event_arrays(qi, p - 1, p + 1)
+    base, deg = bases_and_degrees(pos, expo)
     assert pos.tolist() == base.tolist() == [p, p]
-    assert expo.tolist() == [1, 1]
+    assert deg.tolist() == expo.tolist() == [1, 1]
+    assert_weights_are_f_log_p(weights, base, deg)
 
 
 def test_event_enumeration_against_brute_force():
@@ -518,16 +534,17 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     assert calls == []
 
 
-def test_store_columns_take_26_bytes_per_event(empty_stores):
-    """Exponents (at most 30 below 10^9) are int16, and no residue degree
-    is kept: it is weight / log(base).  Each store column is a buffer of
+def test_store_columns_take_18_bytes_per_event(empty_stores):
+    """Positions, exponents (at most 30 below 10^9, so int16) and weights;
+    neither base nor residue degree is kept, as the norm p^k and the
+    exponent m give both (f = k / m).  Each store column is a buffer of
     its own, so a store built in one piece holds nothing more (rows of a
-    (4, N) int64 block kept 42 B per event)."""
+    (4, N) int64 block kept 42 B per event, and four columns with the
+    bases 26 B)."""
     arrays = ideal_event_arrays(preset("Q(i)"), 1, 2**12)
-    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.int16,
-                                         np.float64]
-    assert sum(a.itemsize for a in arrays) == 26
-    assert sum(a.base.nbytes for a in arrays) == 26 * len(arrays[0])
+    assert [a.dtype for a in arrays] == [np.int64, np.int16, np.float64]
+    assert sum(a.itemsize for a in arrays) == 18
+    assert sum(a.base.nbytes for a in arrays) == 18 * len(arrays[0])
 
 
 def reference_event_arrays(lo, hi, cls=EVERYTHING):
@@ -547,8 +564,7 @@ def reference_event_arrays(lo, hi, cls=EVERYTHING):
     pos = np.insert(primes, at, powers[0])
     base = np.insert(primes, at, powers[1])
     expo = np.insert(np.ones(len(primes), dtype=np.int64), at, powers[2])
-    weights = np.log(base.astype(np.float64))
-    return pos, base, expo, weights
+    return pos, expo, np.log(base.astype(np.float64))
 
 
 def reference_build_events(fld, lo, hi, cls=EVERYTHING):
@@ -556,8 +572,8 @@ def reference_build_events(fld, lo, hi, cls=EVERYTHING):
     one int64 table, stacked, lexsorted by (norm, degree) and split into
     columns."""
     if fld.degree == 1:
-        pos, base, expo, weights = reference_event_arrays(lo, hi, cls)
-        return pos, base, expo.astype(np.int16), weights
+        pos, expo, weights = reference_event_arrays(lo, hi, cls)
+        return pos, expo.astype(np.int16), weights
     root = math.isqrt(hi)
     primes = np.concatenate([sieve_primes(1, root),
                              sieve_primes(max(lo, root), hi)])
@@ -580,8 +596,7 @@ def reference_build_events(fld, lo, hi, cls=EVERYTHING):
     order = np.lexsort((table[:, 2], table[:, 0]))
     pos, base, deg, expo = table[order].T.copy()
     weights = deg * np.log(base.astype(np.float64))
-    return numfield._in_class((pos, base, expo.astype(np.int16), weights),
-                              cls)
+    return numfield._in_class((pos, expo.astype(np.int16), weights), cls)
 
 
 @functools.cache
@@ -619,13 +634,15 @@ def test_builds_equal_the_stacked_reference(bounds, target):
 
 
 @pytest.mark.parametrize("target, cls, budget", [
-    ("Q", EVERYTHING, 30), ("Q", ResidueClass(30, 7), 30),
-    ("Q(i)", EVERYTHING, 40), ("Q(sqrt5)", EVERYTHING, 40),
-    ("cyclo7", EVERYTHING, 40), ("cyclo5 twin", EVERYTHING, 40)])
+    ("Q", EVERYTHING, 22), ("Q", ResidueClass(30, 7), 22),
+    ("Q(i)", EVERYTHING, 29), ("Q(sqrt5)", EVERYTHING, 29),
+    ("cyclo7", EVERYTHING, 29), ("cyclo5 twin", EVERYTHING, 29)],
+    ids=["Q", "Q-mod30", "Q(i)", "Q(sqrt5)", "cyclo7", "cyclo5-twin"])
 def test_a_read_is_built_in_its_final_layout(target, cls, budget):
-    """One read of (2^22, 2^23] allocates little beyond the 26 B per event
-    it keeps (tracemalloc's peak; the stacked builds peaked at 48 B on Q
-    and 145 B on fields): Q's columns are filled in place around the
+    """One read of (2^22, 2^23] allocates little beyond the 18 B per event
+    it keeps (tracemalloc's peak: 20-21 B on Q, 26-28 B on fields; with a
+    bases column 26 B and 34 B, and the stacked builds 48 B on Q and 145 B
+    on fields): Q's columns are filled in place around the
     sieved primes, which the merge frees once the positions are built, and
     a field's large primes are repeated after the prime list is dropped.
     Every column owns its buffer, so no column keeps another alive."""
@@ -683,8 +700,9 @@ def test_equal_norms_in_ascending_residue_degree(empty_stores):
     store lists equal norms by ascending residue degree, as one prime's
     factors were always listed."""
     fld = NumberFieldSpec.from_poly([-2, 0, 0, 1], name="Q(cbrt2)")
-    pos, base, expo, weights = ideal_event_arrays(fld, 1, 10**4)
-    deg = residue_degrees(base, weights)
+    pos, expo, weights = ideal_event_arrays(fld, 1, 10**4)
+    base, deg = bases_and_degrees(pos, expo)
+    assert_weights_are_f_log_p(weights, base, deg)
     rows = list(zip(pos.tolist(), deg.tolist(), expo.tolist()))
     assert rows == sorted(rows)
     assert [r for r in rows if r[0] == 25] == [(25, 1, 2), (25, 2, 1)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oracles import trial_prime_power, trial_primes
 
 
 def q_events(lo, hi, cls=EVERYTHING):
-    """Q's (positions, bases, exponents, weights) in (lo, hi] and cls, as
+    """Q's (positions, exponents, weights) in (lo, hi] and cls, as
     lists, read through the event store."""
     return [a.tolist() for a in ideal_event_arrays(preset("Q"), lo, hi, cls)]
 
@@ -35,6 +36,27 @@ def test_empty_interval():
 def test_bounds_are_half_open():
     assert 11 not in sieve_primes(11, 20)
     assert 19 in sieve_primes(11, 19)
+
+
+@pytest.mark.parametrize("cls", [EVERYTHING, ResidueClass(30, 7)])
+@pytest.mark.parametrize("lo, hi", [(math.nan, 10), (2, math.nan),
+                                    (math.nan, math.nan), (10, 2.5)])
+def test_bad_bounds_raise_value_error_quoting_both(lo, hi, cls):
+    """A NaN bound, or hi below lo, is refused with both bounds quoted."""
+    with pytest.raises(ValueError, match=re.escape(f"lo={lo}, hi={hi}")):
+        sieve_primes(lo, hi, cls)
+
+
+@pytest.mark.parametrize("cls", [EVERYTHING, ResidueClass(30, 7),
+                                 ResidueClass(6, 2), ResidueClass(4, 3)])
+def test_minus_infinity_acts_like_minus_five(cls):
+    """lo = -inf sieves from the first prime, as lo = -5 does; a window
+    (-inf, -inf] is empty."""
+    expect = [p for p in trial_primes(-5, 200) if p % cls.modulus
+              == cls.residue]
+    assert sieve_primes(-math.inf, 200, cls).tolist() == expect
+    assert sieve_primes(-5, 200, cls).tolist() == expect
+    assert sieve_primes(-math.inf, -math.inf, cls).tolist() == []
 
 
 def test_capacity_error():
@@ -202,23 +224,23 @@ def test_merge_puts_prime_powers_in_order(n):
     for lo, hi in windows:
         for cls in (EVERYTHING, ResidueClass(5, n % 5),
                     ResidueClass(6, (n + 1) % 6)):
-            pos, base, expo, weights = event_arrays(lo, hi, cls)
+            pos, expo, weights = event_arrays(lo, hi, cls)
             expect = [(k, *trial_prime_power(k)) for k in range(lo + 1, hi + 1)
                       if trial_prime_power(k) and k % cls.modulus
                       == cls.residue]
-            assert list(zip(pos.tolist(), base.tolist(),
-                            expo.tolist())) == expect
-            assert np.array_equal(weights, np.log(base.astype(np.float64)))
+            assert list(zip(pos.tolist(), expo.tolist())) \
+                == [(k, m) for k, _, m in expect]
+            base = np.array([p for _, p, _ in expect], dtype=np.float64)
+            assert np.array_equal(weights, np.log(base))
 
 
 def test_prime_power_events_to_ten():
-    pos, base, expo, weights = q_events(1, 10)
+    pos, expo, weights = q_events(1, 10)
     assert pos == [2, 3, 4, 5, 7, 8, 9]
-    assert base == [2, 3, 2, 5, 7, 2, 3]
     assert expo == [1, 1, 2, 1, 1, 3, 2]
     expected = [math.log(p) for p in [2, 3, 2, 5, 7, 2, 3]]
     assert weights == pytest.approx(expected, rel=1e-15)
-    assert (pos[2], base[2], expo[2]) == (4, 2, 2)
+    assert (pos[2], expo[2]) == (4, 2)
     assert weights[2] == pytest.approx(math.log(2), rel=1e-15)
 
 
@@ -260,19 +282,20 @@ PSI_1E8_MOD_30 = {1: 12500396.052297065, 7: 12499988.766029537,
                   23: 12501666.09971179, 29: 12495621.698279563}
 
 
-def test_psi_to_1e8_stays_under_110_mb():
+def test_psi_to_1e8_stays_under_80_mb():
     """psi_ap(1e8) reads (1, 1e8] in bounded reads, each built in its
-    final 26 B per event and dropped before the next: the child peaks
-    under 110 MB (87 MB on a 2-core host), where building every event at
-    once took about 460 MB and building each read through wider
-    temporaries 128 MB.  Its totals are pinned: pi(10^8) = 5761455, and
+    final 18 B per event and dropped before the next: the child peaks
+    under 80 MB (68 MB on a 2-core host), where building every event at
+    once took about 460 MB, building each read through wider temporaries
+    128 MB, and keeping a bases column and the previous read of pi_ap
+    89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
     psi, whole and mod 30, to the bit of the math.fsum totals they were
     recorded from."""
     proc = run_within_rss(
         "from primelab import ResidueClass, pi_ap, psi_ap\n"
         "print(pi_ap(1e8), repr(psi_ap(1e8)))\n"
         "for a in (1, 7, 11, 13, 17, 19, 23, 29):\n"
-        "    print(a, repr(psi_ap(1e8, ResidueClass(30, a))))", 110)
+        "    print(a, repr(psi_ap(1e8, ResidueClass(30, a))))", 80)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "5761455 99998242.79662678"
@@ -291,11 +314,11 @@ def test_event_partition_is_exact():
     the per-class arrays reassemble to the full set and the fsum-based
     psi values agree exactly."""
     x = 10**4
-    full_pos, _, _, full_w = event_arrays(1, x)
+    full_pos, _, full_w = event_arrays(1, x)
     for q in (1, 2, 3, 6, 10):
         parts_pos, parts_w = [], []
         for a in range(q):
-            pos, _, _, w = event_arrays(1, x, ResidueClass(q, a))
+            pos, _, w = event_arrays(1, x, ResidueClass(q, a))
             parts_pos.append(pos)
             parts_w.append(w)
         pos = np.concatenate(parts_pos)
@@ -308,7 +331,7 @@ def test_event_partition_is_exact():
 
 
 def test_chebyshev_envelope():
-    pos, _, _, w = event_arrays(1, 10**6)
+    pos, _, w = event_arrays(1, 10**6)
     psi = np.cumsum(w)
     keep = pos >= 100
     x = pos[keep].astype(np.float64)
