@@ -334,6 +334,9 @@ def _load_config(path):
 
 
 def _expand_config(argv):
+    # --config=PATH, before or after the subcommand, is --config PATH
+    argv = [part for arg in argv for part in
+            (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

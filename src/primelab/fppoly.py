@@ -32,7 +32,7 @@ def factor_degree_multiset(f, p):
 
 
 def count_roots(f, primes):
-    """Number of roots of monic f mod each prime, f squarefree mod each."""
+    """Number of distinct roots of monic f mod each prime, for any f."""
     return degree_counts(f, primes)[:, 0]
 
 
@@ -40,7 +40,8 @@ def degree_counts(f, primes, top=1):
     """counts[k, d - 1] = number of irreducible factors of degree d of
     monic integer f mod primes[k], for d = 1..top (top <= deg f).
 
-    f must be squarefree mod every prime.  Then g_d = deg gcd(x^(p^d) -
+    For top > 1, f must be squarefree mod every prime (g_1 counts the
+    distinct linear factors of any f).  Then g_d = deg gcd(x^(p^d) -
     x, f) is the sum of e N_e over e | d (von zur Gathen and Gerhard,
     Modern Computer Algebra, ch. 14), solved here for the counts N_d."""
     f, primes = [int(c) for c in f], np.asarray(primes)

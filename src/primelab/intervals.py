@@ -286,9 +286,10 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
                          f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
     span = x_hi + law(c1, x_hi) * 1.01
     # positions are integers: (ceil(x_lo) - 1, span] holds every one >= x_lo
-    pos, _, first = window_events(target, math.ceil(x_lo) - 1, span)
+    pos, first = window_events(target, math.ceil(x_lo) - 1, span)[::2]
+    pos = pos[first]                    # the whole read goes before the copy
     # float keys on an int64 array would convert it on every search
-    pos = pos[first].astype(np.float64)
+    pos = pos.astype(np.float64)
 
     starts, widths = [], []
     x = x_lo

@@ -6,8 +6,10 @@ and H alone (Artin reciprocity), one table entry per residue class mod
 m.  A field from `NumberFieldSpec.from_poly` reads its splitting off
 the factorization of the polynomial mod p (Dedekind's theorem): only
 the degrees of the factors matter, and `fppoly.degree_counts` finds
-them for a whole array of primes in one batched Frobenius pass.  Primes
-dividing the index [O_K : Z[theta]] are rejected with
+them for a whole array of primes in one batched Frobenius pass; a read
+of norms up to hi needs them only below sqrt(hi), as above it each
+distinct root of f mod p, ramified or not, is one ideal of norm p.
+Primes dividing the index [O_K : Z[theta]] are rejected with
 UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
@@ -225,9 +227,10 @@ def _in_class(columns, cls):
 
 
 def _root_counts(fld: NumberFieldSpec, primes):
-    """Ideals of norm p above each unramified prime p: a preset's by one
-    gather from its table, another field's from the kernel's root count
-    of f mod p."""
+    """Ideals of norm p above each prime p not dividing the index,
+    ramified or not: a preset's by one gather from its table, another
+    field's from the kernel's count of the distinct roots of f mod p, one
+    per linear factor (Dedekind-Kummer)."""
     if fld.conductor is None:
         return fppoly.count_roots(fld.coefficients, primes)
     classes = _abelian_splitting(fld.conductor, fld.subgroup)
@@ -238,37 +241,24 @@ def _root_counts(fld: NumberFieldSpec, primes):
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                   cls=sieve.EVERYTHING):
     """(positions, exponents, weights) of the ideal-power events with
-    norm in (lo, hi] and in class cls (Q sieves only cls), ascending;
-    equal norms (one prime's) in ascending residue degree.
+    norm in (lo, hi] and in class cls, ascending; equal norms (one
+    prime's) in ascending residue degree.  Q's are `sieve.event_arrays`.
 
-    The unramified primes above sqrt(hi) need only their root counts,
-    read for all of them at once (`_root_counts`); the primes below, and
-    the few ramified ones (p | disc f), go through `splitting_types`;
-    those in (sqrt(hi), lo], with no norm in range, are not read.
+    A prime above sqrt(hi) has in range only its ideals of norm p, so the
+    primes of cls in (max(lo, sqrt(hi)), hi] enter `sieve.merge_events`'
+    stream once per such ideal (`_root_counts`, read for all at once);
+    the ideals above the primes up to sqrt(hi) come from
+    `splitting_types`.  Bad primes are left out: reads holding one of
+    their powers raise.
     """
     if fld.degree == 1:
         return sieve.event_arrays(lo, hi, cls)
-    root = math.isqrt(hi)
-    primes = np.concatenate([sieve.sieve_primes(1, root),
-                             sieve.sieve_primes(max(lo, root), hi)])
-    # bad primes are excluded; reads holding one of their powers raise
-    primes = primes[~np.isin(primes, sorted(fld.bad_primes))]
-    disc = primes.astype(object if abs(fld.poly_disc) >> 62 else np.int64)
-    # above sqrt(hi) an unramified prime's ideals have norm p, one per
-    # root of f mod p; the rest need the full pattern
-    full = (primes <= root) | (fld.poly_disc % disc == 0).astype(bool)
-    lanes = primes[~full]
-    rows = []                # (norm, p, residue degree, exponent)
-    for st in splitting_types(fld, primes[full]):
-        for f, _ in st.factors:
-            norm, m = st.prime**f, 1
-            while norm <= hi:
-                if norm > lo:
-                    rows.append((norm, st.prime, f, m))
-                norm, m = norm * st.prime**f, m + 1
-    del primes, disc, full              # before the stream is built
-    return _in_class(sieve.merge_events(
-        np.repeat(lanes, _root_counts(fld, lanes)), rows), cls)
+    root, bad = math.isqrt(hi), sorted(fld.bad_primes)
+    powers = [(st.prime, f) for st in splitting_types(fld, np.setdiff1d(
+        sieve.sieve_primes(1, root), bad, True)) for f, _ in st.factors]
+    lanes = np.setdiff1d(sieve.sieve_primes(max(lo, root), hi, cls), bad, True)
+    return sieve.merge_events(np.repeat(lanes, _root_counts(fld, lanes)),
+                              powers, lo, hi, cls)
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
@@ -385,14 +375,9 @@ def load_presets() -> dict:
     return out
 
 
-_presets_cache = None
-
-
+@functools.cache
 def _presets() -> dict:
-    global _presets_cache
-    if _presets_cache is None:
-        _presets_cache = load_presets()
-    return _presets_cache
+    return load_presets()
 
 
 def preset(name: str) -> NumberFieldSpec:

@@ -139,13 +139,21 @@ def sieve_primes(lo: float, hi: float,
     return np.concatenate([np.array(head, dtype=np.int64), *chunks])
 
 
-def merge_events(stream, rows):
+def merge_events(stream, powers, lo, hi, cls=EVERYTHING):
     """Event columns (positions, exponents, weights), int64, int16 and
-    float64 arrays owning their buffers: the ascending primes p of stream
-    (exponent 1, weight log p) merged with rows (norm, base p, residue
-    degree f, exponent; weight f log p) whose norms are not in stream,
-    equal norms in ascending f.  Pass stream as a call expression: the
-    merge then frees it once the positions are built."""
+    float64 arrays owning their buffers.  Each prime p of the ascending
+    stream is one ideal of norm p (exponent 1, weight log p); each pair
+    (p, f) of powers is one ideal P of norm p^f, whose powers P^m with
+    norm in (lo, hi] and in cls are merged in (exponent m, weight
+    f log p), equal norms in ascending f.  Pass stream as a call
+    expression: the merge then frees it once the positions are built."""
+    rows = []                # (norm, p, f, m)
+    for p, f in powers:
+        norm, m = p**f, 1
+        while norm <= hi:
+            if norm > lo and norm % cls.modulus == cls.residue:
+                rows.append((norm, p, f, m))
+            norm, m = norm * p**f, m + 1
     rows = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
     at = np.searchsorted(stream, rows[0])
     pos = np.insert(stream, at, rows[0])
@@ -161,19 +169,16 @@ def merge_events(stream, rows):
 def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     """Prime-power events with position in (lo, hi] restricted to cls.
 
-    The columns of `merge_events`, sorted by position, of the primes,
-    from a sieve of the class alone, and the powers p^m, m >= 2.
+    The columns of `merge_events`: the primes above sqrt(hi), from a sieve
+    of the class alone, are its stream, and each prime up to sqrt(hi) one
+    pair (p, 1) of its powers.
     """
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
-    rows = []                # (p^m, p, 1, m) for m >= 2
-    for p in sieve_primes(1, math.sqrt(hi)).tolist():
-        n, m = p * p, 2
-        while n <= hi:
-            if n > lo and n % cls.modulus == cls.residue:
-                rows.append((n, p, 1, m))
-            n, m = n * p, m + 1
-    return merge_events(sieve_primes(lo, hi, cls), rows)
+    root = math.sqrt(hi)
+    return merge_events(sieve_primes(max(lo, root), hi, cls),
+                        [(p, 1) for p in sieve_primes(1, root).tolist()],
+                        lo, hi, cls)
 
 
 def _q():

@@ -458,6 +458,19 @@ def test_far_scan_reads_only_its_window():
     assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
 
 
+def test_scan_to_1e8_keeps_only_first_power_positions():
+    """A Cramer scan over [1e6, 1e8] reads about 5.7M events but keeps
+    only the float positions of the first powers: the weights are never
+    held and the first-power mask is freed before the float copy, so the
+    child peaks under 175 MB (about 140 MB; 215 MB with both kept)."""
+    proc = run_within_rss("from primelab.cli import main\n"
+                          "status = main(sys.argv[1:])", 175,
+                          "ap-scan", "--q", "1", "--a", "0", "--c1", "4",
+                          "--x-lo", "1e6", "--x-hi", "1e8")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [
     ["bt", "--field", "Q(i)", "--x", "1e7", "--h", "1000"],
     ["sieve", "--lo", "1e7", "--hi", "1.0002e7", "--q", "7", "--a", "3"],
@@ -530,6 +543,23 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     code, out, _ = run(capsys, "bt", "--config", str(cfg), "--h", "800")
     assert code == EXIT_OK
     assert json.loads(csv_rows(out)[0]["param_json"])["h"] == 800
+
+
+def test_config_given_either_way_anywhere_gives_the_same_bytes(tmp_path,
+                                                              capsys):
+    """`--config PATH` and `--config=PATH`, before or after the
+    subcommand, all read the file: here its format, jsonl."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = jsonl\n")
+    flags = ["--q", "4", "--a", "1", "--x", "10000", "--h", "400"]
+    outs = set()
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        for argv in (spelling + ["bt"] + flags, ["bt"] + spelling + flags):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["experiment"] == "bt_ap"
 
 
 def test_config_parse_error(tmp_path, capsys):

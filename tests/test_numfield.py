@@ -19,7 +19,7 @@ from primelab.sieve import EVERYTHING, base_primes
 
 from conftest import run_python, sieve_ceiling, traced_peak
 from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
-                     quadratic_splitting, trial_prime_power)
+                     quadratic_splitting, trial_prime_power, trial_primes)
 
 QUADRATIC_PRESETS = {
     "Q(i)": -4,
@@ -342,6 +342,31 @@ def test_kernel_matches_sympy_factorisation(lower, primes):
             == [row[0] for row in expected_counts], (f, squarefree)
 
 
+def test_root_counts_are_distinct_roots_where_f_is_not_squarefree():
+    """count_roots (top 1 of degree_counts) needs no squarefree f: it is
+    the degree of gcd(x^p - x, f), the number of distinct roots of f mod
+    p, which a brute-force evaluation at every residue checks at each
+    prime p < 5000 dividing disc f, for 300 random monic f of degree 2-7."""
+    rng = np.random.default_rng(19)
+    small = trial_primes(1, 5000)
+    x = sympy.Symbol("x")
+    pairs = 0
+    for _ in range(300):
+        f = rng.integers(-6, 7, size=int(rng.integers(2, 8))).tolist() + [1]
+        disc = int(sympy.discriminant(sympy.Poly(f[::-1], x)))
+        lanes = [p for p in small if disc % p == 0]
+        expected = []
+        for p in lanes:
+            values = np.zeros(p, dtype=np.int64)
+            for c in reversed(f):               # Horner at every residue
+                values = (values * np.arange(p) + c) % p
+            expected.append(int(np.count_nonzero(values == 0)))
+        got = fppoly.count_roots(f, np.array(lanes, dtype=np.int64))
+        assert got.tolist() == expected, (f, lanes)
+        pairs += len(lanes)
+    assert pairs > 500
+
+
 def test_oracle_cases():
     assert quadratic_splitting(-4, 13) == ((1, 1), (1, 1))
     assert quadratic_splitting(-4, 7) == ((2, 1),)
@@ -607,6 +632,11 @@ def twin(name):
 
 BOUNDS = st.lists(st.integers(1, 2**20), min_size=2, max_size=2).map(sorted)
 
+# ramified at the prime 1000003 = 3 mod 4, far above the square root of
+# any bound near it
+RAMIFIED_HIGH = NumberFieldSpec.from_poly([-1000003, 0, 1],
+                                          name="x^2 - 1000003")
+
 
 @settings(max_examples=60, deadline=None)
 @given(bounds=BOUNDS, target=st.one_of(
@@ -619,12 +649,17 @@ BOUNDS = st.lists(st.integers(1, 2**20), min_size=2, max_size=2).map(sorted)
 @example(bounds=[840, 841], target=twin("Q(i)"))    # two ideals of norm 29^2
 @example(bounds=[960, 961], target=preset("Q(i)"))  # 31 is inert
 @example(bounds=[120, 125], target=(preset("Q"), ResidueClass(5, 0)))
+@example(bounds=[999000, 1000003], target=RAMIFIED_HIGH)
+@example(bounds=[999000, 1000003], target=(RAMIFIED_HIGH, ResidueClass(4, 3)))
 def test_builds_equal_the_stacked_reference(bounds, target):
     """_build_events, which merges the first-degree primes with the other
     rows, equals the builds it replaced column by column: the same dtypes,
     the same values and bit-equal weights.  Covers every preset, Q with a
-    class (units and not) and from_poly twins, whose root counts come from
-    fppoly.count_roots and whose ramified primes from sympy."""
+    class (units and not), from_poly twins, whose root counts come from
+    fppoly.count_roots and whose small ramified primes from sympy, and a
+    field ramified at a prime above sqrt(hi), whole and in a class, where
+    the reference splits that prime with sympy and the build counts its
+    roots."""
     lo, hi = bounds
     fld, cls = target if isinstance(target, tuple) else (target, EVERYTHING)
     got = numfield._build_events(fld, lo, hi, cls)
@@ -640,11 +675,11 @@ def test_builds_equal_the_stacked_reference(bounds, target):
     ids=["Q", "Q-mod30", "Q(i)", "Q(sqrt5)", "cyclo7", "cyclo5-twin"])
 def test_a_read_is_built_in_its_final_layout(target, cls, budget):
     """One read of (2^22, 2^23] allocates little beyond the 18 B per event
-    it keeps (tracemalloc's peak: 20-21 B on Q, 26-28 B on fields; with a
+    it keeps (tracemalloc's peak: 20-21 B on Q, 26 B on fields; with a
     bases column 26 B and 34 B, and the stacked builds 48 B on Q and 145 B
-    on fields): Q's columns are filled in place around the
-    sieved primes, which the merge frees once the positions are built, and
-    a field's large primes are repeated after the prime list is dropped.
+    on fields): the columns are filled in place around the stream of
+    primes above sqrt(hi), which the merge frees once the positions are
+    built, and a field's stream repeats each prime once per root.
     Every column owns its buffer, so no column keeps another alive."""
     name, _, kind = target.partition(" ")
     fld = twin(name) if kind else preset(name)
