@@ -254,9 +254,11 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     if fld.degree == 1:
         return sieve.event_arrays(lo, hi, cls)
     root, bad = math.isqrt(hi), sorted(fld.bad_primes)
-    powers = [(st.prime, f) for st in splitting_types(fld, np.setdiff1d(
-        sieve.sieve_primes(1, root), bad, True)) for f, _ in st.factors]
-    lanes = np.setdiff1d(sieve.sieve_primes(max(lo, root), hi, cls), bad, True)
+    small = np.setdiff1d(sieve.sieve_primes(1, root), bad, assume_unique=True)
+    powers = ((st.prime, f) for st in splitting_types(fld, small)
+              for f, _ in st.factors)
+    lanes = np.setdiff1d(sieve.sieve_primes(max(lo, root), hi, cls), bad,
+                         assume_unique=True)
     return sieve.merge_events(np.repeat(lanes, _root_counts(fld, lanes)),
                               powers, lo, hi, cls)
 

@@ -177,7 +177,7 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
         raise ValueError(f"lo must be >= 1, got {lo}")
     root = math.sqrt(hi)
     return merge_events(sieve_primes(max(lo, root), hi, cls),
-                        [(p, 1) for p in sieve_primes(1, root).tolist()],
+                        ((p, 1) for p in sieve_primes(1, root).tolist()),
                         lo, hi, cls)
 
 
