@@ -278,7 +278,8 @@ def _run_smoothed(args):
         lower, upper = explicit.unweighted_sandwich(args.x, h, args.eps,
                                                     target)
         start = args.x - h
-        direct = math.fsum(window_events(target, start, start + 2 * h)[1])
+        direct = math.fsum(
+            window_events(target, start, start + 2 * h)[1].tolist())
         rows.append(ExperimentReport(
             "sandwich", {"x": args.x, "h": h, "eps": args.eps,
                          "field": args.field, "lower": lower,

@@ -6,7 +6,8 @@ reads the events of its own range through `window_events`: a field's
 and a residue class's come from `numfield.ideal_event_arrays`, exponents
 as a first-power mask (a class reads Q's events: a slice of Q's store
 with the class kept, or past the store a sieve of the class alone), and
-a StepCounter or WindowSource is sliced.
+a StepCounter or WindowSource is sliced.  A long range is read through
+`window_reads`, one read of `numfield.sweep` at a time.
 A WindowSource bundles one counter with its expected density and label:
 synthetic fixtures build one from raw arrays and pass it where a residue
 class or a field would go.  An experiment target is a class, a field or
@@ -17,6 +18,7 @@ experiment reads one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,26 @@ def window_events(target, lo: float, hi: float):
         i, j = target.positions.searchsorted((lo, hi), side="right")
         return (target.positions[i:j], target.weights[i:j],
                 np.ones(j - i, bool))
+    fld, cls = _field_of(target, lo, hi)
+    # no norm lies below 2: a window ending below 1 reads (1, 1]
+    return _as_window(numfield.ideal_event_arrays(fld, max(lo, 1),
+                                                  max(hi, 1), cls))
+
+
+def window_reads(target, edges):
+    """window_events over each (edges[i], edges[i + 1]] in turn, edges
+    ascending: a class's or a field's as one `numfield.sweep`."""
+    if isinstance(target, (WindowSource, StepCounter)):
+        return (window_events(target, lo, hi)
+                for lo, hi in itertools.pairwise(edges))
+    fld, cls = _field_of(target, edges[0], edges[-1])
+    return map(_as_window, numfield.sweep(fld, [max(e, 1) for e in edges],
+                                          cls))
+
+
+def _field_of(target, lo, hi):
+    """(field, class) whose events a class (Q's) or a field reads over
+    (lo, hi]; ValueError if lo > hi."""
     cls = sieve.EVERYTHING
     if isinstance(target, ResidueClass):
         target, cls = numfield.preset("Q"), target
@@ -92,9 +114,11 @@ def window_events(target, lo: float, hi: float):
         raise TypeError(f"cannot read events of {type(target)}")
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
-    # no norm lies below 2: a window ending below 1 reads (1, 1]
-    pos, expo, weights = numfield.ideal_event_arrays(
-        target, max(lo, 1), max(hi, 1), cls)
+    return target, cls
+
+
+def _as_window(columns):
+    pos, expo, weights = columns
     return pos, weights, expo == 1
 
 

@@ -8,13 +8,17 @@ descending-order accumulation one would otherwise need: the terms decay
 like 1/gamma and naive left-to-right addition loses digits by T ~ 10^3.
 
 Sources (a class, a field, a StepCounter or a WindowSource) are read
-through `counters.window_events`; `residual_scan` reads (0, max x] in
-reads of at most `numfield.STORE_BOUND` norms and carries psi(x) across
-them as a running float sum, the `np.cumsum` prefix (not exact).
+through `counters.window_events`; `residual_scan` sweeps (0, max x] in
+reads of at most `numfield.READ_PIECE` norms (`counters.window_reads`)
+and carries psi(x) across them as a running float sum, the `np.cumsum`
+prefix (not exact, but independent of where the reads end).  Sums of
+array terms go through math.fsum as lists: fsum boxes each element of
+an array as an np.float64, which costs more than the list.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numfield, sieve
-from .counters import window_events
+from .counters import window_events, window_reads
 from .errors import ZeroTableError
 from .zeros import ZeroTable
 
@@ -63,7 +67,7 @@ def _zero_sum_psi(x: float, gammas: np.ndarray) -> float:
     terms = 2.0 * math.sqrt(x) * (0.5 * np.cos(gammas * L)
                                   + gammas * np.sin(gammas * L)) \
         / (0.25 + gammas * gammas)
-    return math.fsum(terms)
+    return math.fsum(terms.tolist())
 
 
 def truncated_psi(x: float, spec: TruncationSpec) -> float:
@@ -96,12 +100,12 @@ class ResidualScan:
         return float(np.max(np.abs(self.normalized))) if len(self.xs) else 0.0
 
 
-def _psi_at(source, lo: float, hi: float, psi: float, xs):
-    """(psi(hi), [(x, psi(x)) for each probe x of xs]) from one read of
-    (lo, hi], given psi(lo); each x is nudged off a jump as
-    `residual_scan` says and, nudged, still lies in (lo, hi].  The read
-    is dropped on return, before the next one is built."""
-    pos, w, _ = window_events(source, lo, hi)
+def _psi_at(read, psi: float, xs):
+    """(psi at the read's end, [(x, psi(x)) for each probe x of xs]) from
+    the window_events columns of one read, given psi at its start; each x
+    is nudged off a jump as `residual_scan` says and, nudged, still lies
+    in the read."""
+    pos, w, _ = read
     # float keys on an int64 array would convert it on every search
     pos = np.asarray(pos, dtype=np.float64)
     prefix = np.cumsum(np.concatenate(([psi], w)))
@@ -123,9 +127,12 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
 
     Probe points within EVENT_NUDGE of a jump are moved just past it so
     the comparison sits on a consistent side of the discontinuity.  The
-    probes are taken in ascending order, in reads of at most STORE_BOUND
-    norms: a read that would end inside a probe's reach, which holds the
-    event it may be nudged past, ends with that reach instead.
+    probes are taken in ascending order, in one sweep (`window_reads`) of
+    (0, max x] in reads of at most READ_PIECE norms: a read that would
+    end inside a probe's reach, which holds the event it may be nudged
+    past, ends with that reach instead.  psi is carried across reads by
+    the running np.cumsum, which adds strictly left to right, so the
+    read edges do not change it.
     """
     xs = np.asarray(list(xs), dtype=np.float64)
     order = np.argsort(xs, kind="stable")
@@ -136,20 +143,25 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
     sieve.check_capacity(np.max(ends, initial=0))      # before any read
     out_x, residuals, normalized = (np.empty(len(xs)) for _ in range(3))
     log_dk = math.log(spec.disc)
-    lo, psi, k = 0.0, 0.0, 0
-    while k < len(xs):
-        hi = min(lo + numfield.STORE_BOUND, ends[-1])
+    step = min(numfield.READ_PIECE, numfield.STORE_BOUND)
+    edges, taken = [0.0], [0]       # read edges; probes taken by each edge
+    while taken[-1] < len(xs):
+        hi = min(edges[-1] + step, ends[-1])
         j = np.searchsorted(ends, hi, side="right")
         while j < len(xs) and starts[j] < hi:
             hi = ends[j]
             j = np.searchsorted(ends, hi, side="right")
-        psi, values = _psi_at(source, lo, hi, psi, xs[order[k:j]])
+        edges.append(hi)
+        taken.append(j)
+    psi = 0.0
+    for (k, j), read in zip(itertools.pairwise(taken),
+                            window_reads(source, edges)):
+        psi, values = _psi_at(read, psi, xs[order[k:j]])
         for i, (x, value) in zip(order[k:j], values):
             r = value - truncated_psi(x, spec)
             scale = spec.height / (x * (spec.degree * math.log(x) + log_dk)
                                    * math.log(x))
             out_x[i], residuals[i], normalized[i] = x, r, r * scale
-        lo, k = hi, j
     return ResidualScan(out_x, residuals, normalized)
 
 
@@ -168,7 +180,7 @@ def smoothed_sum(x: float, h: float, source) -> float:
     pos, w, _ = window_events(source, x - h, x + h)
     j = np.searchsorted(pos, x + h)         # the window is open at x + h
     tri = 1.0 - np.abs(x - pos[:j]) / h
-    return math.fsum(w[:j] * tri)
+    return math.fsum((w[:j] * tri).tolist())
 
 
 def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
@@ -188,7 +200,7 @@ def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
 
     num = upper(x + h) - 2 * upper(x) + upper(x - h)
     terms = 2.0 * np.real(num / (rho * (rho + 1)))
-    return h - math.fsum(terms) / h
+    return h - math.fsum(terms.tolist()) / h
 
 
 def unweighted_sandwich(x: float, h: float, eps: float, source) -> tuple:

@@ -3,9 +3,11 @@ integrals, inertia exceedance scans, Brun-Titchmarsh checks, and sliding
 Cramer-window scans.
 
 Each experiment reads only the events of the range it scans, once,
-through `counters.window_events`; a window sum is the `math.fsum` of its
-slice and a window count an index difference.  A target is a residue
-class, a number field, or a prebuilt WindowSource (synthetic fixtures).
+through `counters.window_events`, and the Cramer scan a read of at most
+`numfield.READ_PIECE` norms at a time (`counters.window_reads`); a
+window sum is the `math.fsum` of its slice and a window count an index
+difference.  A target is a residue class, a number field, or a prebuilt
+WindowSource (synthetic fixtures).
 
 Delta(x, h) is piecewise constant in x (the drift term is linear only in
 h, which is held fixed), so the mean-square integral is computed exactly
@@ -20,21 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import drift, target_label, window_events
-from .numfield import NumberFieldSpec
+from .counters import drift, target_label, window_events, window_reads
+from .numfield import NumberFieldSpec, read_edges
 from .report import ExperimentReport
 from .sieve import ResidueClass, euler_phi
 
 log = logging.getLogger(__name__)
 
 MAX_WINDOWS = 10**5         # most windows one Cramer scan may slide
-GAP_PIECE = 1 << 16         # most gaps it normalizes at once
 
 
 def delta(x: float, h: float, target) -> float:
     """psi(x+h) - psi(x) - h * drift, read from (x, x+h]: for a class
     mod q the drift is 1/phi(q), for a field 1."""
-    return math.fsum(window_events(target, x, x + h)[1]) - h * drift(target)
+    return (math.fsum(window_events(target, x, x + h)[1].tolist())
+            - h * drift(target))
 
 
 def delta_K(fld: NumberFieldSpec, x: float, h: float) -> float:
@@ -82,7 +84,7 @@ def delta_series(X: float, h: float, target) -> DeltaSeries:
     jumps = np.concatenate([w[up_mask], -w[dn_mask]])
     order = np.argsort(bp, kind="stable")
     bp, jumps = bp[order], jumps[order]
-    v0 = math.fsum(w[pos <= X + h]) - h * drift(target)
+    v0 = math.fsum(w[pos <= X + h].tolist()) - h * drift(target)
     values = np.concatenate(([v0], v0 + np.cumsum(jumps)))
     return DeltaSeries(float(X), float(2 * X), float(h),
                        target_label(target), bp, values)
@@ -276,7 +278,9 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     largest normalized gap between consecutive events (the smallest c1
     that would keep every window nonempty).  Needs x_lo < x_hi and
     c1 > 0 with h(x_lo) > 0, so that h stays positive, and at most
-    MAX_WINDOWS windows.
+    MAX_WINDOWS windows.  The events are swept a read of READ_PIECE
+    norms at a time, so the scan holds one read whatever its range; the
+    counts and the gaps are those of one whole-range read, bit for bit.
     """
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
@@ -284,13 +288,9 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     if not (x_lo < x_hi and c1 > 0 and law(c1, x_lo) > 0):
         raise ValueError(f"need x_lo < x_hi and a positive window at x_lo, "
                          f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
-    span = x_hi + law(c1, x_hi) * 1.01
-    # positions are integers: (ceil(x_lo) - 1, span] holds every one >= x_lo
-    pos, first = window_events(target, math.ceil(x_lo) - 1, span)[::2]
-    pos = pos[first]                    # the whole read goes before the copy
-    # float keys on an int64 array would convert it on every search
-    pos = pos.astype(np.float64)
-
+    # positions are integers: reads from ceil(x_lo) - 1 hold every one
+    # >= x_lo, and reads to x_hi + 1.01 h(x_hi) every window's end
+    reads = read_edges(math.ceil(x_lo) - 1, x_hi + law(c1, x_hi) * 1.01)
     starts, widths = [], []
     x = x_lo
     while x < x_hi:
@@ -301,18 +301,34 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
         starts.append(x)
         widths.append(law(c1, x))
         x += widths[-1] / 2
-    counts = (np.searchsorted(pos, np.add(starts, widths), side="right")
-              - np.searchsorted(pos, starts, side="right")).tolist()
+
+    # one sweep of the first powers: the number at or below each window
+    # edge, and the largest normalized gap of those in [x_lo, x_hi]; each
+    # read settles the edges up to its last event, and the count so far
+    # and the last event inside the range carry to the next
+    edges = np.concatenate((starts, np.add(starts, widths)))
+    order = np.argsort(edges, kind="stable")
+    edges, below = edges[order], np.empty(len(edges), np.int64)
+    done = seen = 0
+    last, c1_emp = np.empty(0), 0.0
+    for pos, _, first in window_reads(target, reads):
+        # float keys on an int64 array would convert it on every search
+        pos = pos[first].astype(np.float64)
+        j = edges.searchsorted(pos[-1], side="right") if len(pos) else done
+        below[done:j] = seen + pos.searchsorted(edges[done:j], side="right")
+        done, seen = j, seen + len(pos)
+        i, k = pos.searchsorted(x_lo), pos.searchsorted(x_hi, side="right")
+        inside = np.concatenate((last, pos[i:k]))
+        if len(inside) >= 2:
+            gaps = np.diff(inside)
+            gaps /= law(1.0, inside[:-1], np)
+            c1_emp = max(c1_emp, float(gaps.max()))
+        last = inside[-1:].copy()
+    below[done:] = seen
+    below[order] = below.copy()         # back in the order of the edges
+    counts = (below[len(starts):] - below[:len(starts)]).tolist()
     windows = [(x, h, count, count * density * math.log(x) / h)
                for x, h, count in zip(starts, widths, counts)]
-
-    # normalized gaps of the events inside the scan range, piece by piece
-    inside = pos[pos.searchsorted(x_lo):pos.searchsorted(x_hi, side="right")]
-    c1_emp = 0.0
-    for k in range(0, len(inside) - 1, GAP_PIECE):
-        gaps = np.diff(inside[k:k + GAP_PIECE + 1])
-        gaps /= law(1.0, inside[k:k + len(gaps)], np)
-        c1_emp = max(c1_emp, float(gaps.max()))
 
     c2 = min((norm for _, _, _, norm in windows), default=math.inf)
     verdict = "pass" if all(c >= 1 for _, _, c, _ in windows) else "fail"

@@ -17,14 +17,19 @@ Every event read goes through `ideal_event_arrays`, which slices one
 store per field, grown by doubling up to STORE_BOUND; a read above the
 cap, or starting past what the store holds, is built alone.  Q's store
 also serves residue classes: a slice of it keeps its class, and a read
-built alone sieves only the class.  The totals `psi_K` and `pi_K` read it;
-`psi_K` sums exactly in integer fixed point and rounds once, as fsum does.
+built alone sieves only the class.  A long range is read by `sweep`, one
+read of at most READ_PIECE norms at a time, so that its peak is the store
+and one read whatever the range.  The totals `psi_K` and `pi_K` sweep
+(1, x]; `psi_K` sums exactly in integer fixed point and rounds once, as
+fsum does.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -216,6 +221,8 @@ _stores: dict = {}
 
 # largest bound a store grows to: Q's then holds 1.1M events (18 B each)
 STORE_BOUND = 2**24
+# most norms one read of a sweep spans (never more than STORE_BOUND)
+READ_PIECE = 2**21
 
 
 def _in_class(columns, cls):
@@ -247,20 +254,43 @@ def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
     A prime above sqrt(hi) has in range only its ideals of norm p, so the
     primes of cls in (max(lo, sqrt(hi)), hi] enter `sieve.merge_events`'
     stream once per such ideal (`_root_counts`, read for all at once);
-    the ideals above the primes up to sqrt(hi) come from
-    `splitting_types`.  Bad primes are left out: reads holding one of
-    their powers raise.
+    the ideals above the primes up to sqrt(hi) (from the base-prime
+    cache) come from `_small_ideals`.  Bad primes are left out: reads
+    holding one of their powers raise.
     """
     if fld.degree == 1:
         return sieve.event_arrays(lo, hi, cls)
     root, bad = math.isqrt(hi), sorted(fld.bad_primes)
-    small = np.setdiff1d(sieve.sieve_primes(1, root), bad, assume_unique=True)
-    powers = ((st.prime, f) for st in splitting_types(fld, small)
-              for f, _ in st.factors)
-    lanes = np.setdiff1d(sieve.sieve_primes(max(lo, root), hi, cls), bad,
+    # before the stream, so that no temporary of theirs sits beside it
+    primes, degrees = _small_ideals(fld, np.setdiff1d(
+        sieve.base_primes(root), bad, assume_unique=True))
+    return sieve.merge_events(_root_stream(fld, max(lo, root), hi, cls, bad),
+                              primes, degrees, lo, hi, cls)
+
+
+def _small_ideals(fld: NumberFieldSpec, primes):
+    """(p, f) of each ideal above the primes, as two arrays: a preset's
+    from its table, one class mod m at a time, another field's from
+    `splitting_types`."""
+    if fld.conductor is None:
+        return np.array([(st.prime, f) for st in splitting_types(fld, primes)
+                         for f, _ in st.factors],
+                        dtype=np.int64).reshape(-1, 2).T
+    m = fld.conductor
+    parts = [(np.repeat(p, len(t)),
+              np.tile(np.array([f for f, _ in t], np.int64), len(p)))
+             for r, t in enumerate(_abelian_splitting(m, fld.subgroup)) if t
+             for p in (primes[primes % m == r],)]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _root_stream(fld: NumberFieldSpec, lo, hi, cls, bad):
+    """The merge's stream: each prime of cls in (lo, hi] but the bad ones,
+    once per ideal of norm p above it.  The primes alone are freed on
+    return, before the merge runs."""
+    lanes = np.setdiff1d(sieve.sieve_primes(lo, hi, cls), bad,
                          assume_unique=True)
-    return sieve.merge_events(np.repeat(lanes, _root_counts(fld, lanes)),
-                              powers, lo, hi, cls)
+    return np.repeat(lanes, _root_counts(fld, lanes))
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
@@ -298,19 +328,39 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
     return _in_class([a[i:j] for a in arrays], cls)
 
 
+def read_edges(lo: float, hi: float) -> list:
+    """The edges of (lo, hi] cut at the multiples of s = min(READ_PIECE,
+    STORE_BOUND) norms: lo, the multiples between, and hi.  CapacityError
+    if hi passes the sieve ceiling, before any edge is made."""
+    sieve.check_capacity(hi)
+    step = min(READ_PIECE, STORE_BOUND)
+    return [lo, *range(math.floor(lo) // step * step + step, math.ceil(hi),
+                       step), hi]
+
+
+def sweep(fld: NumberFieldSpec, edges, cls=sieve.EVERYTHING):
+    """ideal_event_arrays over each (edges[i], edges[i + 1]] in turn, the
+    edges ascending from 1 on, so that a sweep holds one read and the
+    store at a time.  A sweep that starts inside the store first grows it
+    to min(edges[-1], STORE_BOUND) with one read of views: grown a read at
+    a time, each growth would copy the whole store."""
+    bound = _stores.get((fld.coefficients, fld.field_disc), (1,))[0]
+    if math.floor(edges[0]) <= bound:
+        ideal_event_arrays(fld, edges[0], min(edges[-1], STORE_BOUND))
+    for lo, hi in itertools.pairwise(edges):
+        yield ideal_event_arrays(fld, lo, hi, cls)
+
+
 def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
-    """One column of ideal_event_arrays (1 exponents, 2 weights) over
-    norms in (1, x] (for Q, in class cls), in reads of at most STORE_BOUND
-    norms: the first slices the store, and each later one is built and,
-    as only its column is kept, dropped before the next is built."""
+    """One column of the `sweep` of (1, x] (for Q, in class cls: 1
+    exponents, 2 weights); as only the column is kept (map holds no
+    read), each read is dropped before the next is built."""
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x < 2:
         return
-    sieve.check_capacity(x)             # before any read is built
-    for lo in range(0, math.floor(x), STORE_BOUND):
-        yield ideal_event_arrays(fld, max(lo, 1), min(lo + STORE_BOUND, x),
-                                 cls)[column]
+    yield from map(operator.itemgetter(column),
+                   sweep(fld, read_edges(1, x), cls))
 
 
 def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:

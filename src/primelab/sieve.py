@@ -13,6 +13,7 @@ totals `psi_ap` and `pi_ap` too, goes through Q's store in `numfield`.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,14 @@ def base_primes(limit: int) -> np.ndarray:
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
+@functools.lru_cache(maxsize=64)
+def _inverses(step: int, bits: int) -> np.ndarray:
+    """1/step modulo each prime below 2^bits (0 where it divides step): a
+    sieve of a class with this step crosses out from -r/step mod p."""
+    return np.array([pow(step, -1, p) if step % p else 0
+                     for p in base_primes(1 << bits).tolist()], np.int64)
+
+
 def sieve_primes(lo: float, hi: float,
                  cls: ResidueClass = EVERYTHING) -> np.ndarray:
     """Primes p with lo < p <= hi in the class cls, ascending.
@@ -123,11 +132,12 @@ def sieve_primes(lo: float, hi: float,
             few.append(r + step * i_lo)
         else:
             base = base_primes(math.isqrt(end))
-            base = base[step % base != 0]       # 2 and the primes dividing q
+            inv = _inverses(step, math.isqrt(end).bit_length())[:len(base)]
+            keep = step % base != 0             # 2 and the primes dividing q
+            base, inv = base[keep], inv[keep]
             plist = base.tolist()
             low = (base * base - r + step - 1) // step   # first index >= p^2
-            first = low + (np.array([-r * pow(step, -1, p) for p in plist],
-                                    dtype=np.int64) - low) % base
+            first = low + ((-r % base) * inv - low) % base
             for s0 in range(i_lo, i_hi + 1, DEFAULT_SEGMENT):
                 mask = np.ones(min(DEFAULT_SEGMENT, i_hi + 1 - s0), bool)
                 off = first - s0
@@ -139,22 +149,27 @@ def sieve_primes(lo: float, hi: float,
     return np.concatenate([np.array(head, dtype=np.int64), *chunks])
 
 
-def merge_events(stream, powers, lo, hi, cls=EVERYTHING):
+def merge_events(stream, primes, degrees, lo, hi, cls=EVERYTHING):
     """Event columns (positions, exponents, weights), int64, int16 and
     float64 arrays owning their buffers.  Each prime p of the ascending
-    stream is one ideal of norm p (exponent 1, weight log p); each pair
-    (p, f) of powers is one ideal P of norm p^f, whose powers P^m with
-    norm in (lo, hi] and in cls are merged in (exponent m, weight
+    stream is one ideal of norm p (exponent 1, weight log p); each prime p
+    of the array primes, with its residue degree f from degrees (an array
+    or one number for all), is one ideal P of norm p^f, whose powers P^m
+    with norm in (lo, hi] and in cls are merged in (exponent m, weight
     f log p), equal norms in ascending f.  Pass stream as a call
     expression: the merge then frees it once the positions are built."""
-    rows = []                # (norm, p, f, m)
-    for p, f in powers:
-        norm, m = p**f, 1
-        while norm <= hi:
-            if norm > lo and norm % cls.modulus == cls.residue:
-                rows.append((norm, p, f, m))
-            norm, m = norm * p**f, m + 1
-    rows = np.array(sorted(rows), dtype=np.int64).reshape(-1, 4).T
+    p = np.asarray(primes, dtype=np.int64)
+    f = np.broadcast_to(np.asarray(degrees, dtype=np.int64), p.shape)
+    # each P's largest m with p^(f m) <= hi, from logs and at worst one too
+    # high (p^(f m) then stays below hi^2, in int64 under the ceiling),
+    # then checked exactly
+    tops = np.floor(math.log(hi) / (f * np.log(p)) + 1e-9).astype(np.int64)
+    lane = np.repeat(np.arange(len(p)), tops)
+    m = np.arange(1, len(lane) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
+    norm = p[lane] ** (f[lane] * m)
+    keep = (norm > lo) & (norm <= hi) & (norm % cls.modulus == cls.residue)
+    rows = np.stack([norm, p[lane], f[lane], m])[:, keep]
+    rows = rows[:, np.lexsort(rows[::-1])]
     at = np.searchsorted(stream, rows[0])
     pos = np.insert(stream, at, rows[0])
     del stream
@@ -170,15 +185,14 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     """Prime-power events with position in (lo, hi] restricted to cls.
 
     The columns of `merge_events`: the primes above sqrt(hi), from a sieve
-    of the class alone, are its stream, and each prime up to sqrt(hi) one
-    pair (p, 1) of its powers.
+    of the class alone, are its stream, and each prime up to sqrt(hi),
+    from the base-prime cache, one ideal of degree 1.
     """
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
-    root = math.sqrt(hi)
+    root = math.isqrt(math.floor(hi))
     return merge_events(sieve_primes(max(lo, root), hi, cls),
-                        ((p, 1) for p in sieve_primes(1, root).tolist()),
-                        lo, hi, cls)
+                        base_primes(root), 1, lo, hi, cls)
 
 
 def _q():

@@ -458,15 +458,20 @@ def test_far_scan_reads_only_its_window():
     assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
 
 
-def test_scan_to_1e8_keeps_only_first_power_positions():
-    """A Cramer scan over [1e6, 1e8] reads about 5.7M events but keeps
-    only the float positions of the first powers: the weights are never
-    held and the first-power mask is freed before the float copy, so the
-    child peaks under 175 MB (about 140 MB; 215 MB with both kept)."""
+@pytest.mark.parametrize("target, x_hi", [
+    (["ap-scan", "--q", "1", "--a", "0"], "1e8"),
+    (["ap-scan", "--q", "1", "--a", "0"], "3e8"),
+    (["field-scan", "--field", "Q(i)"], "1e8")],
+    ids=["ap-scan-1e8", "ap-scan-3e8", "field-scan-Qi-1e8"])
+def test_scan_stays_under_60_mb(target, x_hi):
+    """A Cramer scan from 1e6 sweeps its range a read of READ_PIECE norms
+    at a time and keeps the first powers of one read, so the child peaks
+    under 60 MB whatever the range (about 40 MB; reading the whole range
+    at once took 135 MB to 1e8 and 326 MB to 3e8 on Q, 175 MB to 1e8 on
+    Q(i))."""
     proc = run_within_rss("from primelab.cli import main\n"
-                          "status = main(sys.argv[1:])", 175,
-                          "ap-scan", "--q", "1", "--a", "0", "--c1", "4",
-                          "--x-lo", "1e6", "--x-hi", "1e8")
+                          "status = main(sys.argv[1:])", 60, *target,
+                          "--c1", "4", "--x-lo", "1e6", "--x-hi", x_hi)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert csv_rows(proc.stdout)[-1]["verdict"] == "pass"
 

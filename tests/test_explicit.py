@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -132,9 +133,9 @@ SCAN_XS = [12288.5, 1000.5, 4096 + 5e-7, 4096 - 5e-7, 4096.0, 4097.5,
 @pytest.mark.parametrize("name", ["Q", "Q(i)", "q=4,a=1"])
 def test_residual_scan_reads_bounded_pieces_across_cap(
         name, empty_stores, monkeypatch):
-    """Under a store cap of 2^12 residual_scan reads (0, max x] in
-    consecutive reads of at most 2^12 norms, and each residual equals
-    the one from a whole-prefix cumsum over the target's events."""
+    """Under a store cap of 2^12 residual_scan reads (0, max x] in one
+    sweep of consecutive reads of at most 2^12 norms, and each residual
+    equals the one from a whole-prefix cumsum over the target's events."""
     top = max(SCAN_XS) + 1
     if name == "Q(i)":
         target = preset(name)
@@ -148,15 +149,17 @@ def test_residual_scan_reads_bounded_pieces_across_cap(
     expected = cumsum_residuals(pos, w, spec, SCAN_XS)
     monkeypatch.setattr(numfield, "_stores", {})
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
-    reads = []
-    read = explicit.window_events
+    sweeps = []
+    sweep = explicit.window_reads
 
-    def recorded(source, lo, hi):
-        reads.append((lo, hi))
-        return read(source, lo, hi)
+    def recorded(source, edges):
+        sweeps.append(edges)
+        return sweep(source, edges)
 
-    monkeypatch.setattr(explicit, "window_events", recorded)
+    monkeypatch.setattr(explicit, "window_reads", recorded)
     scan = residual_scan(target, spec, SCAN_XS)
+    (edges,) = sweeps                   # one sweep
+    reads = list(itertools.pairwise(edges))
     assert list(zip(scan.xs.tolist(), scan.residuals.tolist())) == expected
     assert any(x != probe for x, probe in zip(scan.xs, SCAN_XS))
     assert len(reads) == 4 and reads[0][0] == 0
@@ -177,11 +180,13 @@ def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
         residual_scan(preset("Q(i)"), zeta_spec, [1000.5, 0.5])
 
 
-def test_explicit_at_1e8_stays_under_200_mb():
-    """explicit reads (1, 1e8] in bounded reads: the child peaks under
-    200 MB, where the whole-prefix counter took about 460 MB."""
+def test_explicit_at_1e8_stays_under_100_mb():
+    """explicit sweeps (1, 1e8] in reads of READ_PIECE norms, after one
+    growth of the store: the child peaks under 100 MB (about 60 MB; 81 MB
+    in reads of 2^24 norms, and about 460 MB with the whole-prefix
+    counter)."""
     proc = run_within_rss("from primelab.cli import main\n"
-                          "status = main(sys.argv[1:])", 200,
+                          "status = main(sys.argv[1:])", 100,
                           "explicit", "--T", "100", "--x-lo", "1e8",
                           "--x-hi", "1e8")
     assert proc.returncode == 0, proc.stderr

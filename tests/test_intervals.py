@@ -11,7 +11,7 @@ from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
                       meansq_ratio, pi_K, pi_ap, preset, numfield,
                       progression_source, psi_K, psi_ap, sieve_primes,
                       window_events)
-from primelab.counters import drift, target_label
+from primelab.counters import drift, target_label, window_reads
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
@@ -118,6 +118,36 @@ def test_totals_read_in_bounded_reads_across_cap(empty_stores, monkeypatch):
     assert built and min(built) >= 2**12
 
 
+@pytest.mark.parametrize("piece", [1000, 2**12])
+def test_totals_in_small_reads_equal_the_one_read_values(
+        piece, empty_stores, monkeypatch):
+    """With READ_PIECE lowered to 1000 or 2^12 norms the totals sweep
+    (1, x] in many reads, and psi_ap, pi_ap, psi_K and pi_K equal, bit for
+    bit, the values of one read of (1, x] (x <= 2^21, one default read)."""
+    qi, classes = preset("Q(i)"), [ResidueClass(q, 1 % q) for q in (1, 4, 30)]
+    xs = (1000.5, 4096, 70000.5, 2**21)
+
+    def totals(x):
+        return ([(psi_ap(x, cls), pi_ap(x, cls)) for cls in classes],
+                psi_K(qi, x), pi_K(qi, x))
+
+    expected = [totals(x) for x in xs]
+    monkeypatch.setattr(numfield, "_stores", {})
+    monkeypatch.setattr(numfield, "READ_PIECE", piece)
+    reads = []
+    read = numfield.ideal_event_arrays
+
+    def recorded(fld, lo, hi, *cls):
+        if cls:                         # not the read that grows the store
+            reads.append(math.floor(hi) - math.floor(lo))
+        return read(fld, lo, hi, *cls)
+
+    monkeypatch.setattr(numfield, "ideal_event_arrays", recorded)
+    assert [totals(x) for x in xs] == expected
+    assert len(reads) > 8 * 2**21 // piece
+    assert all(width <= piece for width in reads)
+
+
 def test_far_windows_are_exact_and_keep_no_store(empty_stores):
     """Windows above the store cap are built alone: delta is the exactly
     rounded window sum, and no store grows past the cap."""
@@ -130,14 +160,20 @@ def test_far_windows_are_exact_and_keep_no_store(empty_stores):
 
 
 def record_reads(monkeypatch):
-    """The (lo, hi) of every window_events read the experiments make."""
+    """The (lo, hi) of every window_events read and window_reads sweep
+    the experiments make."""
     calls = []
 
-    def recorded(target, lo, hi):
+    def read(target, lo, hi):
         calls.append((lo, hi))
         return window_events(target, lo, hi)
 
-    monkeypatch.setattr(intervals, "window_events", recorded)
+    def sweep(target, edges):
+        calls.append((edges[0], edges[-1]))
+        return window_reads(target, edges)
+
+    monkeypatch.setattr(intervals, "window_events", read)
+    monkeypatch.setattr(intervals, "window_reads", sweep)
     return calls
 
 
@@ -471,18 +507,24 @@ def whole_range_scan(x_lo, x_hi, target, windows):
 @pytest.mark.parametrize("target, x_lo, x_hi", [
     (EVERYTHING, 1e3, 2e6), (ResidueClass(30, 7), 1e3, 1e7),
     (preset("Q(i)"), 1e3, 2e6), (EVERYTHING, 1000, 1008),
-    (EVERYTHING, 1000, 1013)],
-    ids=["q=1", "q=30", "Q(i)", "no-gap", "one-gap"])
+    (EVERYTHING, 1000, 1013), (EVERYTHING, 2**24 - 3e5, 2**24 + 3e5),
+    (ResidueClass(30, 7), 2**24 - 3e5, 2**24 + 3e5),
+    (preset("Q(i)"), 2**24 - 3e5, 2**24 + 3e5)],
+    ids=["q=1", "q=30", "Q(i)", "no-gap", "one-gap", "q=1-across-cap",
+         "q=30-across-cap", "Q(i)-across-cap"])
 def test_cramer_statistic_equals_the_whole_range_expression(
         target, x_lo, x_hi, piece, monkeypatch):
-    """The gaps are normalized a piece at a time (GAP_PIECE, or 1000
-    here), over a view of the events inside the range; c1_empirical and
-    the window counts equal, bit for bit, the whole-range expression
-    np.max(np.diff(inside) / law(1.0, inside[:-1], np)) they replaced.
-    The first three ranges hold 83,000-150,000 first powers, more than
-    one default piece; the last two hold none and two (1009, 1013)."""
+    """The scan sweeps its range a read at a time (READ_PIECE norms, or
+    1000 here, so that windows and gaps straddle read edges), carrying
+    the count and the last event; c1_empirical and the window counts
+    equal, bit for bit, the whole-range expression
+    np.max(np.diff(inside) / law(1.0, inside[:-1], np)) and the boolean
+    counts.  The first three ranges hold 83,000-150,000 first powers,
+    more than one default read; the next two hold none and two (1009,
+    1013); the last three cross the store cap 2^24, where reads stop
+    slicing the store and are built alone."""
     if piece is not None:
-        monkeypatch.setattr(intervals, "GAP_PIECE", piece)
+        monkeypatch.setattr(numfield, "READ_PIECE", piece)
     res = cramer_window_scan(x_lo, x_hi, 4.0, target)
     c1, windows = whole_range_scan(x_lo, x_hi, target, res.windows)
     assert repr(res.c1_empirical) == repr(c1)

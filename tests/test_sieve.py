@@ -282,20 +282,21 @@ PSI_1E8_MOD_30 = {1: 12500396.052297065, 7: 12499988.766029537,
                   23: 12501666.09971179, 29: 12495621.698279563}
 
 
-def test_psi_to_1e8_stays_under_80_mb():
-    """psi_ap(1e8) reads (1, 1e8] in bounded reads, each built in its
-    final 18 B per event and dropped before the next: the child peaks
-    under 80 MB (68 MB on a 2-core host), where building every event at
-    once took about 460 MB, building each read through wider temporaries
-    128 MB, and keeping a bases column and the previous read of pi_ap
-    89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
+def test_psi_to_1e8_stays_under_65_mb():
+    """psi_ap(1e8) grows Q's store to 2^24 once and reads the rest in
+    reads of READ_PIECE norms, each built in its final 18 B per event and
+    dropped before the next: the child peaks under 65 MB (53 MB on a
+    2-core host), where reads of 2^24 norms took 68 MB, building every
+    event at once about 460 MB, building each read through wider
+    temporaries 128 MB, and keeping a bases column and the previous read
+    of pi_ap 89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
     psi, whole and mod 30, to the bit of the math.fsum totals they were
     recorded from."""
     proc = run_within_rss(
         "from primelab import ResidueClass, pi_ap, psi_ap\n"
         "print(pi_ap(1e8), repr(psi_ap(1e8)))\n"
         "for a in (1, 7, 11, 13, 17, 19, 23, 29):\n"
-        "    print(a, repr(psi_ap(1e8, ResidueClass(30, a))))", 80)
+        "    print(a, repr(psi_ap(1e8, ResidueClass(30, a))))", 65)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "5761455 99998242.79662678"
