@@ -7,7 +7,7 @@ from .counters import StepCounter, WindowSource, field_source, \
 from .errors import CapacityError, PrimeLabError, UnsupportedPrimeError, \
     ZeroTableError
 from .explicit import TruncationSpec, residual_scan, smoothed_prediction, \
-    smoothed_sum, triangle_weight, truncated_psi, unweighted_sandwich
+    smoothed_sum, truncated_psi, unweighted_sandwich
 from .intervals import DeltaSeries, bt_check_ap, bt_check_field, \
     cramer_window_scan, delta, delta_K, delta_series, euler_phi, \
     inertia_scan, mean_square, meansq_ratio

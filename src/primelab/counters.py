@@ -1,19 +1,15 @@
 """Step-function counters built from event arrays.
 
 A StepCounter holds ascending event positions and their weights: the
-right-continuous partial sum x -> sum_{n <= x} w_n.  Every experiment
-reads the events of its own range through `window_events`: a field's
-and a residue class's come from `numfield.ideal_event_arrays`, exponents
-as a first-power mask (a class reads Q's events: a slice of Q's store
-with the class kept, or past the store a sieve of the class alone), and
-a StepCounter or WindowSource is sliced.  A long range is read through
-`window_reads`, one read of `numfield.sweep` at a time.
-A WindowSource bundles one counter with its expected density and label:
-synthetic fixtures build one from raw arrays and pass it where a residue
-class or a field would go.  An experiment target is a class, a field or
-a WindowSource; `drift` and `target_label` refuse anything else.
-`window_source` still builds a whole-prefix counter over (0, hi]; no
-experiment reads one.
+right-continuous partial sum x -> sum_{n <= x} w_n.  A WindowSource
+bundles one with its density and label; synthetic fixtures pass one
+where a residue class or a field would go.  Every experiment reads its
+own range (lo, hi] through `window_events`, a long one through
+`window_reads` (a `numfield.sweep`), and counts first powers through
+`window_count`.  A field or a class (Q's events, the class kept) is read
+from `numfield`, a StepCounter or WindowSource is sliced; each refuses
+lo > hi.  `window_source` still builds a whole-prefix counter over
+(0, hi]; no experiment reads one.
 """
 
 from __future__ import annotations
@@ -79,47 +75,55 @@ def window_events(target, lo: float, hi: float):
     """(positions, weights, first-power mask) in (lo, hi] of a number
     field or a class, through `numfield.ideal_event_arrays` (a class
     reads Q's store), or of a StepCounter or WindowSource, whose events
-    all count as first powers.  A field's or a class's window raises
-    ValueError if lo > hi and is empty if it ends below 1."""
-    if isinstance(target, WindowSource):
-        target = target.psi
-    if isinstance(target, StepCounter):
-        i, j = target.positions.searchsorted((lo, hi), side="right")
-        return (target.positions[i:j], target.weights[i:j],
-                np.ones(j - i, bool))
-    fld, cls = _field_of(target, lo, hi)
+    all count as first powers.  ValueError if not lo <= hi (NaN
+    included); a field's or a class's window is empty if it ends below 1."""
+    src, cls = _reader(target, lo, hi)
+    if cls is None:
+        i, j = src.positions.searchsorted((lo, hi), side="right")
+        return src.positions[i:j], src.weights[i:j], np.ones(j - i, bool)
     # no norm lies below 2: a window ending below 1 reads (1, 1]
-    return _as_window(numfield.ideal_event_arrays(fld, max(lo, 1),
-                                                  max(hi, 1), cls))
+    pos, expo, weights = numfield.ideal_event_arrays(src, max(lo, 1),
+                                                     max(hi, 1), cls)
+    return pos, weights, expo == 1
+
+
+def window_count(target, lo: float, hi: float) -> int:
+    """np.count_nonzero(window_events(target, lo, hi)[2]) without building
+    the window: `numfield.first_power_count` for a field or a class, an
+    index difference for a StepCounter or WindowSource."""
+    src, cls = _reader(target, lo, hi)
+    if cls is None:
+        i, j = src.positions.searchsorted((lo, hi), side="right")
+        return int(j - i)
+    return numfield.first_power_count(src, max(lo, 1), max(hi, 1), cls)
 
 
 def window_reads(target, edges):
     """window_events over each (edges[i], edges[i + 1]] in turn, edges
     ascending: a class's or a field's as one `numfield.sweep`."""
-    if isinstance(target, (WindowSource, StepCounter)):
-        return (window_events(target, lo, hi)
+    src, cls = _reader(target, edges[0], edges[-1])
+    if cls is None:
+        return (window_events(src, lo, hi)
                 for lo, hi in itertools.pairwise(edges))
-    fld, cls = _field_of(target, edges[0], edges[-1])
-    return map(_as_window, numfield.sweep(fld, [max(e, 1) for e in edges],
-                                          cls))
+    reads = numfield.sweep(src, [max(e, 1) for e in edges], cls)
+    # map, unlike a generator, keeps no read while the next is built
+    return map(lambda read: (read[0], read[2], read[1] == 1), reads)
 
 
-def _field_of(target, lo, hi):
-    """(field, class) whose events a class (Q's) or a field reads over
-    (lo, hi]; ValueError if lo > hi."""
-    cls = sieve.EVERYTHING
+def _reader(target, lo, hi):
+    """(field, class) that a class (Q's) or a field reads, or (counter,
+    None) for a StepCounter or WindowSource; ValueError if not lo <= hi."""
     if isinstance(target, ResidueClass):
-        target, cls = numfield.preset("Q"), target
-    elif not isinstance(target, numfield.NumberFieldSpec):
+        found = numfield.rationals(), target
+    elif isinstance(target, numfield.NumberFieldSpec):
+        found = target, sieve.EVERYTHING
+    elif isinstance(target, (WindowSource, StepCounter)):
+        found = getattr(target, "psi", target), None
+    else:
         raise TypeError(f"cannot read events of {type(target)}")
-    if not lo <= hi:
+    if not lo <= hi:                    # NaN fails too
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
-    return target, cls
-
-
-def _as_window(columns):
-    pos, expo, weights = columns
-    return pos, weights, expo == 1
+    return found
 
 
 def window_source(target, hi: float) -> WindowSource:

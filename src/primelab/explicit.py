@@ -165,13 +165,6 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
     return ResidualScan(out_x, residuals, normalized)
 
 
-def triangle_weight(n: float, x: float, h: float) -> float:
-    """max(1 - |x - n|/h, 0): unit peak at n = x, support (x-h, x+h)."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    return max(1.0 - abs(x - n) / h, 0.0)
-
-
 def smoothed_sum(x: float, h: float, source) -> float:
     """W(x, h) = sum of Lambda-type weights times the triangle weight
     over the open window (x-h, x+h); exact event sum."""

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import drift, target_label, window_events, window_reads
+from .counters import drift, target_label, window_count, window_events, \
+    window_reads
 from .numfield import NumberFieldSpec, read_edges
 from .report import ExperimentReport
 from .sieve import ResidueClass, euler_phi
@@ -62,11 +63,6 @@ class DeltaSeries:
     label: str
     breakpoints: np.ndarray
     values: np.ndarray
-
-    def value_at(self, x):
-        idx = np.searchsorted(self.breakpoints, x, side="right")
-        out = self.values[idx]
-        return float(out) if np.isscalar(x) else out
 
     def piece_lengths(self) -> np.ndarray:
         edges = np.concatenate(([self.start], self.breakpoints, [self.end]))
@@ -200,7 +196,7 @@ def bt_check_ap(x: float, h: float, cls: ResidueClass) -> ExperimentReport:
         raise ValueError(f"need h > q, got h={h}, q={q}")
     if not cls.is_unit:
         raise ValueError(f"gcd(a, q) must be 1, got a={cls.residue}, q={q}")
-    count = int(np.count_nonzero(window_events(cls, x, x + h)[2]))
+    count = window_count(cls, x, x + h)
     bound = 2 * h / (euler_phi(q) * math.log(h / q))
     return ExperimentReport(
         "bt_ap",
@@ -214,7 +210,7 @@ def bt_check_field(fld: NumberFieldSpec, x: float,
     """Uniform number-field bound: pi_K(x+h) - pi_K(x) <= 4 n_K h / log h."""
     if not 2 <= h <= x:
         raise ValueError(f"need 2 <= h <= x, got h={h}, x={x}")
-    count = int(np.count_nonzero(window_events(fld, x, x + h)[2]))
+    count = window_count(fld, x, x + h)
     bound = 4 * fld.degree * h / math.log(h)
     return ExperimentReport(
         "bt_field",

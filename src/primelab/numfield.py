@@ -13,15 +13,16 @@ Primes dividing the index [O_K : Z[theta]] are rejected with
 UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
-Every event read goes through `ideal_event_arrays`, which slices one
-store per field, grown by doubling up to STORE_BOUND; a read above the
-cap, or starting past what the store holds, is built alone.  Q's store
-also serves residue classes: a slice of it keeps its class, and a read
-built alone sieves only the class.  A long range is read by `sweep`, one
-read of at most READ_PIECE norms at a time, so that its peak is the store
-and one read whatever the range.  The totals `psi_K` and `pi_K` sweep
-(1, x]; `psi_K` sums exactly in integer fixed point and rounds once, as
-fsum does.
+Every event read makes one store lookup, which checks it and slices
+the field's store, grown by doubling up to STORE_BOUND; then
+`ideal_event_arrays` returns the events, or `first_power_count` counts
+the prime ideals in one mask over the slice's views.  A read the store
+does not hold goes through `ideal_event_arrays`, the one place that
+builds.  Q's store also serves residue classes: a slice keeps its class,
+and a read built alone sieves only the class.  A long range is read by
+`sweep`, one read of at most READ_PIECE norms at a time, so that its
+peak is the store and one read.  The totals `psi_K` and `pi_K` sweep
+(1, x]; `psi_K` sums exactly in integer fixed point and rounds once.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class SplittingType:
 
     prime: int
     factors: tuple
-
-    def norm_count(self, k: int) -> int:
-        """Number of prime ideals of norm p^k."""
-        return sum(1 for f, _ in self.factors if f == k)
 
     @property
     def degree_sum(self) -> int:
@@ -225,14 +222,6 @@ STORE_BOUND = 2**24
 READ_PIECE = 2**21
 
 
-def _in_class(columns, cls):
-    """The columns' events whose norm lies in residue class cls."""
-    if cls.modulus == 1:
-        return tuple(columns)
-    keep = (columns[0] % cls.modulus == cls.residue).nonzero()[0]
-    return tuple([a.take(keep) for a in columns])
-
-
 def _root_counts(fld: NumberFieldSpec, primes):
     """Ideals of norm p above each prime p not dividing the index,
     ramified or not: a preset's by one gather from its table, another
@@ -293,6 +282,27 @@ def _root_stream(fld: NumberFieldSpec, lo, hi, cls, bad):
     return np.repeat(lanes, _root_counts(fld, lanes))
 
 
+def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
+    """The checks of every read of (lo, hi]: the range, the ceiling and
+    the bad primes; then the views of the store's columns that hold the
+    read, or None if the store does not (the read ends past its bound or
+    above STORE_BOUND)."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+    sieve.check_capacity(hi)
+    # integer positions: exact, and float keys would copy the whole store
+    lo, hi = math.floor(lo), math.floor(hi)
+    if fld.bad_primes:
+        for p in sorted(fld.bad_primes):  # p^k <= hi needs k < bit_length
+            if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
+                raise UnsupportedPrimeError(p, fld.name)
+    bound, columns = _stores.get((fld.coefficients, fld.field_disc), (0, None))
+    if hi <= min(bound, STORE_BOUND):
+        # Python ints: numpy scalar bounds slice more slowly
+        i, j = columns[0].searchsorted((lo, hi), side="right").tolist()
+        return columns[0][i:j], columns[1][i:j], columns[2][i:j]
+
+
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
                        cls=sieve.EVERYTHING):
     """(positions, exponents, weights) of the events with norm in (lo, hi]
@@ -302,30 +312,40 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
     ends below STORE_BOUND slices it, first growing it to the next power
     of two above hi (at most STORE_BOUND and the sieve ceiling, which
     every read checks) by building only the new range; any other read
-    builds (lo, hi] alone, in class cls, and keeps nothing.  A bad prime raises
-    UnsupportedPrimeError if one of its powers, the norms of the ideals
-    above it, lies in (lo, hi]."""
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
-    ceiling = sieve.check_capacity(hi)
-    # integer positions: exact, and float keys would copy the whole store
-    lo, hi = math.floor(lo), math.floor(hi)
-    for p in sorted(fld.bad_primes):      # p^k <= hi needs k < bit_length
-        if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
-            raise UnsupportedPrimeError(p, fld.name)
-    key = (fld.coefficients, fld.field_disc)
-    bound, arrays = _stores.get(key, (1, None))
-    if hi > STORE_BOUND or lo > bound:
-        return _build_events(fld, lo, hi, cls)
-    if arrays is None or hi > bound:
+    builds (lo, hi] alone, in class cls, and keeps nothing.  Every build
+    is made here.  A bad prime raises UnsupportedPrimeError if one of its
+    powers, the norms of the ideals above it, lies in (lo, hi]."""
+    columns = _lookup(fld, lo, hi)
+    if columns is None:
+        key = (fld.coefficients, fld.field_disc)
+        lo, hi = math.floor(lo), math.floor(hi)
+        bound, arrays = _stores.get(key, (1, None))
+        if hi > STORE_BOUND or lo > bound:
+            return _build_events(fld, lo, hi, cls)
         new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
-                            ceiling, STORE_BOUND))
+                            sieve.CEILING.get(), STORE_BOUND))
         part = _build_events(fld, bound, new_bound)
         arrays = part if arrays is None else \
             [np.concatenate(pair) for pair in zip(arrays, part)]
         _stores[key] = (new_bound, arrays)
-    i, j = arrays[0].searchsorted((lo, hi), side="right")
-    return _in_class([a[i:j] for a in arrays], cls)
+        columns = _lookup(fld, lo, hi)      # now in the store
+    if cls.modulus == 1:
+        return columns
+    keep = (columns[0] % cls.modulus == cls.residue).nonzero()[0]
+    return tuple([a.take(keep) for a in columns])
+
+
+def first_power_count(fld: NumberFieldSpec, lo: float, hi: float,
+                      cls=sieve.EVERYTHING) -> int:
+    """The number of exponents 1 (prime ideals) that `ideal_event_arrays`
+    reads, counted in one mask over the views of the store's columns; a
+    read the store does not hold is made by `ideal_event_arrays`."""
+    pos, expo, _ = _lookup(fld, lo, hi) or ideal_event_arrays(fld, lo, hi,
+                                                              cls)
+    first = expo == 1
+    if cls.modulus != 1:
+        first &= pos % cls.modulus == cls.residue
+    return int(np.count_nonzero(first))
 
 
 def read_edges(lo: float, hi: float) -> list:
@@ -438,6 +458,12 @@ def preset(name: str) -> NumberFieldSpec:
     except KeyError:
         raise KeyError(f"unknown field preset {name!r}; have "
                        f"{preset_names()}") from None
+
+
+@functools.cache
+def rationals() -> NumberFieldSpec:
+    """The preset Q, whose store serves every residue class."""
+    return preset("Q")
 
 
 def preset_names() -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,19 @@ def check_capacity(hi: float) -> int:
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """Residue a modulo q.  gcd(a, q) = 1 is required only by the
-    theorem-level experiments, not by the type itself."""
+    """Residue a modulo q, both integers.  gcd(a, q) = 1 is required only
+    by the theorem-level experiments, not by the type itself."""
 
     modulus: int = 1
     residue: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.modulus < 2**63:      # positions are int64
+        # TypeError unless both are integers
+        q, a = operator.index(self.modulus), operator.index(self.residue)
+        if not 1 <= q < 2**63:      # positions are int64
             raise ValueError(f"modulus must lie in [1, 2^63), got "
                              f"{self.modulus}")
-        if not 0 <= self.residue < self.modulus:
+        if not 0 <= a < q:
             raise ValueError(
                 f"residue must lie in [0, {self.modulus}), got {self.residue}")
 
@@ -65,6 +68,7 @@ class ResidueClass:
 EVERYTHING = ResidueClass(1, 0)
 
 
+@functools.lru_cache(maxsize=1024)
 def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -195,12 +199,6 @@ def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
                         base_primes(root), 1, lo, hi, cls)
 
 
-def _q():
-    """numfield and its field Q, whose store serves every residue class."""
-    from . import numfield      # here, as numfield imports this module
-    return numfield, numfield.preset("Q")
-
-
 def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     """Chebyshev psi(x; q, a): sum of Lambda(n) over n <= x in the class.
 
@@ -210,11 +208,11 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     psi_ap(1e8) on a 2-core host: 0.3-0.4 s and 67 MB peak for q = 1,
     0.1 s and 59 MB for q = 30.
     """
-    numfield, q = _q()
-    return numfield.psi_K(q, x, cls)
+    from .numfield import psi_K, rationals  # numfield imports this module
+    return psi_K(rationals(), x, cls)
 
 
 def pi_ap(x: float, cls: ResidueClass = EVERYTHING) -> int:
     """Number of primes p <= x with p = a (mod q)."""
-    numfield, q = _q()
-    return numfield.pi_K(q, x, cls)
+    from .numfield import pi_K, rationals
+    return pi_K(rationals(), x, cls)

@@ -10,8 +10,7 @@ from primelab import (CapacityError, ResidueClass, StepCounter,
                       TruncationSpec, ZeroTable, ZeroTableError,
                       component_table, explicit, field_table, numfield,
                       preset, residual_scan, smoothed_prediction,
-                      smoothed_sum, triangle_weight, truncated_psi,
-                      unweighted_sandwich)
+                      smoothed_sum, truncated_psi, unweighted_sandwich)
 from primelab.explicit import EVENT_NUDGE
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
@@ -197,15 +196,6 @@ def test_explicit_at_1e8_stays_under_100_mb():
 
 
 # --- smoothed sums ------------------------------------------------------
-
-def test_triangle_weight_shape():
-    assert triangle_weight(100, 100, 10) == 1.0
-    assert triangle_weight(95, 100, 10) == 0.5
-    assert triangle_weight(110, 100, 10) == 0.0
-    assert triangle_weight(111, 100, 10) == 0.0
-    with pytest.raises(ValueError):
-        triangle_weight(1, 1, 0)
-
 
 def test_smoothed_sum_hand_value(psi_counter):
     """W(100, 10) enumerated by hand over the window (90, 110)."""

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from primelab import (CapacityError, ResidueClass, StepCounter, WindowSource,
+from primelab import (CapacityError, NumberFieldSpec, ResidueClass,
+                      StepCounter, UnsupportedPrimeError, WindowSource,
                       bt_check_ap, bt_check_field, cramer_window_scan, delta,
                       delta_K, delta_series, euler_phi, field_source,
                       inertia_scan, intervals, mean_square,
-                      meansq_ratio, pi_K, pi_ap, preset, numfield,
-                      progression_source, psi_K, psi_ap, sieve_primes,
-                      window_events)
-from primelab.counters import drift, target_label, window_reads
+                      meansq_ratio, pi_K, pi_ap, preset, preset_names,
+                      numfield, progression_source, psi_K, psi_ap,
+                      sieve_primes, smoothed_sum, window_events)
+from primelab.counters import drift, target_label, window_count, window_reads
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
@@ -238,7 +239,8 @@ def test_delta_series_matches_direct_probes():
             direct = [delta(float(x), h, target) for x in xs]
         else:
             direct = [delta_K(target, float(x), h) for x in xs]
-        assert np.max(np.abs(series.value_at(xs) - np.array(direct))) < 1e-9
+        got = series.values[series.breakpoints.searchsorted(xs, side="right")]
+        assert np.max(np.abs(got - np.array(direct))) < 1e-9
 
 
 def test_delta_series_right_continuous():
@@ -246,8 +248,8 @@ def test_delta_series_right_continuous():
     bp = series.breakpoints
     # value at a breakpoint equals the value just above it
     for b in bp[:20]:
-        assert series.value_at(float(b)) \
-            == series.value_at(float(b) + 1e-9)
+        at, above = bp.searchsorted((float(b), float(b) + 1e-9), side="right")
+        assert series.values[at] == series.values[above]
     assert series.piece_lengths().sum() == pytest.approx(100.0)
 
 
@@ -336,8 +338,8 @@ def test_inertia_persistence_is_honest():
     for x_bar, radius in report.persistence:
         for probe in np.linspace(x_bar - radius * 0.999,
                                  x_bar + radius * 0.999, 11):
-            assert abs(report.series.value_at(float(probe))) \
-                > report.persistence_level
+            i = report.series.breakpoints.searchsorted(probe, side="right")
+            assert abs(report.series.values[i]) > report.persistence_level
 
 
 def test_inertia_empty_for_smooth_fixture():
@@ -462,6 +464,126 @@ def test_bt_field_spec_example():
     assert rep.bound == pytest.approx(8 * 400 / math.log(400))
     with pytest.raises(ValueError):
         bt_check_field(preset("Q(i)"), 100, 200)
+
+
+# --- window counts ------------------------------------------------------
+
+# x^2 + 3 has index 2 in the ring of integers of Q(sqrt-3): 2 is a bad prime
+BAD_TWO = NumberFieldSpec.from_poly([3, 0, 1], field_disc=3, name="x^2 + 3")
+COUNTER = StepCounter.from_events(np.arange(3, 9000, 7.5), np.ones(1200))
+SYNTHETIC = WindowSource(COUNTER, 1.0, "synthetic")
+
+
+def outcome(read):
+    """read()'s value, or the type and message of what it raised."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def mask_count(target, lo, hi):
+    return int(np.count_nonzero(window_events(target, lo, hi)[2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(target=st.one_of(
+    st.integers(1, 60).flatmap(lambda q: st.builds(
+        ResidueClass, st.just(q), st.integers(0, q - 1))),
+    st.sampled_from(preset_names()).map(preset),
+    st.sampled_from([BAD_TWO, COUNTER, SYNTHETIC])),
+    filled=st.sampled_from([0, 1024, 2048]),
+    cap=st.sampled_from([2**12, numfield.STORE_BOUND]),
+    lo=st.floats(-10, 9000), width=st.floats(0, 3000))
+@example(ResidueClass(30, 7), 2048, 2**12, 1000.5, 600)     # in the store
+@example(ResidueClass(30, 6), 2048, 2**12, 1000.5, 600)     # a non-unit
+@example(preset("Q(i)"), 1024, 2**12, 900, 500)      # across: a growth
+@example(preset("cyclo12"), 1024, 2**12, 1500, 200)  # past the store
+@example(ResidueClass(7, 3), 1024, 2**12, 5000, 1000)  # above the cap
+@example(preset("Q(i)"), 1024, 2**12, -5, 5.5)       # ends below 1
+@example(BAD_TWO, 0, 2**12, 120, 10)                 # holds 2^7
+@example(BAD_TWO, 0, 2**12, 100, 20)
+@example(COUNTER, 0, 2**12, 10, 100)
+def test_window_count_equals_the_window_mask(target, filled, cap, lo, width):
+    """window_count is the number of first powers window_events reads, or
+    raises the same, from the same store: for classes q <= 60 (units and
+    not), every preset, a field with a bad prime and synthetic sources,
+    over windows in the store, across its bound, past it, above a
+    lowered STORE_BOUND and ending below 1."""
+    fld = preset("Q") if isinstance(target, ResidueClass) else target
+
+    def fresh(count):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numfield, "_stores", {})
+            mp.setattr(numfield, "STORE_BOUND", cap)
+            if filled and isinstance(fld, NumberFieldSpec):
+                outcome(lambda: ideal_event_arrays(fld, 1, filled))
+            return outcome(lambda: count(target, lo, lo + width))
+
+    assert fresh(window_count) == fresh(mask_count)
+
+
+@pytest.mark.parametrize("target,lo,hi,error", [
+    (ResidueClass(4, 1), 10, 5, ValueError),
+    (preset("Q(i)"), 10, math.nan, ValueError),
+    (ResidueClass(30, 7), math.nan, 10, ValueError),
+    (COUNTER, 10, 5, ValueError),
+    (SYNTHETIC, math.nan, 10, ValueError),
+    (preset("Q(i)"), 50, 500, CapacityError),
+    (ResidueClass(4, 1), 50, 500, CapacityError),
+    (BAD_TWO, 60, 70, UnsupportedPrimeError),
+], ids=["class-inverted", "field-nan", "class-nan", "counter-inverted",
+        "source-nan", "field-ceiling", "class-ceiling", "bad-prime"])
+def test_bad_windows_raise_alike_on_both_paths(target, lo, hi, error):
+    with sieve_ceiling(100):
+        got = outcome(lambda: window_count(target, lo, hi))
+        assert got == outcome(lambda: mask_count(target, lo, hi))
+    assert got[0] is error
+
+
+def test_synthetic_windows_check_their_range():
+    """A StepCounter or WindowSource refuses an inverted or NaN window as
+    a field or a class does, on every reading path."""
+    with pytest.raises(ValueError, match="got lo=10, hi=7"):
+        delta(10, -3, SYNTHETIC)
+    with pytest.raises(ValueError, match="got lo=nan, hi=nan"):
+        smoothed_sum(10, math.nan, SYNTHETIC)
+    for read in (window_events, window_count):
+        with pytest.raises(ValueError, match="got lo=10, hi=5"):
+            read(COUNTER, 10, 5)
+    with pytest.raises(ValueError, match="got lo=20, hi=10"):
+        list(window_reads(SYNTHETIC, [1, 20, 10]))
+
+
+def test_warm_bt_checks_build_nothing(monkeypatch):
+    """Once the stores hold their windows (a total grows them),
+    bt_check_ap and bt_check_field count from views of them: no build,
+    no call of ideal_event_arrays, and the stores keep their bounds and
+    their very columns."""
+    windows = [(5000, 400), (1000.5, 120), (7000, 900)]
+    classes = [ResidueClass(1, 0), ResidueClass(30, 7), ResidueClass(4, 3)]
+    fields = [preset(name) for name in ("Q(i)", "cyclo5", "Q(sqrt5)")]
+    for fld in [preset("Q"), *fields]:
+        pi_K(fld, 2**13)
+
+    def checks():
+        return [r.metric for x, h in windows for r in
+                [bt_check_ap(x, h, cls) for cls in classes]
+                + [bt_check_field(fld, x, h) for fld in fields]]
+
+    expected = checks()
+    stores = dict(numfield._stores)
+
+    def refused(*args):
+        raise AssertionError("a warm check read past the store")
+
+    monkeypatch.setattr(numfield, "_build_events", refused)
+    monkeypatch.setattr(numfield, "ideal_event_arrays", refused)
+    assert checks() == expected
+    assert numfield._stores.keys() == stores.keys()
+    for key, (bound, columns) in numfield._stores.items():
+        assert bound == stores[key][0]
+        assert all(a is b for a, b in zip(columns, stores[key][1]))
 
 
 # --- Cramer scans -------------------------------------------------------

@@ -349,6 +349,11 @@ def test_residue_class_validation():
         ResidueClass(4, 4)
     assert ResidueClass(4, 3).is_unit
     assert not ResidueClass(4, 2).is_unit
+    # a float modulus or residue was once kept, and its class read empty
+    for q, a in ((30, 7.5), (30.0, 7), (30, "7")):
+        with pytest.raises(TypeError):
+            ResidueClass(q, a)
+    assert ResidueClass(np.int64(30), np.int64(7)).is_unit
 
 
 def test_events_require_lo_at_least_one():
