@@ -2,25 +2,24 @@
 results as a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --change REV --out FILE \
-        [--seeds 1:10 2:3] [--workloads ap-sieve warm-queries] \
-        [--seconds 50] [--claim TEXT] [--work DIR]
+        [--seeds 1:10 2:3] [--claim TEXT] [--work DIR]
 
 Each commit is exported with `git archive` into its own directory under
 --work (a new temporary directory by default), and each run is
 `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`
 started from the root of that export, so each side runs its own `src/`
-and its own `perfbench/`.  `--seeds 1:10 2:3` runs 10 pairs per workload
-on seed 1, then 3 on seed 2.  Odd pairs run the parent first, even pairs
-the change first.  The file is rewritten after every run, so an
-interrupted session keeps the runs it finished.
+and its own `perfbench/`; the workloads W and the run length N are those
+`BENCHMARK.json` declares.  `--seeds 1:10 2:3` (the default) runs 10
+pairs per workload on seed 1, then 3 on seed 2.  Odd pairs run the
+parent first, even pairs the change first.  The file is rewritten after
+every run, so an interrupted session keeps the runs it finished.
 
 The file holds the commits, the host, the pairing, every run's last
 line, and per workload and seed: the failed and attempted operations
 and, for each end-to-end metric, the median and quartiles (numpy's
 linear percentiles 25 and 75) of each side, the number of pairs in
 which the change read lower, and the ratio of the medians.  Nothing
-under `perfbench/` and nothing in `BENCHMARK.json` is read or changed
-here, apart from starting `perfbench/run.py`.
+under `perfbench/` and nothing in `BENCHMARK.json` is changed.
 """
 
 from __future__ import annotations
@@ -115,14 +114,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", nargs="+", default=["1:10", "2:3"],
                     help="SEED:PAIRS, run in the order given")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["ap-sieve", "warm-queries"])
-    ap.add_argument("--seconds", type=float, default=50)
     ap.add_argument("--claim", default="")
     ap.add_argument("--work", default=None,
                     help="directory for the two exports (new if omitted)")
     args = ap.parse_args(argv)
     seeds = [tuple(int(v) for v in s.split(":")) for s in args.seeds]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
     work = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work)
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
                           for seed, n in seeds)
     doc = {
         "benchmark": f"python3 perfbench/run.py --workload <workload> "
-                     f"--seed <seed> --seconds {args.seconds:g} --trace 0, "
+                     f"--seed <seed> --seconds {seconds:g} --trace 0, "
                      f"each run in its own checkout made with git archive",
         "commits": commits,
         "host": host(),
@@ -145,19 +145,19 @@ def main(argv=None) -> int:
         "runs": [],
     }
     for seed, n in seeds:
-        for workload in args.workloads:
+        for workload in workloads:
             for pair in range(1, n + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
                     line = run_once(checkouts[side], workload, seed,
-                                    args.seconds)
+                                    seconds)
                     doc["runs"].append({
                         "round": 1, "workload": workload, "seed": seed,
                         "pair": pair, "side": side, "commit": commits[side],
                         "last_line": line})
                     doc["summary"] = [summarize(doc["runs"], w, s)
                                       for s, _ in seeds
-                                      for w in args.workloads]
+                                      for w in workloads]
                     with open(args.out, "w") as fh:
                         json.dump(doc, fh, indent=1)
                         fh.write("\n")
