@@ -92,9 +92,8 @@ def window_count(target, lo: float, hi: float) -> int:
     the window: `numfield.first_power_count` for a field or a class, an
     index difference for a StepCounter or WindowSource."""
     src, cls = _reader(target, lo, hi)
-    if cls is None:
-        i, j = src.positions.searchsorted((lo, hi), side="right")
-        return int(j - i)
+    if cls is None:                     # all its events count
+        return len(window_events(src, lo, hi)[0])
     return numfield.first_power_count(src, max(lo, 1), max(hi, 1), cls)
 
 
@@ -114,7 +113,7 @@ def _reader(target, lo, hi):
     """(field, class) that a class (Q's) or a field reads, or (counter,
     None) for a StepCounter or WindowSource; ValueError if not lo <= hi."""
     if isinstance(target, ResidueClass):
-        found = numfield.rationals(), target
+        found = numfield.preset("Q"), target
     elif isinstance(target, numfield.NumberFieldSpec):
         found = target, sieve.EVERYTHING
     elif isinstance(target, (WindowSource, StepCounter)):

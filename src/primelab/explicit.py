@@ -61,8 +61,6 @@ class TruncationSpec:
 def _zero_sum_psi(x: float, gammas: np.ndarray) -> float:
     # sum over conjugate pairs of x^rho / rho at rho = 1/2 + i gamma:
     # 2 Re(x^rho/rho) = 2 sqrt(x) (cos(g L)/2 + g sin(g L)) / (1/4 + g^2)
-    if len(gammas) == 0:
-        return 0.0
     L = math.log(x)
     terms = 2.0 * math.sqrt(x) * (0.5 * np.cos(gammas * L)
                                   + gammas * np.sin(gammas * L)) \

@@ -5,10 +5,9 @@ Cramer-window scans.
 Each experiment reads only the events of the range it scans, once,
 through `counters.window_events`, and the Cramer scan a read of at most
 `numfield.READ_PIECE` norms at a time (`counters.window_reads`); a
-window sum is the `math.fsum` of its slice, a Cramer window's count an
-index difference, and a Brun-Titchmarsh window's count is
-`counters.window_count`, which builds no window.  A target is a residue
-class, a number field, or a prebuilt WindowSource (synthetic fixtures).
+window sum is the `math.fsum` of its slice, a count an index difference
+or `counters.window_count`, which builds no window.  A target is a
+residue class, a number field, or a prebuilt WindowSource.
 
 Delta(x, h) is piecewise constant in x (the drift term is linear only in
 h, which is held fixed), so the mean-square integral is computed exactly

@@ -13,16 +13,14 @@ Primes dividing the index [O_K : Z[theta]] are rejected with
 UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
-Every event read makes one store lookup, which checks it and slices
-the field's store, grown by doubling up to STORE_BOUND; then
-`ideal_event_arrays` returns the events, or `first_power_count` counts
-the prime ideals in one mask over the slice's views.  A read the store
-does not hold goes through `ideal_event_arrays`, the one place that
-builds.  Q's store also serves residue classes: a slice keeps its class,
-and a read built alone sieves only the class.  A long range is read by
-`sweep`, one read of at most READ_PIECE norms at a time, so that its
-peak is the store and one read.  The totals `psi_K` and `pi_K` sweep
-(1, x]; `psi_K` sums exactly in integer fixed point and rounds once.
+Every read makes one store lookup, which checks it and slices one store
+per field, grown by doubling up to STORE_BOUND; `ideal_event_arrays`
+returns the events (Q's with a residue class kept), `first_power_count`
+counts prime ideals in one mask over the slice's views.  A read the
+store does not hold goes through `ideal_event_arrays`, the one place
+that builds.  `sweep` reads a long range at most READ_PIECE norms at a
+time, so its peak is the store and one read; the totals `psi_K` and
+`pi_K` sweep (1, x], `psi_K` exactly in integer fixed point.
 """
 
 from __future__ import annotations
@@ -282,11 +280,15 @@ def _root_stream(fld: NumberFieldSpec, lo, hi, cls, bad):
     return np.repeat(lanes, _root_counts(fld, lanes))
 
 
+def _store(fld: NumberFieldSpec):
+    """(bound, columns) of the field's store; (1, None) while empty."""
+    return _stores.get((fld.coefficients, fld.field_disc), (1, None))
+
+
 def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
-    """The checks of every read of (lo, hi]: the range, the ceiling and
-    the bad primes; then the views of the store's columns that hold the
-    read, or None if the store does not (the read ends past its bound or
-    above STORE_BOUND)."""
+    """The checks of every read of (lo, hi] (range, ceiling, bad primes);
+    then lo and hi floored, the field's `_store`, and the views of its
+    columns that hold the read, or None (past its bound or STORE_BOUND)."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     sieve.check_capacity(hi)
@@ -296,11 +298,12 @@ def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
         for p in sorted(fld.bad_primes):  # p^k <= hi needs k < bit_length
             if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
                 raise UnsupportedPrimeError(p, fld.name)
-    bound, columns = _stores.get((fld.coefficients, fld.field_disc), (0, None))
-    if hi <= min(bound, STORE_BOUND):
-        # Python ints: numpy scalar bounds slice more slowly
-        i, j = columns[0].searchsorted((lo, hi), side="right").tolist()
-        return columns[0][i:j], columns[1][i:j], columns[2][i:j]
+    store = bound, columns = _store(fld)
+    if columns is None or hi > min(bound, STORE_BOUND):
+        return lo, hi, store, None
+    # Python ints: numpy scalar bounds slice more slowly
+    i, j = columns[0].searchsorted((lo, hi), side="right").tolist()
+    return lo, hi, store, (columns[0][i:j], columns[1][i:j], columns[2][i:j])
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
@@ -310,16 +313,13 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
 
     A read that starts inside the field's store (lo <= its bound) and
     ends below STORE_BOUND slices it, first growing it to the next power
-    of two above hi (at most STORE_BOUND and the sieve ceiling, which
-    every read checks) by building only the new range; any other read
-    builds (lo, hi] alone, in class cls, and keeps nothing.  Every build
-    is made here.  A bad prime raises UnsupportedPrimeError if one of its
-    powers, the norms of the ideals above it, lies in (lo, hi]."""
-    columns = _lookup(fld, lo, hi)
+    of two above hi (at most STORE_BOUND and the sieve ceiling) by
+    building only the new range; any other read builds (lo, hi] alone,
+    in class cls, and keeps nothing: every build is made here.  A bad
+    prime raises UnsupportedPrimeError if one of its powers, the norms
+    of the ideals above it, lies in (lo, hi]."""
+    lo, hi, (bound, arrays), columns = _lookup(fld, lo, hi)
     if columns is None:
-        key = (fld.coefficients, fld.field_disc)
-        lo, hi = math.floor(lo), math.floor(hi)
-        bound, arrays = _stores.get(key, (1, None))
         if hi > STORE_BOUND or lo > bound:
             return _build_events(fld, lo, hi, cls)
         new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
@@ -327,8 +327,9 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
         part = _build_events(fld, bound, new_bound)
         arrays = part if arrays is None else \
             [np.concatenate(pair) for pair in zip(arrays, part)]
-        _stores[key] = (new_bound, arrays)
-        columns = _lookup(fld, lo, hi)      # now in the store
+        _stores[fld.coefficients, fld.field_disc] = new_bound, arrays
+        i, j = arrays[0].searchsorted((lo, hi), side="right")
+        columns = tuple([a[i:j] for a in arrays])
     if cls.modulus == 1:
         return columns
     keep = (columns[0] % cls.modulus == cls.residue).nonzero()[0]
@@ -337,11 +338,11 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
 
 def first_power_count(fld: NumberFieldSpec, lo: float, hi: float,
                       cls=sieve.EVERYTHING) -> int:
-    """The number of exponents 1 (prime ideals) that `ideal_event_arrays`
-    reads, counted in one mask over the views of the store's columns; a
-    read the store does not hold is made by `ideal_event_arrays`."""
-    pos, expo, _ = _lookup(fld, lo, hi) or ideal_event_arrays(fld, lo, hi,
-                                                              cls)
+    """The exponents 1 (prime ideals) `ideal_event_arrays` would read,
+    counted in one mask over the store's views, or over the events
+    `ideal_event_arrays` reads from the checked bounds if it has none."""
+    lo, hi, _, columns = _lookup(fld, lo, hi)
+    pos, expo, _ = columns or ideal_event_arrays(fld, lo, hi, cls)
     first = expo == 1
     if cls.modulus != 1:
         first &= pos % cls.modulus == cls.residue
@@ -364,8 +365,7 @@ def sweep(fld: NumberFieldSpec, edges, cls=sieve.EVERYTHING):
     store at a time.  A sweep that starts inside the store first grows it
     to min(edges[-1], STORE_BOUND) with one read of views: grown a read at
     a time, each growth would copy the whole store."""
-    bound = _stores.get((fld.coefficients, fld.field_disc), (1,))[0]
-    if math.floor(edges[0]) <= bound:
+    if math.floor(edges[0]) <= _store(fld)[0]:
         ideal_event_arrays(fld, edges[0], min(edges[-1], STORE_BOUND))
     for lo, hi in itertools.pairwise(edges):
         yield ideal_event_arrays(fld, lo, hi, cls)
@@ -458,12 +458,6 @@ def preset(name: str) -> NumberFieldSpec:
     except KeyError:
         raise KeyError(f"unknown field preset {name!r}; have "
                        f"{preset_names()}") from None
-
-
-@functools.cache
-def rationals() -> NumberFieldSpec:
-    """The preset Q, whose store serves every residue class."""
-    return preset("Q")
 
 
 def preset_names() -> list:

@@ -37,11 +37,7 @@ def _round12(value):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return "" if value is None else f"{value:.12g}"
 
 
 def _clean_params(params: dict) -> dict:

@@ -44,14 +44,13 @@ def check_capacity(hi: float) -> int:
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """Residue a modulo q, both integers.  gcd(a, q) = 1 is required only
-    by the theorem-level experiments, not by the type itself."""
+    """Residue a modulo q, both integers (else TypeError).  gcd(a, q) = 1
+    is required only by the theorem-level experiments, not by the type."""
 
     modulus: int = 1
     residue: int = 0
 
     def __post_init__(self):
-        # TypeError unless both are integers
         q, a = operator.index(self.modulus), operator.index(self.residue)
         if not 1 <= q < 2**63:      # positions are int64
             raise ValueError(f"modulus must lie in [1, 2^63), got "
@@ -208,11 +207,11 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     psi_ap(1e8) on a 2-core host: 0.3-0.4 s and 67 MB peak for q = 1,
     0.1 s and 59 MB for q = 30.
     """
-    from .numfield import psi_K, rationals  # numfield imports this module
-    return psi_K(rationals(), x, cls)
+    from .numfield import preset, psi_K  # numfield imports this module
+    return psi_K(preset("Q"), x, cls)
 
 
 def pi_ap(x: float, cls: ResidueClass = EVERYTHING) -> int:
     """Number of primes p <= x with p = a (mod q)."""
-    from .numfield import pi_K, rationals
-    return pi_K(rationals(), x, cls)
+    from .numfield import pi_K, preset
+    return pi_K(preset("Q"), x, cls)

@@ -112,10 +112,6 @@ def predicted_count(n_K: int, d_K: int, T: float) -> float:
 MANIFEST_ENV = "PRIMELAB_ZERO_MANIFEST"
 
 
-def _default_manifest():
-    return resources.files("primelab") / "data" / "manifest.txt"
-
-
 def _resolve_manifest(path):
     """path, else $PRIMELAB_ZERO_MANIFEST, else None (vendored tables)."""
     return path if path is not None else os.environ.get(MANIFEST_ENV)
@@ -125,7 +121,8 @@ def load_manifest(path=None) -> dict:
     """Manifest lines `label; filename; completeness_height`; file paths
     are resolved relative to the manifest."""
     path = _resolve_manifest(path)
-    handle = open(path) if path is not None else _default_manifest().open()
+    handle = open(path) if path is not None else \
+        (resources.files("primelab") / "data" / "manifest.txt").open()
     base = os.path.dirname(str(path)) if path is not None else None
     entries = {}
     with handle as fh:

@@ -2,17 +2,19 @@
 results as a BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent REV --change REV --out FILE \
-        [--seeds 1:10 2:3] [--claim TEXT] [--work DIR]
+        [--claim TEXT] [--work DIR]
 
-Each commit is exported with `git archive` into its own directory under
---work (a new temporary directory by default), and each run is
+Each commit is exported with `git archive` into its own directory in a
+temporary directory (under --work if given, removed at the end), and
+each run is
 `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`
 started from the root of that export, so each side runs its own `src/`
 and its own `perfbench/`; the workloads W and the run length N are those
-`BENCHMARK.json` declares.  `--seeds 1:10 2:3` (the default) runs 10
-pairs per workload on seed 1, then 3 on seed 2.  Odd pairs run the
-parent first, even pairs the change first.  The file is rewritten after
-every run, so an interrupted session keeps the runs it finished.
+`BENCHMARK.json` declares.  SEEDS fixes the pairs: 10 per workload on
+seed 1, then 3 on seed 2, the least a claimed gain is judged on.  Odd
+pairs run the parent first, even pairs the change first.  The file is
+rewritten after every run, so an interrupted session keeps the runs it
+finished.
 
 The file holds the commits, the host, the pairing, every run's last
 line, and per workload and seed: the failed and attempted operations
@@ -37,6 +39,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# (seed, pairs per workload), run in this order
+SEEDS = ((1, 10), (2, 3))
 
 
 def git(*args) -> str:
@@ -107,29 +111,33 @@ def summarize(runs, workload: str, seed: int) -> dict:
     return out
 
 
+def schedule(workloads):
+    """(seed, workload, pair, side) of every run, in order."""
+    for seed, n in SEEDS:
+        for workload in workloads:
+            for pair in range(1, n + 1):
+                for side in SIDES if pair % 2 else SIDES[::-1]:
+                    yield seed, workload, pair, side
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seeds", nargs="+", default=["1:10", "2:3"],
-                    help="SEED:PAIRS, run in the order given")
     ap.add_argument("--claim", default="")
     ap.add_argument("--work", default=None,
-                    help="directory for the two exports (new if omitted)")
+                    help="where the temporary directory of the two "
+                         "exports is made")
     args = ap.parse_args(argv)
-    seeds = [tuple(int(v) for v in s.split(":")) for s in args.seeds]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
-    work = tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work)
-    checkouts = {s: export(commits[s], os.path.join(work, s))
-                 for s in SIDES}
     plan = ", then ".join(f"seed {seed} {n} pairs per workload"
-                          for seed, n in seeds)
+                          for seed, n in SEEDS)
     doc = {
         "benchmark": f"python3 perfbench/run.py --workload <workload> "
                      f"--seed <seed> --seconds {seconds:g} --trace 0, "
@@ -144,25 +152,23 @@ def main(argv=None) -> int:
         "summary": [],
         "runs": [],
     }
-    for seed, n in seeds:
-        for workload in workloads:
-            for pair in range(1, n + 1):
-                order = SIDES if pair % 2 else SIDES[::-1]
-                for side in order:
-                    line = run_once(checkouts[side], workload, seed,
-                                    seconds)
-                    doc["runs"].append({
-                        "round": 1, "workload": workload, "seed": seed,
-                        "pair": pair, "side": side, "commit": commits[side],
-                        "last_line": line})
-                    doc["summary"] = [summarize(doc["runs"], w, s)
-                                      for s, _ in seeds
-                                      for w in workloads]
-                    with open(args.out, "w") as fh:
-                        json.dump(doc, fh, indent=1)
-                        fh.write("\n")
-                    print(f"{workload} seed {seed} pair {pair} {side}: "
-                          f"{json.dumps(line['metrics'])}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-",
+                                     dir=args.work) as work:
+        checkouts = {s: export(commits[s], os.path.join(work, s))
+                     for s in SIDES}
+        for seed, workload, pair, side in schedule(workloads):
+            line = run_once(checkouts[side], workload, seed, seconds)
+            doc["runs"].append({
+                "round": 1, "workload": workload, "seed": seed,
+                "pair": pair, "side": side, "commit": commits[side],
+                "last_line": line})
+            doc["summary"] = [summarize(doc["runs"], w, s)
+                              for s, _ in SEEDS for w in workloads]
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
+            print(f"{workload} seed {seed} pair {pair} {side}: "
+                  f"{json.dumps(line['metrics'])}", flush=True)
     return 0
 
 
