@@ -9,8 +9,8 @@ like 1/gamma and naive left-to-right addition loses digits by T ~ 10^3.
 
 Sources (a class, a field, a StepCounter or a WindowSource) are read
 through `counters.window_events`; `residual_scan` sweeps (0, max x] in
-reads of at most `numfield.READ_PIECE` norms (`counters.window_reads`)
-and carries psi(x) across them as a running float sum, the `np.cumsum`
+the reads `numfield.read_edges` cuts (`counters.window_reads`) and
+carries psi(x) across them as a running float sum, the `np.cumsum`
 prefix (not exact, but independent of where the reads end).  Sums of
 array terms go through math.fsum as lists: fsum boxes each element of
 an array as an np.float64, which costs more than the list.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numfield, sieve
+from . import numfield
 from .counters import window_events, window_reads
 from .errors import ZeroTableError
 from .zeros import ZeroTable
@@ -46,7 +46,7 @@ class TruncationSpec:
     disc: int = 1            # d_K
 
     def __post_init__(self):
-        if self.height < 2:
+        if not self.height >= 2:              # NaN fails too
             raise ValueError(f"height must be >= 2, got {self.height}")
         if self.height > self.zeros.completeness_height:
             raise ZeroTableError(
@@ -75,7 +75,7 @@ def truncated_psi(x: float, spec: TruncationSpec) -> float:
     For n_K >= 2 those lower-order terms are left inside the reported
     residual, whose error envelope absorbs them.
     """
-    if x < 2:
+    if not x >= 2:
         raise ValueError(f"x must be >= 2, got {x}")
     value = x - _zero_sum_psi(x, spec.ordinates())
     if spec.degree == 1:
@@ -89,73 +89,59 @@ class ResidualScan:
     residuals: np.ndarray
     normalized: np.ndarray
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if len(self.xs) else 0.0
-
-    @property
-    def max_normalized(self) -> float:
-        return float(np.max(np.abs(self.normalized))) if len(self.xs) else 0.0
-
 
 def _psi_at(read, psi: float, xs):
-    """(psi at the read's end, [(x, psi(x)) for each probe x of xs]) from
-    the window_events columns of one read, given psi at its start; each x
-    is nudged off a jump as `residual_scan` says and, nudged, still lies
-    in the read."""
+    """(psi at the read's end, the probes xs nudged off a jump as
+    `residual_scan` says, psi at each) from the window_events columns of
+    one read, given psi at its start; each nudged probe lies in the read."""
     pos, w, _ = read
-    # float keys on an int64 array would convert it on every search
-    pos = np.asarray(pos, dtype=np.float64)
+    # float keys on an int64 array would convert it on every search; the
+    # sentinel lets a probe past the last event look one up
+    pos = np.append(pos, np.inf)
     prefix = np.cumsum(np.concatenate(([psi], w)))
-    out = []
-    for x in xs:
-        idx = np.searchsorted(pos, x - EVENT_NUDGE)
-        if idx < len(pos) and abs(pos[idx] - x) <= EVENT_NUDGE:
-            log.warning("probe x=%s collides with an event; nudging by %g",
-                        x, EVENT_NUDGE)
-            x = float(pos[idx]) + EVENT_NUDGE
-        out.append((x, prefix[np.searchsorted(pos, x, side="right")]))
-    return prefix[-1], out
+    near = pos[pos.searchsorted(xs - EVENT_NUDGE)]
+    hit = np.abs(near - xs) <= EVENT_NUDGE
+    for x in xs[hit].tolist():
+        log.warning("probe x=%s collides with an event; nudging by %g",
+                    x, EVENT_NUDGE)
+    xs = np.where(hit, near + EVENT_NUDGE, xs)
+    return prefix[-1], xs, prefix[pos.searchsorted(xs, side="right")]
 
 
 def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
     """Pointwise residual psi(x) - truncated_psi(x) with the
     normalization T / (x (n_K log x + log d_K) log x), in the order of
-    xs, for any source `window_events` reads.
+    xs, for any source `window_events` reads whose positions are integers
+    (norms).
 
     Probe points within EVENT_NUDGE of a jump are moved just past it so
     the comparison sits on a consistent side of the discontinuity.  The
     probes are taken in ascending order, in one sweep (`window_reads`) of
-    (0, max x] in reads of at most READ_PIECE norms: a read that would
-    end inside a probe's reach, which holds the event it may be nudged
-    past, ends with that reach instead.  psi is carried across reads by
-    the running np.cumsum, which adds strictly left to right, so the
-    read edges do not change it.
+    (0, max x + 3 EVENT_NUDGE] cut by `numfield.read_edges`.  The one
+    event a probe x may be nudged past is n = ceil(x - EVENT_NUDGE), and
+    interior edges are integers, so x is taken with the read that ends at
+    or past n (the last read if n lies past the sweep): it holds every
+    event at or below the nudged x, and the reads before it none above.
+    psi is carried across reads by the running np.cumsum, which adds
+    strictly left to right, so the read edges do not change it.
     """
     xs = np.asarray(list(xs), dtype=np.float64)
-    order = np.argsort(xs, kind="stable")
-    starts = xs[order] - 2 * EVENT_NUDGE
-    ends = xs[order] + 3 * EVENT_NUDGE
-    if not np.all(ends >= 2):       # nudged, x stays below its end; NaN too
+    if not np.all(xs + 3 * EVENT_NUDGE >= 2):     # NaN fails too
         raise ValueError(f"x must be >= 2, got {xs.min()}")
-    sieve.check_capacity(np.max(ends, initial=0))      # before any read
     out_x, residuals, normalized = (np.empty(len(xs)) for _ in range(3))
+    if not len(xs):
+        return ResidualScan(out_x, residuals, normalized)
+    order = np.argsort(xs, kind="stable")
+    edges = numfield.read_edges(0, xs.max() + 3 * EVENT_NUDGE)
+    # the probes taken by each read: those whose n is at most its end
+    taken = [0, *np.ceil(xs[order] - EVENT_NUDGE).searchsorted(
+        edges[1:-1], side="right").tolist(), len(xs)]
     log_dk = math.log(spec.disc)
-    step = min(numfield.READ_PIECE, numfield.STORE_BOUND)
-    edges, taken = [0.0], [0]       # read edges; probes taken by each edge
-    while taken[-1] < len(xs):
-        hi = min(edges[-1] + step, ends[-1])
-        j = np.searchsorted(ends, hi, side="right")
-        while j < len(xs) and starts[j] < hi:
-            hi = ends[j]
-            j = np.searchsorted(ends, hi, side="right")
-        edges.append(hi)
-        taken.append(j)
     psi = 0.0
     for (k, j), read in zip(itertools.pairwise(taken),
                             window_reads(source, edges)):
-        psi, values = _psi_at(read, psi, xs[order[k:j]])
-        for i, (x, value) in zip(order[k:j], values):
+        psi, nudged, values = _psi_at(read, psi, xs[order[k:j]])
+        for i, x, value in zip(order[k:j], nudged.tolist(), values.tolist()):
             r = value - truncated_psi(x, spec)
             scale = spec.height / (x * (spec.degree * math.log(x) + log_dk)
                                    * math.log(x))
@@ -179,7 +165,9 @@ def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
     h - (1/h) sum_rho [(x+h)^{rho+1} - 2 x^{rho+1} + (x-h)^{rho+1}]
                       / (rho (rho+1)),
     truncated at the spec height, conjugate pairs combined."""
-    if x - h < 2:
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
+    if not x - h >= 2:
         raise ValueError(f"need x - h >= 2, got x={x}, h={h}")
     gammas = spec.ordinates()
     if len(gammas) == 0:

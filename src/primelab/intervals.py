@@ -135,10 +135,6 @@ class InertiaReport:
     persistence: list                # (x_bar, radius) per interval
     series: DeltaSeries
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.exceedance_intervals
-
 
 def inertia_scan(X: float, h: float, target, *,
                  persist_c: float = 0.125) -> InertiaReport:
@@ -274,9 +270,10 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     largest normalized gap between consecutive events (the smallest c1
     that would keep every window nonempty).  Needs x_lo < x_hi and
     c1 > 0 with h(x_lo) > 0, so that h stays positive, and at most
-    MAX_WINDOWS windows.  The events are swept a read of READ_PIECE
-    norms at a time, so the scan holds one read whatever its range; the
-    counts and the gaps are those of one whole-range read, bit for bit.
+    MAX_WINDOWS windows.  The events are swept in the reads
+    `read_edges` cuts, so the scan holds one read whatever its range, and
+    each read settles the window edges up to its end edge; the counts and
+    the gaps are those of one whole-range read, bit for bit.
     """
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
@@ -300,17 +297,18 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
 
     # one sweep of the first powers: the number at or below each window
     # edge, and the largest normalized gap of those in [x_lo, x_hi]; each
-    # read settles the edges up to its last event, and the count so far
-    # and the last event inside the range carry to the next
+    # read settles the edges up to its end edge (the last read's is past
+    # every window's end, as h rises), and the count so far and the last
+    # event inside the range carry to the next
     edges = np.concatenate((starts, np.add(starts, widths)))
     order = np.argsort(edges, kind="stable")
     edges, below = edges[order], np.empty(len(edges), np.int64)
     done = seen = 0
-    last, c1_emp = np.empty(0), 0.0
+    last, c1_emp, ends = np.empty(0), 0.0, iter(reads[1:])
     for pos, _, first in window_reads(target, reads):
         # float keys on an int64 array would convert it on every search
         pos = pos[first].astype(np.float64)
-        j = edges.searchsorted(pos[-1], side="right") if len(pos) else done
+        j = edges.searchsorted(next(ends), side="right")
         below[done:j] = seen + pos.searchsorted(edges[done:j], side="right")
         done, seen = j, seen + len(pos)
         i, k = pos.searchsorted(x_lo), pos.searchsorted(x_hi, side="right")
@@ -320,7 +318,6 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
             gaps /= law(1.0, inside[:-1], np)
             c1_emp = max(c1_emp, float(gaps.max()))
         last = inside[-1:].copy()
-    below[done:] = seen
     below[order] = below.copy()         # back in the order of the edges
     counts = (below[len(starts):] - below[:len(starts)]).tolist()
     windows = [(x, h, count, count * density * math.log(x) / h)

@@ -90,6 +90,8 @@ def combine(tables) -> ZeroTable:
 
 def count_zeros(table: ZeroTable, T: float) -> int:
     """N(T): zeros with |gamma| <= T, both signs."""
+    if math.isnan(T):
+        raise ValueError(f"T must be a number, got {T}")
     if T > table.completeness_height:
         raise ZeroTableError(
             f"{table.label}: T={T} beyond certified height "
@@ -100,7 +102,7 @@ def count_zeros(table: ZeroTable, T: float) -> int:
 def predicted_count(n_K: int, d_K: int, T: float) -> float:
     """Main terms of the zero-counting formula:
     (n_K/pi) T log T + (T/pi) log(d_K / (2 pi e)^n_K)."""
-    if T < 2:
+    if not T >= 2:                      # NaN fails too
         raise ValueError(f"T must be >= 2, got {T}")
     return (n_K / math.pi) * T * math.log(T) \
         + (T / math.pi) * math.log(d_K / (2 * math.pi * math.e) ** n_K)

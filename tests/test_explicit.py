@@ -1,16 +1,18 @@
-import itertools
+import functools
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, ResidueClass, StepCounter,
                       TruncationSpec, ZeroTable, ZeroTableError,
-                      component_table, explicit, field_table, numfield,
-                      preset, residual_scan, smoothed_prediction,
-                      smoothed_sum, truncated_psi, unweighted_sandwich)
+                      component_table, count_zeros, explicit, field_table,
+                      numfield, predicted_count, preset, residual_scan,
+                      smoothed_prediction, smoothed_sum, truncated_psi,
+                      unweighted_sandwich)
 from primelab.explicit import EVENT_NUDGE
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
@@ -85,7 +87,6 @@ def test_residual_scan_normalization(zeta_spec, psi_counter):
     T = zeta_spec.height
     assert scan.normalized[0] == pytest.approx(
         r * T / (x * math.log(x) ** 2), rel=1e-14)
-    assert scan.max_abs == float(np.max(np.abs(scan.residuals)))
 
 
 def test_residual_scan_nudges_off_events(zeta_spec, psi_counter, caplog):
@@ -103,8 +104,8 @@ def test_doubling_height_shrinks_residual(psi_counter):
     xs = np.linspace(5000.5, 50000.5, 40)
     lo = residual_scan(psi_counter, TruncationSpec(500.0, tbl), xs)
     hi = residual_scan(psi_counter, TruncationSpec(1000.0, tbl), xs)
-    assert hi.max_abs < lo.max_abs
-    assert hi.max_normalized < 4 * lo.max_normalized
+    assert np.abs(hi.residuals).max() < np.abs(lo.residuals).max()
+    assert np.abs(hi.normalized).max() < 4 * np.abs(lo.normalized).max()
 
 
 def cumsum_residuals(pos, w, spec, xs):
@@ -124,27 +125,35 @@ def cumsum_residuals(pos, w, spec, xs):
 
 # unsorted, with a repeat, on both sides of the read boundaries 4096 and
 # 8192 under a store cap of 2^12, within EVENT_NUDGE of the prime powers
-# 4096 and 8192 (norms of ideals of Q(i) too) and of 12289 = 1 mod 4
+# 4096 and 8192 (norms of ideals of Q(i) too) and of 12289 = 1 mod 4, and
+# just below the read edge 12288, which is not an event
 SCAN_XS = [12288.5, 1000.5, 4096 + 5e-7, 4096 - 5e-7, 4096.0, 4097.5,
-           1000.5, 8191.5, 8192 + 9e-7, 2.5, 8193.5, 12289 - 4e-7]
+           1000.5, 8191.5, 8192 + 9e-7, 2.5, 8193.5, 12289 - 4e-7,
+           12288 - 5e-7]
+TARGETS = ["Q", "Q(i)", "q=4,a=1"]
 
 
-@pytest.mark.parametrize("name", ["Q", "Q(i)", "q=4,a=1"])
-def test_residual_scan_reads_bounded_pieces_across_cap(
-        name, empty_stores, monkeypatch):
-    """Under a store cap of 2^12 residual_scan reads (0, max x] in one
-    sweep of consecutive reads of at most 2^12 norms, and each residual
-    equals the one from a whole-prefix cumsum over the target's events."""
-    top = max(SCAN_XS) + 1
+@functools.cache
+def scan_case(name, top=12400):
+    """(target, spec, positions, weights) of a target's events up to top,
+    read before any test lowers the store cap."""
     if name == "Q(i)":
         target = preset(name)
         pos, _, w = ideal_event_arrays(target, 1, top)
-        spec = TruncationSpec(100.0, field_table(name), 2, 4)
-    else:
-        cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)
-        target = preset("Q") if name == "Q" else cls
-        pos, _, w = event_arrays(1, top, cls)
-        spec = TruncationSpec(100.0, component_table("zeta"))
+        return target, TruncationSpec(100.0, field_table(name), 2, 4), pos, w
+    cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)
+    pos, _, w = event_arrays(1, top, cls)
+    return (preset("Q") if name == "Q" else cls,
+            TruncationSpec(100.0, component_table("zeta")), pos, w)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_residual_scan_reads_bounded_pieces_across_cap(
+        name, empty_stores, monkeypatch):
+    """Under a store cap of 2^12 residual_scan reads (0, max x] in one
+    sweep of the reads `read_edges` cuts, and each residual equals the
+    one from a whole-prefix cumsum over the target's events."""
+    target, spec, pos, w = scan_case(name)
     expected = cumsum_residuals(pos, w, spec, SCAN_XS)
     monkeypatch.setattr(numfield, "_stores", {})
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
@@ -158,13 +167,55 @@ def test_residual_scan_reads_bounded_pieces_across_cap(
     monkeypatch.setattr(explicit, "window_reads", recorded)
     scan = residual_scan(target, spec, SCAN_XS)
     (edges,) = sweeps                   # one sweep
-    reads = list(itertools.pairwise(edges))
     assert list(zip(scan.xs.tolist(), scan.residuals.tolist())) == expected
     assert any(x != probe for x, probe in zip(scan.xs, SCAN_XS))
-    assert len(reads) == 4 and reads[0][0] == 0
-    assert all(prev[1] == cur[0] for prev, cur in zip(reads, reads[1:]))
-    assert all(math.floor(hi) - math.floor(lo) <= 2**12 for lo, hi in reads)
+    assert edges == numfield.read_edges(0, max(SCAN_XS) + 3 * EVENT_NUDGE)
+    assert len(edges) == 5
     assert all(bound <= 2**12 for bound, _ in numfield._stores.values())
+
+
+# integers, integers moved by at most 15 EVENT_NUDGE / 10 either way and
+# half-integers, around the read edges under a cap of 2^12 and anywhere
+@st.composite
+def probes(draw):
+    n = draw(st.one_of(st.sampled_from([4096, 8191, 8192, 12288, 12289]),
+                       st.integers(3, 12350)))
+    return n + draw(st.one_of(st.just(0.0), st.just(0.5),
+                              st.integers(-15, 15).map(lambda k: k * 1e-7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(TARGETS), xs=st.lists(probes(), max_size=12))
+@example(name="Q(i)", xs=[4096 - 1e-6, 4096 + 1e-6, 4096.0, 4096.0, 4099.0])
+@example(name="q=4,a=1", xs=[12289 - 1.5e-6, 12288 + 1.5e-6, 5.0, 13.0])
+def test_vectorised_nudge_matches_the_prefix_oracle(name, xs):
+    """Under a store cap of 2^12 each probe, nudged or not, and its
+    residual equal the whole-prefix cumsum's bit for bit, and one warning
+    is logged per collision, in ascending probe order."""
+    target, spec, pos, w = scan_case(name)
+    expected = cumsum_residuals(pos, w, spec, xs)
+    with pytest.MonkeyPatch.context() as mp, \
+            mock.patch.object(explicit.log, "warning") as warning:
+        mp.setattr(numfield, "_stores", {})
+        mp.setattr(numfield, "STORE_BOUND", 2**12)
+        scan = residual_scan(target, spec, xs)
+    assert list(zip(scan.xs.tolist(), scan.residuals.tolist())) == expected
+    assert [call.args[1] for call in warning.call_args_list] == \
+        sorted(x for x, (nudged, _) in zip(xs, expected) if nudged != x)
+
+
+def test_residual_scan_of_no_probes_reads_nothing(empty_stores,
+                                                  monkeypatch, zeta_spec):
+    """An empty scan returns before any read: no event is built and no
+    store grows."""
+    def refuse(*args):
+        raise AssertionError("an empty scan built events")
+
+    monkeypatch.setattr(numfield, "_build_events", refuse)
+    scan = residual_scan(preset("Q"), zeta_spec, [])
+    assert [len(a) for a in (scan.xs, scan.residuals, scan.normalized)] \
+        == [0, 0, 0]
+    assert numfield._stores == {}
 
 
 def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
@@ -177,6 +228,26 @@ def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
         residual_scan(psi_counter, zeta_spec, [1000.5, 1e300])
     with pytest.raises(ValueError, match="x must be >= 2, got 0.5"):
         residual_scan(preset("Q(i)"), zeta_spec, [1000.5, 0.5])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda spec: count_zeros(spec.zeros, math.nan), "T must be a number"),
+    (lambda spec: TruncationSpec(math.nan, spec.zeros), "height must be"),
+    (lambda spec: truncated_psi(math.nan, spec), "x must be >= 2"),
+    (lambda spec: smoothed_prediction(math.nan, 10, spec), "need x - h"),
+    (lambda spec: smoothed_prediction(100, math.nan, spec), "h must be pos"),
+    (lambda spec: smoothed_prediction(100, 0, spec), "h must be positive"),
+    (lambda spec: smoothed_prediction(100, -5, spec), "h must be positive"),
+    (lambda spec: predicted_count(1, 1, math.nan), "T must be >= 2"),
+], ids=["count-zeros-nan", "height-nan", "psi-nan", "prediction-x-nan",
+        "prediction-h-nan", "prediction-h-zero", "prediction-h-negative",
+        "predicted-count-nan"])
+def test_explicit_and_zero_counts_refuse_nan_and_nonpositive_h(
+        call, match, zeta_spec):
+    """A NaN or a window h <= 0 raises ValueError, not a NaN, a count of
+    every zero or a ZeroDivisionError."""
+    with pytest.raises(ValueError, match=match):
+        call(zeta_spec)
 
 
 def test_explicit_at_1e8_stays_under_100_mb():
@@ -289,4 +360,4 @@ def test_field_residual_uses_field_normalization():
     scale = 500.0 / (x * (2 * math.log(x) + math.log(4)) * math.log(x))
     assert scan.normalized[0] == pytest.approx(scan.residuals[0] * scale,
                                                rel=1e-14)
-    assert scan.max_normalized < 5.0
+    assert abs(scan.normalized[0]) < 5.0

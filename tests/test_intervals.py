@@ -320,7 +320,7 @@ def test_inertia_gap_detected():
     src, gap_lo, gap_hi = gap_fixture()
     h = 200.0
     report = inertia_scan(10**4, h, src)
-    assert not report.is_empty
+    assert report.exceedance_intervals
     assert report.threshold == pytest.approx(h / 4)
     # some exceedance interval covers the middle of the gap
     mid = 0.5 * (gap_lo + gap_hi) - h / 2
@@ -346,7 +346,7 @@ def test_inertia_empty_for_smooth_fixture():
     src = synthetic_source(np.arange(2, 25000, dtype=np.float64),
                            np.ones(24998), 1.0)
     report = inertia_scan(10**4, 200.0, src)
-    assert report.is_empty
+    assert report.exceedance_intervals == []
     assert report.persistence == []
 
 
