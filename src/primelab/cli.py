@@ -172,11 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_sieve(args):
     if args.hi - args.lo > MAX_SIEVE_WIDTH:
         raise ValueError(f"the sieve window is wider than {MAX_SIEVE_WIDTH}")
-    if args.lo > args.hi:
-        raise ValueError(f"need lo <= hi, got lo={args.lo}, hi={args.hi}")
-    columns = numfield.ideal_event_arrays(   # no norm lies below 2
-        numfield.preset("Q"), max(args.lo, 1.0), max(args.hi, 1.0),
-        sieve.ResidueClass(args.q, args.a))
+    columns = window_events(sieve.ResidueClass(args.q, args.a), args.lo,
+                            args.hi)
     # n = p^m <= 10^9 < 2^53, so p is n^(1/m) rounded
     return [ExperimentReport(
         "sieve", {"position": n, "base": round(n ** (1 / m)), "exponent": m,
@@ -279,7 +276,7 @@ def _run_smoothed(args):
                                                     target)
         start = args.x - h
         direct = math.fsum(
-            window_events(target, start, start + 2 * h)[1].tolist())
+            window_events(target, start, start + 2 * h)[2].tolist())
         rows.append(ExperimentReport(
             "sandwich", {"x": args.x, "h": h, "eps": args.eps,
                          "field": args.field, "lower": lower,

@@ -6,10 +6,11 @@ bundles one with its density and label; synthetic fixtures pass one
 where a residue class or a field would go.  Every experiment reads its
 own range (lo, hi] through `window_events`, a long one through
 `window_reads` (a `numfield.sweep`), and counts first powers through
-`window_count`.  A field or a class (Q's events, the class kept) is read
-from `numfield`, a StepCounter or WindowSource is sliced; each refuses
-lo > hi.  `window_source` still builds a whole-prefix counter over
-(0, hi]; no experiment reads one.
+`window_count`, in numfield's layout (positions, exponents, weights):
+a field or a class (Q's events, the class kept) from `numfield`, a
+StepCounter or WindowSource sliced, all of exponent 1.  Each refuses
+lo > hi and a hi past the sieve ceiling.  `window_source` still builds
+a whole-prefix counter over (0, hi]; no experiment reads one.
 """
 
 from __future__ import annotations
@@ -72,25 +73,24 @@ def drift(target) -> float:
 
 
 def window_events(target, lo: float, hi: float):
-    """(positions, weights, first-power mask) in (lo, hi] of a number
-    field or a class, through `numfield.ideal_event_arrays` (a class
-    reads Q's store), or of a StepCounter or WindowSource, whose events
-    all count as first powers.  ValueError if not lo <= hi (NaN
-    included); a field's or a class's window is empty if it ends below 1."""
+    """(positions, exponents, weights) in (lo, hi]: of a number field or
+    a class, `numfield.ideal_event_arrays`' columns (a class reads Q's
+    store); of a StepCounter or WindowSource, its slice, every event of
+    exponent 1.  ValueError if not lo <= hi (NaN included), CapacityError
+    if hi passes the sieve ceiling; a window that ends below 1 is empty."""
     src, cls = _reader(target, lo, hi)
     if cls is None:
         i, j = src.positions.searchsorted((lo, hi), side="right")
-        return src.positions[i:j], src.weights[i:j], np.ones(j - i, bool)
+        return (src.positions[i:j], np.ones(j - i, np.int16),
+                src.weights[i:j])
     # no norm lies below 2: a window ending below 1 reads (1, 1]
-    pos, expo, weights = numfield.ideal_event_arrays(src, max(lo, 1),
-                                                     max(hi, 1), cls)
-    return pos, weights, expo == 1
+    return numfield.ideal_event_arrays(src, max(lo, 1), max(hi, 1), cls)
 
 
 def window_count(target, lo: float, hi: float) -> int:
-    """np.count_nonzero(window_events(target, lo, hi)[2]) without building
-    the window: `numfield.first_power_count` for a field or a class, an
-    index difference for a StepCounter or WindowSource."""
+    """np.count_nonzero(window_events(target, lo, hi)[1] == 1) without
+    building the window: `numfield.first_power_count` for a field or a
+    class, an index difference for a StepCounter or WindowSource."""
     src, cls = _reader(target, lo, hi)
     if cls is None:                     # all its events count
         return len(window_events(src, lo, hi)[0])
@@ -99,19 +99,19 @@ def window_count(target, lo: float, hi: float) -> int:
 
 def window_reads(target, edges):
     """window_events over each (edges[i], edges[i + 1]] in turn, edges
-    ascending: a class's or a field's as one `numfield.sweep`."""
+    ascending: a class's or a field's is `numfield.sweep` itself."""
     src, cls = _reader(target, edges[0], edges[-1])
     if cls is None:
         return (window_events(src, lo, hi)
                 for lo, hi in itertools.pairwise(edges))
-    reads = numfield.sweep(src, [max(e, 1) for e in edges], cls)
-    # map, unlike a generator, keeps no read while the next is built
-    return map(lambda read: (read[0], read[2], read[1] == 1), reads)
+    return numfield.sweep(src, [max(e, 1) for e in edges], cls)
 
 
 def _reader(target, lo, hi):
     """(field, class) that a class (Q's) or a field reads, or (counter,
-    None) for a StepCounter or WindowSource; ValueError if not lo <= hi."""
+    None) for a StepCounter or WindowSource; ValueError if not lo <= hi,
+    and for a counter CapacityError past the ceiling (numfield checks it
+    for the others)."""
     if isinstance(target, ResidueClass):
         found = numfield.preset("Q"), target
     elif isinstance(target, numfield.NumberFieldSpec):
@@ -122,13 +122,15 @@ def _reader(target, lo, hi):
         raise TypeError(f"cannot read events of {type(target)}")
     if not lo <= hi:                    # NaN fails too
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
+    if found[1] is None:
+        sieve.check_capacity(hi)
     return found
 
 
 def window_source(target, hi: float) -> WindowSource:
     """The whole-prefix counter over (0, hi] of a residue class or a
     number field."""
-    pos, weights, _ = window_events(target, 1, hi)
+    pos, _, weights = window_events(target, 1, hi)
     return WindowSource(psi=StepCounter.from_events(pos, weights),
                         drift=drift(target), label=target_label(target))
 

@@ -75,8 +75,8 @@ def truncated_psi(x: float, spec: TruncationSpec) -> float:
     For n_K >= 2 those lower-order terms are left inside the reported
     residual, whose error envelope absorbs them.
     """
-    if not x >= 2:
-        raise ValueError(f"x must be >= 2, got {x}")
+    if not 2 <= x < math.inf:               # NaN fails too
+        raise ValueError(f"x must be >= 2 and finite, got {x}")
     value = x - _zero_sum_psi(x, spec.ordinates())
     if spec.degree == 1:
         value += -math.log(2 * math.pi) - 0.5 * math.log(1.0 - x**-2)
@@ -94,7 +94,7 @@ def _psi_at(read, psi: float, xs):
     """(psi at the read's end, the probes xs nudged off a jump as
     `residual_scan` says, psi at each) from the window_events columns of
     one read, given psi at its start; each nudged probe lies in the read."""
-    pos, w, _ = read
+    pos, _, w = read
     # float keys on an int64 array would convert it on every search; the
     # sentinel lets a probe past the last event look one up
     pos = np.append(pos, np.inf)
@@ -112,7 +112,8 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
     """Pointwise residual psi(x) - truncated_psi(x) with the
     normalization T / (x (n_K log x + log d_K) log x), in the order of
     xs, for any source `window_events` reads whose positions are integers
-    (norms).
+    (norms).  A probe below 2 (or NaN), which `truncated_psi` refuses, is
+    refused before any read.
 
     Probe points within EVENT_NUDGE of a jump are moved just past it so
     the comparison sits on a consistent side of the discontinuity.  The
@@ -126,7 +127,7 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
     strictly left to right, so the read edges do not change it.
     """
     xs = np.asarray(list(xs), dtype=np.float64)
-    if not np.all(xs + 3 * EVENT_NUDGE >= 2):     # NaN fails too
+    if not np.all(xs >= 2):                       # NaN fails too
         raise ValueError(f"x must be >= 2, got {xs.min()}")
     out_x, residuals, normalized = (np.empty(len(xs)) for _ in range(3))
     if not len(xs):
@@ -154,7 +155,7 @@ def smoothed_sum(x: float, h: float, source) -> float:
     over the open window (x-h, x+h); exact event sum."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    pos, w, _ = window_events(source, x - h, x + h)
+    pos, _, w = window_events(source, x - h, x + h)
     j = np.searchsorted(pos, x + h)         # the window is open at x + h
     tri = 1.0 - np.abs(x - pos[:j]) / h
     return math.fsum((w[:j] * tri).tolist())
@@ -167,12 +168,10 @@ def smoothed_prediction(x: float, h: float, spec: TruncationSpec) -> float:
     truncated at the spec height, conjugate pairs combined."""
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
-    if not x - h >= 2:
-        raise ValueError(f"need x - h >= 2, got x={x}, h={h}")
-    gammas = spec.ordinates()
-    if len(gammas) == 0:
-        return float(h)
-    rho = 0.5 + 1j * gammas
+    if not 2 <= x - h <= x + h < math.inf:  # NaN fails too
+        raise ValueError(f"need x - h >= 2 and x + h finite, got x={x}, "
+                         f"h={h}")
+    rho = 0.5 + 1j * spec.ordinates()
 
     def upper(t):
         return np.exp((rho + 1) * math.log(t))

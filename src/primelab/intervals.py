@@ -36,7 +36,7 @@ MAX_WINDOWS = 10**5         # most windows one Cramer scan may slide
 def delta(x: float, h: float, target) -> float:
     """psi(x+h) - psi(x) - h * drift, read from (x, x+h]: for a class
     mod q the drift is 1/phi(q), for a field 1."""
-    return (math.fsum(window_events(target, x, x + h)[1].tolist())
+    return (math.fsum(window_events(target, x, x + h)[2].tolist())
             - h * drift(target))
 
 
@@ -71,7 +71,7 @@ class DeltaSeries:
 
 def delta_series(X: float, h: float, target) -> DeltaSeries:
     """Delta(., h) on [X, 2X], from one read of (X, 2X + h]."""
-    pos, w, _ = window_events(target, X, 2 * X + h)
+    pos, _, w = window_events(target, X, 2 * X + h)
     pos = pos.astype(np.float64)
     # the window sum jumps by +w when x reaches n - h and -w at x = n
     up_mask = (pos - h > X) & (pos - h < 2 * X)
@@ -305,9 +305,9 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     edges, below = edges[order], np.empty(len(edges), np.int64)
     done = seen = 0
     last, c1_emp, ends = np.empty(0), 0.0, iter(reads[1:])
-    for pos, _, first in window_reads(target, reads):
+    for pos, expo, _ in window_reads(target, reads):
         # float keys on an int64 array would convert it on every search
-        pos = pos[first].astype(np.float64)
+        pos = pos[expo == 1].astype(np.float64)
         j = edges.searchsorted(next(ends), side="right")
         below[done:j] = seen + pos.searchsorted(edges[done:j], side="right")
         done, seen = j, seen + len(pos)

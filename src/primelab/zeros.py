@@ -102,8 +102,8 @@ def count_zeros(table: ZeroTable, T: float) -> int:
 def predicted_count(n_K: int, d_K: int, T: float) -> float:
     """Main terms of the zero-counting formula:
     (n_K/pi) T log T + (T/pi) log(d_K / (2 pi e)^n_K)."""
-    if not T >= 2:                      # NaN fails too
-        raise ValueError(f"T must be >= 2, got {T}")
+    if not 2 <= T < math.inf:           # NaN fails too
+        raise ValueError(f"T must be >= 2 and finite, got {T}")
     return (n_K / math.pi) * T * math.log(T) \
         + (T / math.pi) * math.log(d_K / (2 * math.pi * math.e) ** n_K)
 

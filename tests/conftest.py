@@ -102,7 +102,7 @@ def psi_prefix(positions, weights, x):
 def mean_square_sampled(X, h, target, step=1e-2):
     """Riemann-sum cross-check of mean_square on a regular midpoint grid;
     psi is the running `np.cumsum` prefix of the events in (X, 2X + h]."""
-    pos, w, _ = window_events(target, X, 2 * X + h)
+    pos, _, w = window_events(target, X, 2 * X + h)
     pos = pos.astype(np.float64)
     cumulative = np.concatenate(([0.0], np.cumsum(w)))
 

@@ -289,6 +289,11 @@ def test_flag_surface():
      "one of the arguments --q --field"),
     # an inverted window quotes the values as given
     (["sieve", "--lo", "0.7", "--hi", "0.5"], "got lo=0.7, hi=0.5"),
+    # the class is built before its window is checked
+    (["sieve", "--lo", "5", "--hi", "3", "--q", "0"],
+     "modulus must lie in [1, 2^63), got 0"),
+    (["sieve", "--lo", "5", "--hi", "3", "--q", "4", "--a", "1"],
+     "need lo <= hi, got lo=5.0, hi=3.0"),
 ])
 def test_usage_errors_leave_main_by_one_path(capsys, argv, message):
     code, out, err = run(capsys, *argv)

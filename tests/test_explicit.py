@@ -218,6 +218,19 @@ def test_residual_scan_of_no_probes_reads_nothing(empty_stores,
     assert numfield._stores == {}
 
 
+def test_residual_scan_refuses_a_probe_below_2_before_any_read(
+        empty_stores, monkeypatch, zeta_spec):
+    """A probe just below 2, even one within EVENT_NUDGE of the event at
+    2, is refused up front: no event is built and no store grows."""
+    def refuse(*args):
+        raise AssertionError("a refused scan built events")
+
+    monkeypatch.setattr(numfield, "_build_events", refuse)
+    with pytest.raises(ValueError, match="x must be >= 2, got 1.9999986"):
+        residual_scan(preset("Q"), zeta_spec, [1000.5, 1.9999986])
+    assert numfield._stores == {}
+
+
 def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
                                                     zeta_spec):
     """A NaN or a probe past the ceiling would read on without end, even
@@ -239,13 +252,20 @@ def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
     (lambda spec: smoothed_prediction(100, 0, spec), "h must be positive"),
     (lambda spec: smoothed_prediction(100, -5, spec), "h must be positive"),
     (lambda spec: predicted_count(1, 1, math.nan), "T must be >= 2"),
+    (lambda spec: truncated_psi(math.inf, spec),
+     "x must be >= 2 and finite, got inf"),
+    (lambda spec: smoothed_prediction(math.inf, 10, spec),
+     "need x - h >= 2 and x \\+ h finite, got x=inf, h=10"),
+    (lambda spec: predicted_count(1, 1, math.inf),
+     "T must be >= 2 and finite, got inf"),
 ], ids=["count-zeros-nan", "height-nan", "psi-nan", "prediction-x-nan",
         "prediction-h-nan", "prediction-h-zero", "prediction-h-negative",
-        "predicted-count-nan"])
+        "predicted-count-nan", "psi-inf", "prediction-x-inf",
+        "predicted-count-inf"])
 def test_explicit_and_zero_counts_refuse_nan_and_nonpositive_h(
         call, match, zeta_spec):
-    """A NaN or a window h <= 0 raises ValueError, not a NaN, a count of
-    every zero or a ZeroDivisionError."""
+    """A NaN, an infinite argument or a window h <= 0 raises ValueError,
+    not a NaN, a count of every zero or a ZeroDivisionError."""
     with pytest.raises(ValueError, match=match):
         call(zeta_spec)
 

@@ -74,8 +74,8 @@ def test_progression_reads_match_sieve_on_both_sides_of_cap(
         src = progression_source(cls, hi)
         assert np.array_equal(src.psi.positions, pos.astype(np.float64))
         assert np.array_equal(src.psi.weights, w)
-        got, _, first = window_events(cls, 1, hi)
-        assert np.array_equal(got[first], pos[expo == 1])
+        got, got_expo, _ = window_events(cls, 1, hi)
+        assert np.array_equal(got[got_expo == 1], pos[expo == 1])
     for x, top in CAPPED_WINDOWS:
         pos, expo, w = event_arrays(x, top, cls)
         h = top - x
@@ -483,7 +483,7 @@ def outcome(read):
 
 
 def mask_count(target, lo, hi):
-    return int(np.count_nonzero(window_events(target, lo, hi)[2]))
+    return int(np.count_nonzero(window_events(target, lo, hi)[1] == 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -531,9 +531,12 @@ def test_window_count_equals_the_window_mask(target, filled, cap, lo, width):
     (SYNTHETIC, math.nan, 10, ValueError),
     (preset("Q(i)"), 50, 500, CapacityError),
     (ResidueClass(4, 1), 50, 500, CapacityError),
+    (COUNTER, 50, 500, CapacityError),
+    (SYNTHETIC, 50, 500, CapacityError),
     (BAD_TWO, 60, 70, UnsupportedPrimeError),
 ], ids=["class-inverted", "field-nan", "class-nan", "counter-inverted",
-        "source-nan", "field-ceiling", "class-ceiling", "bad-prime"])
+        "source-nan", "field-ceiling", "class-ceiling", "counter-ceiling",
+        "source-ceiling", "bad-prime"])
 def test_bad_windows_raise_alike_on_both_paths(target, lo, hi, error):
     with sieve_ceiling(100):
         got = outcome(lambda: window_count(target, lo, hi))
@@ -553,6 +556,46 @@ def test_synthetic_windows_check_their_range():
             read(COUNTER, 10, 5)
     with pytest.raises(ValueError, match="got lo=20, hi=10"):
         list(window_reads(SYNTHETIC, [1, 20, 10]))
+
+
+LAYOUT_TARGETS = {"class-unit": ResidueClass(30, 7),
+                  "class-nonunit": ResidueClass(4, 2), "Q(i)": preset("Q(i)"),
+                  "cyclo12": preset("cyclo12"), "bad-prime": BAD_TWO,
+                  "counter": COUNTER, "source": SYNTHETIC}
+
+
+@pytest.mark.parametrize("name", LAYOUT_TARGETS)
+def test_every_read_has_numfield_layout(name):
+    """window_events returns (positions, exponents, weights) as int64,
+    int16 and float64 arrays (float64 positions for a synthetic source):
+    a class's or a field's are ideal_event_arrays' byte for byte, and
+    window_reads yields numfield.sweep's reads over the same edges; a
+    synthetic source's events all have exponent 1.  The windows miss
+    every power of BAD_TWO's bad prime 2."""
+    target = LAYOUT_TARGETS[name]
+    edges = [1030, 1300.5, 1700, 2040]
+
+    def same(got, want):
+        assert [(a.dtype, a.tobytes()) for a in got] == \
+            [(a.dtype, a.tobytes()) for a in want]
+
+    got = window_events(target, edges[0], edges[-1])
+    synthetic = isinstance(target, (StepCounter, WindowSource))
+    assert [a.dtype for a in got] == [
+        np.float64 if synthetic else np.int64, np.int16, np.float64]
+    reads = list(window_reads(target, edges))
+    if synthetic:
+        assert np.all(got[1] == 1)
+        wants = [window_events(target, lo, hi)
+                 for lo, hi in zip(edges, edges[1:])]
+    else:
+        fld, cls = (preset("Q"), target) if isinstance(
+            target, ResidueClass) else (target, EVERYTHING)
+        same(got, ideal_event_arrays(fld, edges[0], edges[-1], cls))
+        wants = list(numfield.sweep(fld, edges, cls))
+    assert len(reads) == len(wants) == len(edges) - 1
+    for read, want in zip(reads, wants):
+        same(read, want)
 
 
 def test_warm_bt_checks_build_nothing(monkeypatch):
@@ -613,8 +656,8 @@ def whole_range_scan(x_lo, x_hi, target, windows):
     powers in [x_lo, x_hi] over law(1, x), and a boolean count of
     (x, x + h]."""
     law, density = intervals._window_law(target)
-    pos, _, first = window_events(target, 1, x_hi + 2 * windows[-1][1])
-    pos = pos[first].astype(np.float64)
+    pos, expo, _ = window_events(target, 1, x_hi + 2 * windows[-1][1])
+    pos = pos[expo == 1].astype(np.float64)
     inside = pos[(pos >= x_lo) & (pos <= x_hi)]
     c1 = 0.0
     if len(inside) >= 2:
