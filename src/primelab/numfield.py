@@ -14,13 +14,18 @@ UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
 Every read makes one store lookup, which checks it and slices one store
-per field, grown by doubling up to STORE_BOUND; `ideal_event_arrays`
-returns the events (Q's with a residue class kept), `first_power_count`
-counts prime ideals in one mask over the slice's views.  A read the
-store does not hold goes through `ideal_event_arrays`, the one place
-that builds.  `sweep` reads a long range at most READ_PIECE norms at a
-time, so its peak is the store and one read; the totals `psi_K` and
-`pi_K` sweep (1, x], `psi_K` exactly in integer fixed point.
+per field, grown by doubling up to STORE_BOUND.  A store keeps 10 B per
+event, int64 positions and int16 exponents, and no weights: an event's
+weight is log of its norm, save for the few rows `sieve.merge_events`
+writes (the ideals above the primes up to sqrt(hi)), whose slots and
+weights it keeps beside.  `_read` returns a read unweighed (Q's with a
+residue class kept), and builds what the store does not hold;
+`ideal_event_arrays` weighs it with `sieve.weigh`, and
+`first_power_count` counts prime ideals in one mask over the slice's
+views, so neither a growth nor a count makes weights.  `sweep` reads a
+long range at most READ_PIECE norms at a time, so its peak is the store
+and one read; the totals `psi_K` and `pi_K` sweep (1, x], `psi_K`
+exactly in integer fixed point.
 """
 
 from __future__ import annotations
@@ -211,10 +216,11 @@ def _abelian_splitting(m: int, gens: tuple) -> tuple:
     return tuple(table)
 
 
-# one store per field: (bound, arrays) holding every event with norm <= bound
+# one store per field: (bound, columns) holding every event with norm <=
+# bound, unweighed (positions, exponents, rows' slots, rows' weights)
 _stores: dict = {}
 
-# largest bound a store grows to: Q's then holds 1.1M events (18 B each)
+# largest bound a store grows to: Q's then holds 1.1M events (10 B each)
 STORE_BOUND = 2**24
 # most norms one read of a sweep spans (never more than STORE_BOUND)
 READ_PIECE = 2**21
@@ -234,9 +240,10 @@ def _root_counts(fld: NumberFieldSpec, primes):
 
 def _build_events(fld: NumberFieldSpec, lo: int, hi: int,
                   cls=sieve.EVERYTHING):
-    """(positions, exponents, weights) of the ideal-power events with
-    norm in (lo, hi] and in class cls, ascending; equal norms (one
-    prime's) in ascending residue degree.  Q's are `sieve.event_arrays`.
+    """(positions, exponents, slots, row weights), as `sieve.merge_events`
+    gives them, of the ideal-power events with norm in (lo, hi] and in
+    class cls, ascending; equal norms (one prime's) in ascending residue
+    degree.  Q's are `sieve.event_arrays`.
 
     A prime above sqrt(hi) has in range only its ideals of norm p, so the
     primes of cls in (max(lo, sqrt(hi)), hi] enter `sieve.merge_events`'
@@ -287,8 +294,9 @@ def _store(fld: NumberFieldSpec):
 
 def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
     """The checks of every read of (lo, hi] (range, ceiling, bad primes);
-    then lo and hi floored, the field's `_store`, and the views of its
-    columns that hold the read, or None (past its bound or STORE_BOUND)."""
+    then lo and hi floored, the field's `_store`, and the index range
+    (i, j) of the read in its columns, or None (past its bound or
+    STORE_BOUND)."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     sieve.check_capacity(hi)
@@ -302,47 +310,71 @@ def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
     if columns is None or hi > min(bound, STORE_BOUND):
         return lo, hi, store, None
     # Python ints: numpy scalar bounds slice more slowly
-    i, j = columns[0].searchsorted((lo, hi), side="right").tolist()
-    return lo, hi, store, (columns[0][i:j], columns[1][i:j], columns[2][i:j])
+    return lo, hi, store, columns[0].searchsorted((lo, hi),
+                                                  side="right").tolist()
 
 
-def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
-                       cls=sieve.EVERYTHING):
-    """(positions, exponents, weights) of the events with norm in (lo, hi]
-    and in residue class cls; the weight of P^m is log N(P).
+def _read(fld: NumberFieldSpec, lo: float, hi: float, cls=sieve.EVERYTHING):
+    """(positions, exponents, slots, row weights) of the events with norm
+    in (lo, hi] and in class cls, unweighed (`sieve.weigh` gives their
+    weights).
 
     A read that starts inside the field's store (lo <= its bound) and
     ends below STORE_BOUND slices it, first growing it to the next power
     of two above hi (at most STORE_BOUND and the sieve ceiling) by
     building only the new range; any other read builds (lo, hi] alone,
-    in class cls, and keeps nothing: every build is made here.  A bad
-    prime raises UnsupportedPrimeError if one of its powers, the norms
-    of the ideals above it, lies in (lo, hi]."""
-    lo, hi, (bound, arrays), columns = _lookup(fld, lo, hi)
-    if columns is None:
+    in class cls, and keeps nothing: every build is made here.  A store
+    holds positions and exponents, and the rows' slots (a growth offsets
+    the new part's by the store's length) and weights; a slice keeps the
+    rows whose slots lie in it, a class the rows in the class."""
+    lo, hi, (bound, columns), span = _lookup(fld, lo, hi)
+    if span is None:
         if hi > STORE_BOUND or lo > bound:
             return _build_events(fld, lo, hi, cls)
         new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
                             sieve.CEILING.get(), STORE_BOUND))
         part = _build_events(fld, bound, new_bound)
-        arrays = part if arrays is None else \
-            [np.concatenate(pair) for pair in zip(arrays, part)]
-        _stores[fld.coefficients, fld.field_disc] = new_bound, arrays
-        i, j = arrays[0].searchsorted((lo, hi), side="right")
-        columns = tuple([a[i:j] for a in arrays])
+        if columns is not None:
+            np.add(part[2], len(columns[0]), out=part[2])   # its slots
+            part = [np.concatenate(pair) for pair in zip(columns, part)]
+        columns = part
+        _stores[fld.coefficients, fld.field_disc] = new_bound, columns
+        span = columns[0].searchsorted((lo, hi), side="right").tolist()
+    i, j = span
+    pos, expo, slots, row_weights = columns
+    k, m = slots.searchsorted((i, j)).tolist()
+    pos, expo, slots = pos[i:j], expo[i:j], slots[k:m] - i
     if cls.modulus == 1:
-        return columns
-    keep = (columns[0] % cls.modulus == cls.residue).nonzero()[0]
-    return tuple([a.take(keep) for a in columns])
+        return pos, expo, slots, row_weights[k:m]
+    keep = (pos % cls.modulus == cls.residue).nonzero()[0]
+    rows = (pos[slots] % cls.modulus == cls.residue).nonzero()[0]
+    return (pos.take(keep), expo.take(keep),
+            keep.searchsorted(slots.take(rows)), row_weights[k:m].take(rows))
+
+
+def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
+                       cls=sieve.EVERYTHING):
+    """(positions, exponents, weights) of the events with norm in (lo, hi]
+    and in residue class cls, int64, int16 and float64; the weight of P^m
+    is log N(P).  The events of `_read`, weighed: a read the store holds
+    returns views of its positions and exponents.  A bad prime raises
+    UnsupportedPrimeError if one of its powers, the norms of the ideals
+    above it, lies in (lo, hi]."""
+    pos, expo, slots, row_weights = _read(fld, lo, hi, cls)
+    return pos, expo, sieve.weigh(pos, slots, row_weights)
 
 
 def first_power_count(fld: NumberFieldSpec, lo: float, hi: float,
                       cls=sieve.EVERYTHING) -> int:
     """The exponents 1 (prime ideals) `ideal_event_arrays` would read,
-    counted in one mask over the store's views, or over the events
-    `ideal_event_arrays` reads from the checked bounds if it has none."""
-    lo, hi, _, columns = _lookup(fld, lo, hi)
-    pos, expo, _ = columns or ideal_event_arrays(fld, lo, hi, cls)
+    counted in one mask over the store's views, or over the unweighed
+    `_read` of the checked bounds if the store does not hold them."""
+    lo, hi, (_, columns), span = _lookup(fld, lo, hi)
+    if span is None:
+        pos, expo = _read(fld, lo, hi, cls)[:2]
+    else:
+        i, j = span
+        pos, expo = columns[0][i:j], columns[1][i:j]
     first = expo == 1
     if cls.modulus != 1:
         first &= pos % cls.modulus == cls.residue
@@ -363,10 +395,10 @@ def sweep(fld: NumberFieldSpec, edges, cls=sieve.EVERYTHING):
     """ideal_event_arrays over each (edges[i], edges[i + 1]] in turn, the
     edges ascending from 1 on, so that a sweep holds one read and the
     store at a time.  A sweep that starts inside the store first grows it
-    to min(edges[-1], STORE_BOUND) with one read of views: grown a read at
-    a time, each growth would copy the whole store."""
+    to min(edges[-1], STORE_BOUND) with one unweighed `_read` of views:
+    grown a read at a time, each growth would copy the whole store."""
     if math.floor(edges[0]) <= _store(fld)[0]:
-        ideal_event_arrays(fld, edges[0], min(edges[-1], STORE_BOUND))
+        _read(fld, edges[0], min(edges[-1], STORE_BOUND))
     for lo, hi in itertools.pairwise(edges):
         yield ideal_event_arrays(fld, lo, hi, cls)
 

@@ -7,7 +7,10 @@ psi(x+h) - psi(x) covers x < n <= x+h.
 `event_arrays` builds Q's events, and those of one residue class alone
 from a sieve of that class's progression; every read of them, for the
 totals `psi_ap` and `pi_ap` too, goes through Q's store in `numfield`.
-`merge_events` lays out the three columns of every read, Q's and a field's.
+`merge_events` lays out the columns of every read, Q's and a field's:
+positions and exponents, and the few rows whose weight is not log n
+(the powers of the primes up to sqrt(hi)) as slots and weights; `weigh`
+makes a read's weights column from them.
 """
 
 from __future__ import annotations
@@ -153,19 +156,20 @@ def sieve_primes(lo: float, hi: float,
 
 
 def merge_events(stream, primes, degrees, lo, hi, cls=EVERYTHING):
-    """Event columns (positions, exponents, weights), int64, int16 and
-    float64 arrays owning their buffers.  Each prime p of the ascending
+    """Event columns (positions, exponents), int64 and int16 arrays owning
+    their buffers, and the merged rows' slots in them and weights: the
+    read's weights are `weigh` of the four.  Each prime p of the ascending
     stream is one ideal of norm p (exponent 1, weight log p); each prime p
     of the array primes, with its residue degree f from degrees (an array
     or one number for all), is one ideal P of norm p^f, whose powers P^m
-    with norm in (lo, hi] and in cls are merged in (exponent m, weight
-    f log p), equal norms in ascending f.  Pass stream as a call
+    with norm in (lo, hi] and in cls are merged in as rows (exponent m,
+    weight f log p), equal norms in ascending f.  Pass stream as a call
     expression: the merge then frees it once the positions are built."""
     p = np.asarray(primes, dtype=np.int64)
     f = np.broadcast_to(np.asarray(degrees, dtype=np.int64), p.shape)
     # each P's largest m with p^(f m) <= hi, from logs and at worst one too
-    # high (p^(f m) then stays below hi^2, in int64 under the ceiling),
-    # then checked exactly
+    # high (p^(f m) then stays at most hi sqrt(hi), in int64 under the
+    # ceiling), then checked exactly
     tops = np.floor(math.log(hi) / (f * np.log(p)) + 1e-9).astype(np.int64)
     lane = np.repeat(np.arange(len(p)), tops)
     m = np.arange(1, len(lane) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
@@ -177,19 +181,26 @@ def merge_events(stream, primes, degrees, lo, hi, cls=EVERYTHING):
     pos = np.insert(stream, at, rows[0])
     del stream
     at += np.arange(len(at))            # the rows' slots in pos
-    weights = np.log(pos, dtype=np.float64)
-    weights[at] = rows[2] * np.log(rows[1], dtype=np.float64)
     expo = np.ones(len(pos), np.int16)
     expo[at] = rows[3]
-    return pos, expo, weights
+    return pos, expo, at, rows[2] * np.log(rows[1], dtype=np.float64)
+
+
+def weigh(pos, slots, row_weights):
+    """The weights column of a read: log n at each position n, and at the
+    slots the merged rows' own weights (`merge_events`).  Every weights
+    column of a store or a build is made here."""
+    weights = np.log(pos, dtype=np.float64)
+    weights[slots] = row_weights
+    return weights
 
 
 def event_arrays(lo: float, hi: float, cls: ResidueClass = EVERYTHING):
     """Prime-power events with position in (lo, hi] restricted to cls.
 
-    The columns of `merge_events`: the primes above sqrt(hi), from a sieve
-    of the class alone, are its stream, and each prime up to sqrt(hi),
-    from the base-prime cache, one ideal of degree 1.
+    The four columns of `merge_events`: the primes above sqrt(hi), from a
+    sieve of the class alone, are its stream, and each prime up to
+    sqrt(hi), from the base-prime cache, one ideal of degree 1.
     """
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo}")
@@ -204,8 +215,8 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     Exactly rounded (`numfield.psi_K` sums in integer fixed point), so
     partitioning the event set over residue classes cannot change the
     total.  Above Q's store only the class is sieved.  A cold
-    psi_ap(1e8) on a 2-core host: 0.3-0.4 s and 67 MB peak for q = 1,
-    0.1 s and 59 MB for q = 30.
+    psi_ap(1e8) on a 2-core host: 0.25-0.3 s and 49 MB peak for q = 1,
+    0.1 s and 49 MB for q = 30.
     """
     from .numfield import preset, psi_K  # numfield imports this module
     return psi_K(preset("Q"), x, cls)

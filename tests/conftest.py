@@ -87,6 +87,14 @@ def sieve_ceiling(value):
         sieve.CEILING.reset(token)
 
 
+def weighed(columns):
+    """(positions, exponents, weights) of a build's four columns
+    (`sieve.merge_events`): its positions and exponents, and
+    `sieve.weigh` of the rest."""
+    pos, expo, slots, row_weights = columns
+    return pos, expo, sieve.weigh(pos, slots, row_weights)
+
+
 @pytest.fixture
 def empty_stores(monkeypatch):
     """Run the test against empty field event stores; the shared stores

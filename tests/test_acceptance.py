@@ -21,7 +21,7 @@ from primelab import (ResidueClass, StepCounter, TruncationSpec,
                       splitting_types, truncated_psi, unweighted_sandwich)
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import mean_square_sampled, psi_prefix
+from conftest import mean_square_sampled, psi_prefix, weighed
 from oracles import quadratic_splitting
 
 QUADRATIC_PRESETS = {
@@ -57,7 +57,7 @@ def test_criterion_01_counter_oracle(oracle_events_1e5):
     ok = True
     for q in range(1, 31):
         for a in range(q):
-            pos, expo, w = event_arrays(1, x_max, ResidueClass(q, a))
+            pos, expo, w = weighed(event_arrays(1, x_max, ResidueClass(q, a)))
             keep = o_pos % q == a
             if not (np.array_equal(pos, o_pos[keep])
                     and np.array_equal(expo, o_expo[keep])
@@ -167,7 +167,7 @@ def test_criterion_06_explicit_residual():
     the x-grid stays under 5 (x/T) log^2 x, and doubling T from 500 to
     1000 does not grow the max residual by more than a factor 2."""
     tbl = component_table("zeta")
-    pos, _, w = event_arrays(1, 1100)
+    pos, _, w = weighed(event_arrays(1, 1100))
     xs = np.arange(50.5, 1000.6, 50.0)
     ok = True
 

@@ -17,7 +17,7 @@ from primelab.explicit import EVENT_NUDGE
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import psi_prefix, run_within_rss
+from conftest import psi_prefix, run_within_rss, weighed
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def zeta_spec():
 
 @pytest.fixture(scope="module")
 def psi_counter():
-    pos, _, w = event_arrays(1, 10**6)
+    pos, _, w = weighed(event_arrays(1, 10**6))
     return StepCounter.from_events(pos, w)
 
 
@@ -142,7 +142,7 @@ def scan_case(name, top=12400):
         pos, _, w = ideal_event_arrays(target, 1, top)
         return target, TruncationSpec(100.0, field_table(name), 2, 4), pos, w
     cls = EVERYTHING if name == "Q" else ResidueClass(4, 1)
-    pos, _, w = event_arrays(1, top, cls)
+    pos, _, w = weighed(event_arrays(1, top, cls))
     return (preset("Q") if name == "Q" else cls,
             TruncationSpec(100.0, component_table("zeta")), pos, w)
 

@@ -16,7 +16,7 @@ from primelab.counters import drift, target_label, window_count, window_reads
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
-from conftest import mean_square_sampled, sieve_ceiling
+from conftest import mean_square_sampled, sieve_ceiling, weighed
 from oracles import is_prime_trial
 
 
@@ -70,14 +70,14 @@ def test_progression_reads_match_sieve_on_both_sides_of_cap(
     monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
     cls = ResidueClass(q, 1 % q)
     for hi in (3000.5, 2**12, 9000.25):
-        pos, expo, w = event_arrays(1, hi, cls)
+        pos, expo, w = weighed(event_arrays(1, hi, cls))
         src = progression_source(cls, hi)
         assert np.array_equal(src.psi.positions, pos.astype(np.float64))
         assert np.array_equal(src.psi.weights, w)
         got, got_expo, _ = window_events(cls, 1, hi)
         assert np.array_equal(got[got_expo == 1], pos[expo == 1])
     for x, top in CAPPED_WINDOWS:
-        pos, expo, w = event_arrays(x, top, cls)
+        pos, expo, w = weighed(event_arrays(x, top, cls))
         h = top - x
         assert bt_check_ap(x, h, cls).metric == np.count_nonzero(expo == 1)
         # the drift term is h times the density 1/phi(q)
@@ -102,7 +102,7 @@ def test_totals_read_in_bounded_reads_across_cap(empty_stores, monkeypatch):
     for x in TOTAL_XS:
         for q in (1, 4, 7, 30):
             cls = ResidueClass(q, 1 % q)
-            _, expo, w = event_arrays(1, x, cls)
+            _, expo, w = weighed(event_arrays(1, x, cls))
             assert psi_ap(x, cls) == math.fsum(w)
             assert pi_ap(x, cls) == np.count_nonzero(expo == 1)
         assert (psi_K(qi, x), pi_K(qi, x)) == expected[x]
@@ -153,7 +153,7 @@ def test_far_windows_are_exact_and_keep_no_store(empty_stores):
     """Windows above the store cap are built alone: delta is the exactly
     rounded window sum, and no store grows past the cap."""
     cls = ResidueClass(4, 1)
-    _, _, w = event_arrays(1e8, 1e8 + 1000, cls)
+    _, _, w = weighed(event_arrays(1e8, 1e8 + 1000, cls))
     assert delta(1e8, 1000, cls) == math.fsum(w) - 500
     assert bt_check_field(preset("Q(i)"), 3e7, 1000).metric == 68
     assert all(bound <= numfield.STORE_BOUND

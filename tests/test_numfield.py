@@ -8,16 +8,16 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
-                      bt_check_field, cramer_window_scan, dedekind_index_test,
-                      field_source, fppoly, numfield, pi_K, pi_ap,
-                      poly_discriminant, preset, preset_names, psi_K, psi_ap,
-                      ResidueClass, sieve_primes, splitting_type,
-                      splitting_types, window_events)
+                      bt_check_ap, bt_check_field, cramer_window_scan,
+                      dedekind_index_test, field_source, fppoly, numfield,
+                      pi_K, pi_ap, poly_discriminant, preset, preset_names,
+                      psi_K, psi_ap, ResidueClass, sieve, sieve_primes,
+                      splitting_type, splitting_types, window_events)
 from primelab.fppoly import factor_degree_multiset
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, base_primes
 
-from conftest import run_python, sieve_ceiling, traced_peak
+from conftest import run_python, sieve_ceiling, traced_peak, weighed
 from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
                      quadratic_splitting, trial_prime_power, trial_primes)
 
@@ -559,17 +559,29 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     assert calls == []
 
 
-def test_store_columns_take_18_bytes_per_event(empty_stores):
-    """Positions, exponents (at most 30 below 10^9, so int16) and weights;
-    neither base nor residue degree is kept, as the norm p^k and the
-    exponent m give both (f = k / m).  Each store column is a buffer of
-    its own, so a store built in one piece holds nothing more (rows of a
-    (4, N) int64 block kept 42 B per event, and four columns with the
-    bases 26 B)."""
-    arrays = ideal_event_arrays(preset("Q(i)"), 1, 2**12)
-    assert [a.dtype for a in arrays] == [np.int64, np.int16, np.float64]
-    assert sum(a.itemsize for a in arrays) == 18
-    assert sum(a.base.nbytes for a in arrays) == 18 * len(arrays[0])
+def test_store_columns_take_10_bytes_per_event(empty_stores):
+    """A store keeps positions and exponents (at most 30 below 10^9, so
+    int16), 10 B per event, and no weights: an event's weight is log of
+    its norm, save for the rows `merge_events` writes (the ideals above
+    the primes up to sqrt(hi)), whose slots and weights (one int64 and
+    one float64 per row) it keeps beside.  Neither base nor residue
+    degree is kept, as the norm p^k and the exponent m give both
+    (f = k / m).  Each store column is a buffer of its own, so a store
+    built in one piece holds nothing more (rows of a (4, N) int64 block
+    kept 42 B per event, four columns with the bases 26 B, and three
+    with the weights 18 B).  A read still returns int64 positions, int16
+    exponents and float64 weights."""
+    qi = preset("Q(i)")
+    read = ideal_event_arrays(qi, 1, 2**16)
+    assert [a.dtype for a in read] == [np.int64, np.int16, np.float64]
+    columns = numfield._store(qi)[1]
+    pos, expo, slots, row_weights = columns
+    assert [a.dtype for a in columns] \
+        == [np.int64, np.int16, np.int64, np.float64]
+    assert pos.nbytes + expo.nbytes == 10 * len(pos)
+    assert slots.nbytes + row_weights.nbytes == 16 * len(slots)
+    assert all(a.base is None for a in columns)
+    assert 0 < len(slots) < len(pos) / 20
 
 
 def reference_event_arrays(lo, hi, cls=EVERYTHING):
@@ -663,7 +675,7 @@ def test_builds_equal_the_stacked_reference(bounds, target):
     roots."""
     lo, hi = bounds
     fld, cls = target if isinstance(target, tuple) else (target, EVERYTHING)
-    got = numfield._build_events(fld, lo, hi, cls)
+    got = weighed(numfield._build_events(fld, lo, hi, cls))
     for a, b in zip(got, reference_build_events(fld, lo, hi, cls),
                     strict=True):
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
@@ -675,14 +687,17 @@ def test_builds_equal_the_stacked_reference(bounds, target):
     ("cyclo7", EVERYTHING, 25.8), ("cyclo5 twin", EVERYTHING, 25.8)],
     ids=["Q", "Q-mod30", "Q(i)", "Q(sqrt5)", "cyclo7", "cyclo5-twin"])
 def test_a_read_is_built_in_its_final_layout(target, cls, budget):
-    """One read of (2^22, 2^23] allocates little beyond the 18 B per event
-    it keeps (tracemalloc's peak: 20-21 B on Q, 24-25.6 B on fields; 26.1 B
-    on fields while the primes above sqrt(hi) outlived their stream; with
-    a bases column 26 B and 34 B, and the stacked builds 48 B on Q and
-    145 B on fields): the columns are filled in place around the stream of
-    primes above sqrt(hi), which the merge frees once the positions are
-    built, and a field's stream repeats each prime once per root.
-    Every column owns its buffer, so no column keeps another alive."""
+    """One read of (2^22, 2^23] allocates little beyond what it holds
+    while the positions are built, the stream and the positions, 16 B per
+    event, and keeps 10 B per event and its rows (tracemalloc's peak:
+    20-21 B on Q, 24-25.2 B on fields, as when it kept 18 B with the
+    weights; 26.1 B on fields while the primes above sqrt(hi) outlived
+    their stream; with a bases column 26 B and 34 B, and the stacked
+    builds 48 B on Q and 145 B on fields): the columns are filled in
+    place around the stream of primes above sqrt(hi), which the merge
+    frees once the positions are built, and a field's stream repeats
+    each prime once per root.  Every column owns its buffer, so no
+    column keeps another alive."""
     name, _, kind = target.partition(" ")
     fld = twin(name) if kind else preset(name)
     base_primes(2**12)                  # grows the cache before the trace
@@ -808,6 +823,87 @@ def test_bad_prime_rejects_only_windows_holding_its_powers():
         == bt_check_field(ref, 100, 20).metric
     with pytest.raises(UnsupportedPrimeError):
         bt_check_field(fld, 120, 10)
+
+
+# Q(i) by x^2 + 1009^2, whose index 1009 is a bad prime: its reads below
+# hold no power of 1009 but 1009 itself
+BAD_1009 = NumberFieldSpec.from_poly([1009**2, 0, 1], field_disc=4,
+                                     name="x^2 + 1009^2")
+WEIGHED_WINDOW = (1010.5, 6000.25)      # holds no power of 1009
+
+
+@pytest.mark.parametrize("target, cls", [
+    ("Q", EVERYTHING), ("Q", ResidueClass(30, 7)), ("Q", ResidueClass(12, 4)),
+    ("Q(i)", EVERYTHING), ("cyclo7", EVERYTHING), ("cyclo12", EVERYTHING),
+    ("cyclo5 twin", EVERYTHING), ("bad", EVERYTHING)],
+    ids=["Q", "Q-mod30", "Q-mod12-nonunit", "Q(i)", "cyclo7", "cyclo12",
+         "cyclo5-twin", "bad-prime"])
+def test_weights_agree_on_every_path(target, cls, monkeypatch):
+    """A store keeps no weights, so every read weighs its own events
+    (`sieve.weigh`).  The window's weights are the same bytes from a
+    store slice, from a build of the window alone (it starts past the
+    store's bound), from a store grown by doubling, from the reads of a
+    sweep, and from the stacked reference build; so are its positions
+    and exponents.  Every store starts with a read of (1, 1000], so that
+    no read holds a power of the bad prime 1009."""
+    name, _, kind = target.partition(" ")
+    fld = BAD_1009 if name == "bad" else twin(name) if kind else preset(name)
+    lo, hi = WEIGHED_WINDOW
+    key = (fld.coefficients, fld.field_disc)
+
+    def fresh_store(*tops):
+        monkeypatch.setattr(numfield, "_stores", {})
+        ideal_event_arrays(fld, 1, 1000)
+        for top in tops:
+            ideal_event_arrays(fld, 1010, top)
+        return [bound for bound, _ in numfield._stores.values()]
+
+    reads = {}
+    assert fresh_store(8000) == [8192]
+    reads["slice"] = ideal_event_arrays(fld, lo, hi, cls)
+    monkeypatch.setattr(numfield, "_stores", {})
+    reads["alone"] = ideal_event_arrays(fld, lo, hi, cls)
+    assert key not in numfield._stores
+    assert fresh_store(2000, 4000, 8000) == [8192]
+    reads["doubled"] = ideal_event_arrays(fld, lo, hi, cls)
+    fresh_store()
+    reads["sweep"] = [np.concatenate(column) for column in zip(
+        *numfield.sweep(fld, [lo, 2000, 2**12, 5000, hi], cls))]
+    assert numfield._stores[key][0] == 8192
+    reads["reference"] = reference_build_events(
+        fld, math.floor(lo), math.floor(hi), cls)
+    want = reads.pop("reference")
+    assert len(want[0]) > 0
+    for path, got in reads.items():
+        for a, b in zip(got, want, strict=True):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), path
+
+
+def test_growth_and_counts_weigh_nothing(empty_stores, monkeypatch):
+    """Only a read is weighed: a cold psi_K of Q to 2^22 weighs each
+    event it sums once, so the growth of the store before its sweep
+    weighs none, and Brun-Titchmarsh counts, warm or built past the
+    store, weigh nothing."""
+    weighed_events = []
+    weigh = sieve.weigh
+
+    def counted(pos, slots, row_weights):
+        weighed_events.append(len(pos))
+        return weigh(pos, slots, row_weights)
+
+    monkeypatch.setattr(sieve, "weigh", counted)
+    q = preset("Q")
+    psi_K(q, 2**22)
+    bound, (pos, *_) = numfield._store(q)
+    assert bound == 2**22
+    assert weighed_events == [np.count_nonzero(pos <= 2**21),
+                              np.count_nonzero(pos > 2**21)]
+    weighed_events.clear()
+    bt_check_ap(10**6, 1000, ResidueClass(30, 7))
+    bt_check_ap(10**6, 1000, EVERYTHING)
+    bt_check_ap(3e7, 1000, ResidueClass(4, 1))
+    bt_check_field(preset("Q(i)"), 3e7, 1000)
+    assert weighed_events == []
 
 
 # --- capacity ceiling ---------------------------------------------------

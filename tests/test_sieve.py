@@ -11,7 +11,7 @@ from primelab.numfield import ideal_event_arrays
 from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
                             event_arrays)
 
-from conftest import run_within_rss, sieve_ceiling
+from conftest import run_within_rss, sieve_ceiling, weighed
 from oracles import trial_prime_power, trial_primes
 
 
@@ -224,7 +224,7 @@ def test_merge_puts_prime_powers_in_order(n):
     for lo, hi in windows:
         for cls in (EVERYTHING, ResidueClass(5, n % 5),
                     ResidueClass(6, (n + 1) % 6)):
-            pos, expo, weights = event_arrays(lo, hi, cls)
+            pos, expo, weights = weighed(event_arrays(lo, hi, cls))
             expect = [(k, *trial_prime_power(k)) for k in range(lo + 1, hi + 1)
                       if trial_prime_power(k) and k % cls.modulus
                       == cls.residue]
@@ -284,9 +284,10 @@ PSI_1E8_MOD_30 = {1: 12500396.052297065, 7: 12499988.766029537,
 
 def test_psi_to_1e8_stays_under_65_mb():
     """psi_ap(1e8) grows Q's store to 2^24 once and reads the rest in
-    reads of READ_PIECE norms, each built in its final 18 B per event and
-    dropped before the next: the child peaks under 65 MB (53 MB on a
-    2-core host), where reads of 2^24 norms took 68 MB, building every
+    reads of READ_PIECE norms, each built in its final 10 B per event,
+    weighed and dropped before the next: the child peaks under 65 MB
+    (48.3 MB on a 2-core host, 52 MB while the store kept a weights
+    column), where reads of 2^24 norms took 68 MB, building every
     event at once about 460 MB, building each read through wider
     temporaries 128 MB, and keeping a bases column and the previous read
     of pi_ap 89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
@@ -304,6 +305,17 @@ def test_psi_to_1e8_stays_under_65_mb():
         == PSI_1E8_MOD_30
 
 
+def test_cold_psi_to_1e8_stays_under_50_mb():
+    """A cold psi_ap(1e8) holds Q's store to 2^24 at 10 B per event, its
+    weights made one read at a time as they are summed: the child peaks
+    under 50 MB (48.3 MB on a 2-core host), where a store that kept a
+    weights column, 18 B per event, peaked at 52 MB."""
+    proc = run_within_rss(
+        "from primelab import psi_ap\nprint(repr(psi_ap(1e8)))", 50)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["99998242.79662678"]
+
+
 def test_pi_partition_at_four():
     for x in (2, 10, 97, 1000, 10**4):
         assert pi_ap(x, ResidueClass(4, 1)) + pi_ap(x, ResidueClass(4, 3)) \
@@ -315,11 +327,11 @@ def test_event_partition_is_exact():
     the per-class arrays reassemble to the full set and the fsum-based
     psi values agree exactly."""
     x = 10**4
-    full_pos, _, full_w = event_arrays(1, x)
+    full_pos, _, full_w = weighed(event_arrays(1, x))
     for q in (1, 2, 3, 6, 10):
         parts_pos, parts_w = [], []
         for a in range(q):
-            pos, _, w = event_arrays(1, x, ResidueClass(q, a))
+            pos, _, w = weighed(event_arrays(1, x, ResidueClass(q, a)))
             parts_pos.append(pos)
             parts_w.append(w)
         pos = np.concatenate(parts_pos)
@@ -332,7 +344,7 @@ def test_event_partition_is_exact():
 
 
 def test_chebyshev_envelope():
-    pos, _, w = event_arrays(1, 10**6)
+    pos, _, w = weighed(event_arrays(1, 10**6))
     psi = np.cumsum(w)
     keep = pos >= 100
     x = pos[keep].astype(np.float64)
