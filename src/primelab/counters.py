@@ -8,8 +8,10 @@ own range (lo, hi] through `window_events`, a long one through
 `window_reads` (a `numfield.sweep`), and counts first powers through
 `window_count`, in numfield's layout (positions, exponents, weights):
 a field or a class (Q's events, the class kept) from `numfield`, a
-StepCounter or WindowSource sliced, all of exponent 1.  Each refuses
-lo > hi and a hi past the sieve ceiling.  `window_source` still builds
+StepCounter or WindowSource sliced, all of exponent 1; the Cramer scan
+takes only the first powers' positions, read by read and unweighed,
+through `first_power_reads`.  Each refuses lo > hi and a hi past the
+sieve ceiling.  `window_source` still builds
 a whole-prefix counter over (0, hi]; no experiment reads one.
 """
 
@@ -105,6 +107,17 @@ def window_reads(target, edges):
         return (window_events(src, lo, hi)
                 for lo, hi in itertools.pairwise(edges))
     return numfield.sweep(src, [max(e, 1) for e in edges], cls)
+
+
+def first_power_reads(target, edges):
+    """The positions of the first powers (exponent 1) of each window_reads
+    read in turn, float64, weighing nothing: a class's or a field's are
+    `numfield.first_powers`."""
+    src, cls = _reader(target, edges[0], edges[-1])
+    if cls is None:
+        return (read[0] for read in window_reads(src, edges))
+    return (numfield.first_powers(src, max(lo, 1), max(hi, 1), cls)
+            for lo, hi in itertools.pairwise(edges))
 
 
 def _reader(target, lo, hi):

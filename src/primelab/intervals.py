@@ -3,10 +3,11 @@ integrals, inertia exceedance scans, Brun-Titchmarsh checks, and sliding
 Cramer-window scans.
 
 Each experiment reads only the events of the range it scans, once,
-through `counters.window_events`, and the Cramer scan a read of at most
-`numfield.READ_PIECE` norms at a time (`counters.window_reads`); a
-window sum is the `math.fsum` of its slice, a count an index difference
-or `counters.window_count`, which builds no window.  A target is a
+through `counters.window_events`, and the Cramer scan the first powers
+of a read of at most `numfield.READ_PIECE` norms at a time, unweighed
+(`counters.first_power_reads`); a window sum is the `math.fsum` of its
+slice, a count an index difference or `counters.window_count`, which
+builds no window.  A target is a
 residue class, a number field, or a prebuilt WindowSource.
 
 Delta(x, h) is piecewise constant in x (the drift term is linear only in
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import drift, target_label, window_count, window_events, \
-    window_reads
+from .counters import drift, first_power_reads, target_label, \
+    window_count, window_events
 from .numfield import NumberFieldSpec, read_edges
 from .report import ExperimentReport
 from .sieve import ResidueClass, euler_phi
@@ -31,6 +32,7 @@ from .sieve import ResidueClass, euler_phi
 log = logging.getLogger(__name__)
 
 MAX_WINDOWS = 10**5         # most windows one Cramer scan may slide
+GAP_SLICE = 2**15           # gaps a Cramer scan normalizes at a time
 
 
 def delta(x: float, h: float, target) -> float:
@@ -261,6 +263,19 @@ def _window_law(target):
     return (lambda c, x, m=math: c * (n_K * m.log(x) + log_dk) * m.sqrt(x)), 1
 
 
+def _largest_gap(events, law) -> float:
+    """The largest gap between consecutive events over law(1.0, x) at its
+    left end, 0.0 for fewer than two events, normalized GAP_SLICE gaps at
+    a time, so that no temporary spans a whole read."""
+    top = 0.0
+    for s in range(0, len(events) - 1, GAP_SLICE):
+        part = events[s:s + GAP_SLICE + 1]
+        gaps = np.diff(part)
+        gaps /= law(1.0, part[:-1], np)
+        top = max(top, float(gaps.max()))
+    return top
+
+
 def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
                        target) -> CramerScanResult:
     """Slide windows [x, x + h(x)] with the theorem window law and count
@@ -305,19 +320,16 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     edges, below = edges[order], np.empty(len(edges), np.int64)
     done = seen = 0
     last, c1_emp, ends = np.empty(0), 0.0, iter(reads[1:])
-    for pos, expo, _ in window_reads(target, reads):
-        # float keys on an int64 array would convert it on every search
-        pos = pos[expo == 1].astype(np.float64)
+    for pos in first_power_reads(target, reads):
         j = edges.searchsorted(next(ends), side="right")
         below[done:j] = seen + pos.searchsorted(edges[done:j], side="right")
         done, seen = j, seen + len(pos)
         i, k = pos.searchsorted(x_lo), pos.searchsorted(x_hi, side="right")
         inside = np.concatenate((last, pos[i:k]))
-        if len(inside) >= 2:
-            gaps = np.diff(inside)
-            gaps /= law(1.0, inside[:-1], np)
-            c1_emp = max(c1_emp, float(gaps.max()))
+        del pos                         # before the gaps are normalized
+        c1_emp = max(c1_emp, _largest_gap(inside, law))
         last = inside[-1:].copy()
+        del inside                      # before the next read is built
     below[order] = below.copy()         # back in the order of the edges
     counts = (below[len(starts):] - below[:len(starts)]).tolist()
     windows = [(x, h, count, count * density * math.log(x) / h)

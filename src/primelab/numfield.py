@@ -14,22 +14,27 @@ UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
 Every read makes one store lookup, which checks it and slices one store
-per field, grown by doubling up to STORE_BOUND.  A store keeps 10 B per
-event, int64 positions and int16 exponents, and no weights: an event's
-weight is log of its norm, save for the few rows `sieve.merge_events`
-writes (the ideals above the primes up to sqrt(hi)), whose slots and
-weights it keeps beside.  `_read` returns a read unweighed (Q's with a
-residue class kept), and builds what the store does not hold;
-`ideal_event_arrays` weighs it with `sieve.weigh`, and
-`first_power_count` counts prime ideals in one mask over the slice's
-views, so neither a growth nor a count makes weights.  `sweep` reads a
-long range at most READ_PIECE norms at a time, so its peak is the store
-and one read; the totals `psi_K` and `pi_K` sweep (1, x], `psi_K`
-exactly in integer fixed point.
+per field, grown by doubling up to STORE_BOUND.  A store is a list of
+pieces cut at the multiples of min(READ_PIECE, STORE_BOUND) norms, the
+edges `read_edges` cuts a sweep at, so a growth builds only its new
+range, a piece at a time, and copies no earlier piece.  A piece keeps
+6 B per event, int32 norms and int16 exponents, and no weights: an
+event's weight is log of its norm, save for the few rows
+`sieve.merge_events` writes (the ideals above the primes up to sqrt(hi)),
+whose slots in the piece and weights it keeps beside.  `_read` returns a
+read unweighed (Q's with a residue class kept), and builds what the
+store does not hold; `ideal_event_arrays` widens its positions to int64
+and weighs it with `sieve.weigh`, while `first_power_count` and
+`first_powers` mask each piece's int32 views, so neither a growth nor a
+count makes weights.  `sweep` reads a long range at most READ_PIECE norms
+at a time, so its peak is the store and one read; the totals `psi_K` and
+`pi_K` sweep (1, x], `psi_K` exactly in integer fixed point and `pi_K`
+by counts alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -216,11 +221,15 @@ def _abelian_splitting(m: int, gens: tuple) -> tuple:
     return tuple(table)
 
 
-# one store per field: (bound, columns) holding every event with norm <=
-# bound, unweighed (positions, exponents, rows' slots, rows' weights)
+# one store per field: (bound, pieces), every event with norm <= bound,
+# unweighed, cut at the multiples of min(READ_PIECE, STORE_BOUND) norms
+# (the edges `read_edges` cuts a sweep at, so each read of a sweep lies
+# in one piece); a piece is (top, norms, exponents, rows' slots, rows'
+# weights) of the events with norm in (the previous piece's top, top]
 _stores: dict = {}
 
-# largest bound a store grows to: Q's then holds 1.1M events (10 B each)
+# largest bound a store grows to: Q's then holds 1.1M events (6 B each),
+# its norms int32, exact as STORE_BOUND < 2^31
 STORE_BOUND = 2**24
 # most norms one read of a sweep spans (never more than STORE_BOUND)
 READ_PIECE = 2**21
@@ -288,97 +297,173 @@ def _root_stream(fld: NumberFieldSpec, lo, hi, cls, bad):
 
 
 def _store(fld: NumberFieldSpec):
-    """(bound, columns) of the field's store; (1, None) while empty."""
-    return _stores.get((fld.coefficients, fld.field_disc), (1, None))
+    """(bound, pieces) of the field's store; (1, []) while empty."""
+    return _stores.get((fld.coefficients, fld.field_disc), (1, []))
+
+
+_top = operator.itemgetter(0)            # a piece's top
 
 
 def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
     """The checks of every read of (lo, hi] (range, ceiling, bad primes);
-    then lo and hi floored, the field's `_store`, and the index range
-    (i, j) of the read in its columns, or None (past its bound or
-    STORE_BOUND)."""
+    then lo and hi floored, the field's `_store`, and the read's spans
+    (piece, i, j), its events being piece[1][i:j], in each store piece it
+    meets (found by bisecting the pieces' tops), or None (past the store's
+    bound or STORE_BOUND)."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     sieve.check_capacity(hi)
-    # integer positions: exact, and float keys would copy the whole store
+    # integer positions: exact, and float keys would copy a piece
     lo, hi = math.floor(lo), math.floor(hi)
     if fld.bad_primes:
         for p in sorted(fld.bad_primes):  # p^k <= hi needs k < bit_length
             if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
                 raise UnsupportedPrimeError(p, fld.name)
-    store = bound, columns = _store(fld)
-    if columns is None or hi > min(bound, STORE_BOUND):
+    store = bound, pieces = _store(fld)
+    if not pieces or hi > min(bound, STORE_BOUND):
         return lo, hi, store, None
-    # Python ints: numpy scalar bounds slice more slowly
-    return lo, hi, store, columns[0].searchsorted((lo, hi),
-                                                  side="right").tolist()
+    # the pieces that (lo, hi] meets, by their tops; an empty read gets one
+    last = bisect.bisect_left(pieces, hi, key=_top)
+    keys = np.array((lo, hi), np.int32)     # int64 keys would copy a piece
+    spans = []
+    for piece in pieces[bisect.bisect_right(pieces, lo, 0, last, key=_top):
+                        last + 1]:
+        i, j = piece[1].searchsorted(keys, side="right").tolist()
+        spans.append((piece, i, j))
+    return lo, hi, store, spans
+
+
+def _slice(piece, i: int, j: int):
+    """The events piece[1][i:j] as a read: views of the norms and
+    exponents, and the rows whose slots lie in the slice."""
+    _, pos, expo, slots, row_weights = piece
+    k, m = slots.searchsorted((i, j)).tolist()
+    return pos[i:j], expo[i:j], slots[k:m] - i, row_weights[k:m]
+
+
+def _join(reads):
+    """One read of consecutive reads, each (positions, exponents, slots,
+    row weights): the columns joined, each read's slots offset by the
+    events before it.  A single read is returned as it is."""
+    if len(reads) == 1:
+        return reads[0]
+    pos, expo, slots, row_weights = zip(*reads)
+    offsets = itertools.accumulate(map(len, pos[:-1]), initial=0)
+    return (np.concatenate(pos), np.concatenate(expo),
+            np.concatenate([s + n for s, n in zip(slots, offsets)]),
+            np.concatenate(row_weights))
+
+
+def _in_class(pos, cls):
+    """The mask pos % q == a.  A store's int32 norms lie below STORE_BOUND,
+    so a modulus past int32 leaves each its own residue."""
+    if cls.modulus >> 31 and pos.dtype == np.int32:
+        return pos == cls.residue
+    return pos % cls.modulus == cls.residue
+
+
+def _grow(fld: NumberFieldSpec, bound: int, pieces: list, hi: int):
+    """Grow the store's pieces from bound to the next power of two above
+    hi (at least 1024, at most the sieve ceiling and STORE_BOUND): each
+    new range between the edges `read_edges` cuts is built alone, its
+    norms made int32, and joins the last piece if that ends off an edge;
+    every earlier piece is kept as it is."""
+    new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
+                        sieve.CEILING.get(), STORE_BOUND))
+    step, pieces = min(READ_PIECE, STORE_BOUND), list(pieces)
+    for lo, top in itertools.pairwise(read_edges(bound, new_bound)):
+        pos, *rest = _build_events(fld, lo, top)
+        part = (pos.astype(np.int32), *rest)
+        if lo % step and pieces:
+            part = _join([pieces.pop()[1:], part])
+        pieces.append((top, *part))
+    _stores[fld.coefficients, fld.field_disc] = new_bound, pieces
 
 
 def _read(fld: NumberFieldSpec, lo: float, hi: float, cls=sieve.EVERYTHING):
     """(positions, exponents, slots, row weights) of the events with norm
     in (lo, hi] and in class cls, unweighed (`sieve.weigh` gives their
-    weights).
+    weights); positions are int32 from the store, int64 from a build.
 
     A read that starts inside the field's store (lo <= its bound) and
-    ends below STORE_BOUND slices it, first growing it to the next power
-    of two above hi (at most STORE_BOUND and the sieve ceiling) by
-    building only the new range; any other read builds (lo, hi] alone,
-    in class cls, and keeps nothing: every build is made here.  A store
-    holds positions and exponents, and the rows' slots (a growth offsets
-    the new part's by the store's length) and weights; a slice keeps the
-    rows whose slots lie in it, a class the rows in the class."""
-    lo, hi, (bound, columns), span = _lookup(fld, lo, hi)
-    if span is None:
+    ends below STORE_BOUND slices the store's pieces, first growing it
+    (`_grow`); any other read builds (lo, hi] alone, in class cls, and
+    keeps nothing: every build is made here.  A read inside one piece
+    is views of its norms and exponents, one across a piece's edge joins
+    its slices, and a class keeps, in each slice before the join, the
+    events and the rows in it."""
+    lo, hi, (bound, pieces), spans = _lookup(fld, lo, hi)
+    if spans is None:
         if hi > STORE_BOUND or lo > bound:
             return _build_events(fld, lo, hi, cls)
-        new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
-                            sieve.CEILING.get(), STORE_BOUND))
-        part = _build_events(fld, bound, new_bound)
-        if columns is not None:
-            np.add(part[2], len(columns[0]), out=part[2])   # its slots
-            part = [np.concatenate(pair) for pair in zip(columns, part)]
-        columns = part
-        _stores[fld.coefficients, fld.field_disc] = new_bound, columns
-        span = columns[0].searchsorted((lo, hi), side="right").tolist()
-    i, j = span
-    pos, expo, slots, row_weights = columns
-    k, m = slots.searchsorted((i, j)).tolist()
-    pos, expo, slots = pos[i:j], expo[i:j], slots[k:m] - i
-    if cls.modulus == 1:
-        return pos, expo, slots, row_weights[k:m]
-    keep = (pos % cls.modulus == cls.residue).nonzero()[0]
-    rows = (pos[slots] % cls.modulus == cls.residue).nonzero()[0]
+        _grow(fld, bound, pieces, hi)
+        spans = _lookup(fld, lo, hi)[3]
+    reads = [_slice(*span) for span in spans]
+    if cls.modulus != 1:
+        reads = [_keep(read, cls) for read in reads]
+    return _join(reads)
+
+
+def _keep(read, cls):
+    """The events of a read in class cls, and the rows among them."""
+    pos, expo, slots, row_weights = read
+    keep = _in_class(pos, cls).nonzero()[0]
+    rows = _in_class(pos.take(slots), cls).nonzero()[0]
     return (pos.take(keep), expo.take(keep),
-            keep.searchsorted(slots.take(rows)), row_weights[k:m].take(rows))
+            keep.searchsorted(slots.take(rows)), row_weights.take(rows))
 
 
 def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
                        cls=sieve.EVERYTHING):
     """(positions, exponents, weights) of the events with norm in (lo, hi]
     and in residue class cls, int64, int16 and float64; the weight of P^m
-    is log N(P).  The events of `_read`, weighed: a read the store holds
-    returns views of its positions and exponents.  A bad prime raises
-    UnsupportedPrimeError if one of its powers, the norms of the ideals
-    above it, lies in (lo, hi]."""
+    is log N(P).  The events of `_read`, their positions widened to int64
+    and weighed: a read inside one store piece returns a view of its
+    exponents.  A bad prime raises UnsupportedPrimeError if one of its
+    powers, the norms of the ideals above it, lies in (lo, hi]."""
     pos, expo, slots, row_weights = _read(fld, lo, hi, cls)
+    pos = pos.astype(np.int64, copy=False)
     return pos, expo, sieve.weigh(pos, slots, row_weights)
+
+
+def _spans(fld: NumberFieldSpec, lo: float, hi: float, cls) -> list:
+    """`_lookup`'s spans (piece, i, j) of the read of (lo, hi], or, if the
+    store does not hold it, one span of the whole unweighed `_read` of the
+    checked bounds, in class cls."""
+    lo, hi, _, spans = _lookup(fld, lo, hi)
+    if spans is None:
+        return [((hi, *_read(fld, lo, hi, cls)), 0, None)]
+    return spans
+
+
+def _first(pos, expo, cls):
+    """The mask of the exponents 1 in class cls."""
+    first = expo == 1
+    if cls.modulus != 1:
+        first &= _in_class(pos, cls)
+    return first
 
 
 def first_power_count(fld: NumberFieldSpec, lo: float, hi: float,
                       cls=sieve.EVERYTHING) -> int:
     """The exponents 1 (prime ideals) `ideal_event_arrays` would read,
-    counted in one mask over the store's views, or over the unweighed
-    `_read` of the checked bounds if the store does not hold them."""
-    lo, hi, (_, columns), span = _lookup(fld, lo, hi)
-    if span is None:
-        pos, expo = _read(fld, lo, hi, cls)[:2]
-    else:
-        i, j = span
-        pos, expo = columns[0][i:j], columns[1][i:j]
-    first = expo == 1
-    if cls.modulus != 1:
-        first &= pos % cls.modulus == cls.residue
-    return int(np.count_nonzero(first))
+    counted in one mask over each store piece's views, weighing
+    nothing."""
+    count = 0
+    for piece, i, j in _spans(fld, lo, hi, cls):
+        count += int(np.count_nonzero(_first(piece[1][i:j], piece[2][i:j],
+                                             cls)))
+    return count
+
+
+def first_powers(fld: NumberFieldSpec, lo: float, hi: float,
+                 cls=sieve.EVERYTHING):
+    """The positions of the exponents 1 `ideal_event_arrays` would read,
+    as float64, weighing nothing."""
+    reads = [(piece[1][i:j], piece[2][i:j])
+             for piece, i, j in _spans(fld, lo, hi, cls)]
+    return np.concatenate([pos[_first(pos, expo, cls)] for pos, expo in reads],
+                          dtype=np.float64)
 
 
 def read_edges(lo: float, hi: float) -> list:
@@ -394,25 +479,24 @@ def read_edges(lo: float, hi: float) -> list:
 def sweep(fld: NumberFieldSpec, edges, cls=sieve.EVERYTHING):
     """ideal_event_arrays over each (edges[i], edges[i + 1]] in turn, the
     edges ascending from 1 on, so that a sweep holds one read and the
-    store at a time.  A sweep that starts inside the store first grows it
-    to min(edges[-1], STORE_BOUND) with one unweighed `_read` of views:
-    grown a read at a time, each growth would copy the whole store."""
-    if math.floor(edges[0]) <= _store(fld)[0]:
-        _read(fld, edges[0], min(edges[-1], STORE_BOUND))
+    store at a time; a read from inside the store past its bound grows
+    it, a piece at a time."""
     for lo, hi in itertools.pairwise(edges):
         yield ideal_event_arrays(fld, lo, hi, cls)
 
 
-def _reads_to(fld: NumberFieldSpec, x: float, cls, column: int):
-    """One column of the `sweep` of (1, x] (for Q, in class cls: 1
-    exponents, 2 weights); as only the column is kept (map holds no
-    read), each read is dropped before the next is built."""
+def _edges_to(x: float) -> list:
+    """`read_edges` of (1, x], or none if x < 2 (no norm lies below 2)."""
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if x < 2:
-        return
-    yield from map(operator.itemgetter(column),
-                   sweep(fld, read_edges(1, x), cls))
+    return read_edges(1, x) if x >= 2 else []
+
+
+def _reads_to(fld: NumberFieldSpec, x: float, cls):
+    """The weights of each read of the `sweep` of (1, x] (for Q, in class
+    cls); as only they are kept (map holds no read), each read is dropped
+    before the next is built."""
+    return map(operator.itemgetter(2), sweep(fld, _edges_to(x), cls))
 
 
 def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
@@ -421,7 +505,7 @@ def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
     number w 2^53 = a 2^26 + b over 2^53, with exact float limbs
     a = floor(w 2^27) and b = (w 2^27 - a) 2^26, summed as ints."""
     total = 0
-    for w in _reads_to(fld, x, cls, 2):
+    for w in _reads_to(fld, x, cls):
         if not w.min(initial=0.5) >= 0.5:             # NaN fails too
             raise ArithmeticError("a weight below 1/2 has inexact limbs")
         limb = w * 2.0**27
@@ -433,10 +517,10 @@ def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:
 
 
 def pi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> int:
-    """Number of prime ideals with norm <= x (for Q, in class cls)."""
-    # map, unlike a generator expression, drops each read before the next
-    return sum(map(lambda expo: int(np.count_nonzero(expo == 1)),
-                   _reads_to(fld, x, cls, 1)))
+    """Number of prime ideals with norm <= x (for Q, in class cls): the
+    `first_power_count` of each read of (1, x] that `read_edges` cuts."""
+    return sum(first_power_count(fld, lo, hi, cls)
+               for lo, hi in itertools.pairwise(_edges_to(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,9 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     Exactly rounded (`numfield.psi_K` sums in integer fixed point), so
     partitioning the event set over residue classes cannot change the
     total.  Above Q's store only the class is sieved.  A cold
-    psi_ap(1e8) on a 2-core host: 0.25-0.3 s and 49 MB peak for q = 1,
-    0.1 s and 49 MB for q = 30.
+    psi_ap(1e8) on a 2-core host: 0.25 s and 41 MB peak for q = 1,
+    0.07-0.1 s and 41 MB for q = 30 (48 MB with int64 norms in one store
+    column).
     """
     from .numfield import preset, psi_K  # numfield imports this module
     return psi_K(preset("Q"), x, cls)

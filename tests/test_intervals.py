@@ -12,7 +12,8 @@ from primelab import (CapacityError, NumberFieldSpec, ResidueClass,
                       meansq_ratio, pi_K, pi_ap, preset, preset_names,
                       numfield, progression_source, psi_K, psi_ap,
                       sieve_primes, smoothed_sum, window_events)
-from primelab.counters import drift, target_label, window_count, window_reads
+from primelab.counters import drift, first_power_reads, target_label, \
+    window_count, window_reads
 from primelab.numfield import ideal_event_arrays
 from primelab.sieve import EVERYTHING, event_arrays
 
@@ -124,7 +125,9 @@ def test_totals_in_small_reads_equal_the_one_read_values(
         piece, empty_stores, monkeypatch):
     """With READ_PIECE lowered to 1000 or 2^12 norms the totals sweep
     (1, x] in many reads, and psi_ap, pi_ap, psi_K and pi_K equal, bit for
-    bit, the values of one read of (1, x] (x <= 2^21, one default read)."""
+    bit, the values of one read of (1, x] (x <= 2^21, one default read).
+    psi reads through ideal_event_arrays, pi counts through
+    first_power_count, and both are recorded."""
     qi, classes = preset("Q(i)"), [ResidueClass(q, 1 % q) for q in (1, 4, 30)]
     xs = (1000.5, 4096, 70000.5, 2**21)
 
@@ -136,14 +139,17 @@ def test_totals_in_small_reads_equal_the_one_read_values(
     monkeypatch.setattr(numfield, "_stores", {})
     monkeypatch.setattr(numfield, "READ_PIECE", piece)
     reads = []
-    read = numfield.ideal_event_arrays
 
-    def recorded(fld, lo, hi, *cls):
-        if cls:                         # not the read that grows the store
-            reads.append(math.floor(hi) - math.floor(lo))
-        return read(fld, lo, hi, *cls)
+    def recorder(read):
+        def recorded(fld, lo, hi, *cls):
+            if cls:                     # a read of a total
+                reads.append(math.floor(hi) - math.floor(lo))
+            return read(fld, lo, hi, *cls)
+        return recorded
 
-    monkeypatch.setattr(numfield, "ideal_event_arrays", recorded)
+    for name in ("ideal_event_arrays", "first_power_count"):
+        monkeypatch.setattr(numfield, name,
+                            recorder(getattr(numfield, name)))
     assert [totals(x) for x in xs] == expected
     assert len(reads) > 8 * 2**21 // piece
     assert all(width <= piece for width in reads)
@@ -161,8 +167,8 @@ def test_far_windows_are_exact_and_keep_no_store(empty_stores):
 
 
 def record_reads(monkeypatch):
-    """The (lo, hi) of every window_events read and window_reads sweep
-    the experiments make."""
+    """The (lo, hi) of every window_events read and first_power_reads
+    sweep the experiments make."""
     calls = []
 
     def read(target, lo, hi):
@@ -171,10 +177,10 @@ def record_reads(monkeypatch):
 
     def sweep(target, edges):
         calls.append((edges[0], edges[-1]))
-        return window_reads(target, edges)
+        return first_power_reads(target, edges)
 
     monkeypatch.setattr(intervals, "window_events", read)
-    monkeypatch.setattr(intervals, "window_reads", sweep)
+    monkeypatch.setattr(intervals, "first_power_reads", sweep)
     return calls
 
 
@@ -570,8 +576,9 @@ def test_every_read_has_numfield_layout(name):
     int16 and float64 arrays (float64 positions for a synthetic source):
     a class's or a field's are ideal_event_arrays' byte for byte, and
     window_reads yields numfield.sweep's reads over the same edges; a
-    synthetic source's events all have exponent 1.  The windows miss
-    every power of BAD_TWO's bad prime 2."""
+    synthetic source's events all have exponent 1.  first_power_reads
+    yields the float64 positions of each read's exponents 1.  The
+    windows miss every power of BAD_TWO's bad prime 2."""
     target = LAYOUT_TARGETS[name]
     edges = [1030, 1300.5, 1700, 2040]
 
@@ -596,13 +603,17 @@ def test_every_read_has_numfield_layout(name):
     assert len(reads) == len(wants) == len(edges) - 1
     for read, want in zip(reads, wants):
         same(read, want)
+    firsts = list(first_power_reads(target, edges))
+    assert len(firsts) == len(reads)
+    for got, (pos, expo, _) in zip(firsts, reads):
+        same([got], [pos[expo == 1].astype(np.float64)])
 
 
 def test_warm_bt_checks_build_nothing(monkeypatch):
     """Once the stores hold their windows (a total grows them),
     bt_check_ap and bt_check_field count from views of them: no build,
     no call of ideal_event_arrays, and the stores keep their bounds and
-    their very columns."""
+    their very pieces."""
     windows = [(5000, 400), (1000.5, 120), (7000, 900)]
     classes = [ResidueClass(1, 0), ResidueClass(30, 7), ResidueClass(4, 3)]
     fields = [preset(name) for name in ("Q(i)", "cyclo5", "Q(sqrt5)")]
@@ -624,9 +635,10 @@ def test_warm_bt_checks_build_nothing(monkeypatch):
     monkeypatch.setattr(numfield, "ideal_event_arrays", refused)
     assert checks() == expected
     assert numfield._stores.keys() == stores.keys()
-    for key, (bound, columns) in numfield._stores.items():
+    for key, (bound, pieces) in numfield._stores.items():
         assert bound == stores[key][0]
-        assert all(a is b for a, b in zip(columns, stores[key][1]))
+        assert len(pieces) == len(stores[key][1])
+        assert all(a is b for a, b in zip(pieces, stores[key][1]))
 
 
 # --- Cramer scans -------------------------------------------------------

@@ -14,10 +14,11 @@ from primelab import (CapacityError, NumberFieldSpec, UnsupportedPrimeError,
                       psi_K, psi_ap, ResidueClass, sieve, sieve_primes,
                       splitting_type, splitting_types, window_events)
 from primelab.fppoly import factor_degree_multiset
-from primelab.numfield import ideal_event_arrays
+from primelab.numfield import first_power_count, ideal_event_arrays
 from primelab.sieve import EVERYTHING, base_primes
 
-from conftest import run_python, sieve_ceiling, traced_peak, weighed
+from conftest import (run_python, run_within_rss, sieve_ceiling, traced_peak,
+                      weighed)
 from oracles import (cyclotomic_splitting, is_prime_trial, kronecker_symbol,
                      quadratic_splitting, trial_prime_power, trial_primes)
 
@@ -559,29 +560,125 @@ def test_store_growth_matches_fresh_build(name, empty_stores, monkeypatch):
     assert calls == []
 
 
-def test_store_columns_take_10_bytes_per_event(empty_stores):
-    """A store keeps positions and exponents (at most 30 below 10^9, so
-    int16), 10 B per event, and no weights: an event's weight is log of
-    its norm, save for the rows `merge_events` writes (the ideals above
-    the primes up to sqrt(hi)), whose slots and weights (one int64 and
-    one float64 per row) it keeps beside.  Neither base nor residue
-    degree is kept, as the norm p^k and the exponent m give both
-    (f = k / m).  Each store column is a buffer of its own, so a store
-    built in one piece holds nothing more (rows of a (4, N) int64 block
-    kept 42 B per event, four columns with the bases 26 B, and three
-    with the weights 18 B).  A read still returns int64 positions, int16
-    exponents and float64 weights."""
+def test_store_pieces_take_6_bytes_per_event(empty_stores):
+    """A store keeps, in each piece, int32 norms (below STORE_BOUND, so
+    exact) and int16 exponents (at most 30 below 10^9), 6 B per event,
+    and no weights: an event's weight is log of its norm, save for the
+    rows `merge_events` writes (the ideals above the primes up to
+    sqrt(hi)), whose slots in the piece and weights (one int64 and one
+    float64 per row) it keeps beside.  Neither base nor residue degree is
+    kept, as the norm p^k and the exponent m give both (f = k / m).  Each
+    column is a buffer of its own, so a piece holds nothing more (rows of
+    a (4, N) int64 block kept 42 B per event, four columns with the bases
+    26 B, three with the weights 18 B, and int64 norms 10 B).  A read
+    still returns int64 positions, int16 exponents and float64 weights."""
     qi = preset("Q(i)")
     read = ideal_event_arrays(qi, 1, 2**16)
     assert [a.dtype for a in read] == [np.int64, np.int16, np.float64]
-    columns = numfield._store(qi)[1]
+    (top, *columns), = numfield._store(qi)[1]
     pos, expo, slots, row_weights = columns
+    assert top == 2**16
     assert [a.dtype for a in columns] \
-        == [np.int64, np.int16, np.int64, np.float64]
-    assert pos.nbytes + expo.nbytes == 10 * len(pos)
+        == [np.int32, np.int16, np.int64, np.float64]
+    assert pos.nbytes + expo.nbytes == 6 * len(pos)
     assert slots.nbytes + row_weights.nbytes == 16 * len(slots)
     assert all(a.base is None for a in columns)
     assert 0 < len(slots) < len(pos) / 20
+    assert np.array_equal(pos, read[0])
+
+
+def test_int32_norms_need_store_bound_below_2_to_31():
+    """A store's norms are int32, exact only while every norm a store
+    holds, at most STORE_BOUND, stays below 2^31.  Raising the sieve
+    ceiling to 10^12 (ROADMAP item 6) moves positions past 2^31 only
+    above STORE_BOUND, in reads built alone as int64, so it leaves this
+    bound alone."""
+    assert numfield.STORE_BOUND < 2**31 == np.iinfo(np.int32).max + 1
+    assert numfield.READ_PIECE <= numfield.STORE_BOUND
+
+
+def whole_pieces(fld, step):
+    """The store's pieces that end on a read edge (a multiple of step),
+    which no growth extends."""
+    return [p for p in numfield._store(fld)[1] if p[0] % step == 0]
+
+
+@pytest.mark.parametrize("name, piece, tops", [
+    ("Q", None, [2**21, 2**22, 2**23, 2**24]),
+    ("Q(i)", 1000, [2**12, 2**13, 2**14, 2**15, 2**16])],
+    ids=["Q-2^21-to-2^24", "Q(i)-piece-1000"])
+def test_growth_keeps_every_earlier_piece(name, piece, tops, empty_stores,
+                                          monkeypatch):
+    """A growth builds only the new range, extends only the last piece if
+    it ends off a read edge, and appends the rest: every earlier whole
+    piece stays the very same object, and the pieces are cut at the
+    multiples of min(READ_PIECE, STORE_BOUND)."""
+    if piece is not None:
+        monkeypatch.setattr(numfield, "READ_PIECE", piece)
+    step = min(numfield.READ_PIECE, numfield.STORE_BOUND)
+    fld = preset(name)
+    first_power_count(fld, 1, tops[0])
+    for top in tops[1:]:
+        before = whole_pieces(fld, step)
+        first_power_count(fld, 1, top)
+        bound, pieces = numfield._store(fld)
+        assert bound == top
+        assert [p[0] for p in pieces] == [*range(step, top, step), top]
+        assert all(a is b for a, b in zip(before, pieces))
+        assert len(pieces) > len(before)
+
+
+def test_ten_preset_stores_stay_under_110_mb():
+    """The ten presets' stores grown to 2^24 in one process hold 65 MB of
+    pieces at 6 B per event and the child peaks under 110 MB (97.8 MB on
+    a 2-core host), where stores at 10 B per event, grown by
+    concatenation, held 108 MB and peaked at 160 MB."""
+    proc = run_within_rss(
+        "from primelab import numfield\n"
+        "for name in numfield.preset_names():\n"
+        "    numfield.pi_K(numfield.preset(name), 2**24)\n"
+        "print(sorted({bound for bound, _ in numfield._stores.values()}),"
+        " len(numfield._stores))", 110)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[16777216]", "10"]
+
+
+STRADDLE_TARGETS = {"Q": EVERYTHING, "Q-mod30": ResidueClass(30, 7),
+                    "Q-mod12-nonunit": ResidueClass(12, 4),
+                    "Q(i)": EVERYTHING, "cyclo12": EVERYTHING}
+
+
+@functools.cache
+def pieced_stores(name, piece):
+    """Stores grown to 2^16 in pieces of `piece` norms: the field's, or
+    Q's for a class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numfield, "_stores", {})
+        mp.setattr(numfield, "READ_PIECE", piece)
+        pi_K(preset(name.partition("-")[0]), 2**16)
+        return numfield._stores
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(STRADDLE_TARGETS)),
+       piece=st.sampled_from([1000, 2**12]), edge=st.integers(1, 15),
+       before=st.integers(1, 5000), after=st.integers(0, 5000))
+@example(name="Q(i)", piece=1000, edge=1, before=999, after=64535)
+def test_reads_across_piece_edges_equal_a_fresh_build(name, piece, edge,
+                                                      before, after):
+    """A read that straddles one or more piece edges joins its slices:
+    it equals a fresh `_build_events` read of its window, weighed, in
+    dtype and bytes, for Q, a unit and a non-unit class of Q, and two
+    fields, in pieces of 1000 and 2^12 norms."""
+    fld, cls = preset(name.partition("-")[0]), STRADDLE_TARGETS[name]
+    lo, hi = max(1, edge * piece - before), min(edge * piece + after, 2**16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numfield, "_stores", pieced_stores(name, piece))
+        got = ideal_event_arrays(fld, lo, hi, cls)
+        assert numfield._stores is pieced_stores(name, piece)
+    want = weighed(numfield._build_events(fld, lo, hi, cls))
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def reference_event_arrays(lo, hi, cls=EVERYTHING):
@@ -880,10 +977,11 @@ def test_weights_agree_on_every_path(target, cls, monkeypatch):
 
 
 def test_growth_and_counts_weigh_nothing(empty_stores, monkeypatch):
-    """Only a read is weighed: a cold psi_K of Q to 2^22 weighs each
-    event it sums once, so the growth of the store before its sweep
-    weighs none, and Brun-Titchmarsh counts, warm or built past the
-    store, weigh nothing."""
+    """Only a sum weighs its reads: a cold and a warm pi_K of Q to 2^22
+    weigh nothing, a cold psi_K weighs each event it sums once (its two
+    reads are the store's two pieces), so the growth of the store weighs
+    none, and Brun-Titchmarsh counts, warm or built past the store, and a
+    q = 1 Cramer scan over (1e3, 1e7] weigh nothing."""
     weighed_events = []
     weigh = sieve.weigh
 
@@ -893,16 +991,19 @@ def test_growth_and_counts_weigh_nothing(empty_stores, monkeypatch):
 
     monkeypatch.setattr(sieve, "weigh", counted)
     q = preset("Q")
+    assert pi_K(q, 2**22) == pi_K(q, 2**22) == 295947     # cold, then warm
+    assert weighed_events == []
+    numfield._stores.clear()
     psi_K(q, 2**22)
-    bound, (pos, *_) = numfield._store(q)
+    bound, pieces = numfield._store(q)
     assert bound == 2**22
-    assert weighed_events == [np.count_nonzero(pos <= 2**21),
-                              np.count_nonzero(pos > 2**21)]
+    assert weighed_events == [len(pos) for _, pos, *_ in pieces]
     weighed_events.clear()
     bt_check_ap(10**6, 1000, ResidueClass(30, 7))
     bt_check_ap(10**6, 1000, EVERYTHING)
     bt_check_ap(3e7, 1000, ResidueClass(4, 1))
     bt_check_field(preset("Q(i)"), 3e7, 1000)
+    assert cramer_window_scan(1e3, 1e7, 4.0, EVERYTHING).verdict == "pass"
     assert weighed_events == []
 
 

@@ -283,11 +283,11 @@ PSI_1E8_MOD_30 = {1: 12500396.052297065, 7: 12499988.766029537,
 
 
 def test_psi_to_1e8_stays_under_65_mb():
-    """psi_ap(1e8) grows Q's store to 2^24 once and reads the rest in
-    reads of READ_PIECE norms, each built in its final 10 B per event,
+    """psi_ap(1e8) grows Q's store to 2^24 a piece at a time and reads the
+    rest in reads of READ_PIECE norms, each built in its final layout,
     weighed and dropped before the next: the child peaks under 65 MB
-    (48.3 MB on a 2-core host, 52 MB while the store kept a weights
-    column), where reads of 2^24 norms took 68 MB, building every
+    (40.4 MB on a 2-core host, 48.3 MB with int64 norms in one store
+    column, 52 MB while the store kept a weights column), where reads of 2^24 norms took 68 MB, building every
     event at once about 460 MB, building each read through wider
     temporaries 128 MB, and keeping a bases column and the previous read
     of pi_ap 89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
@@ -305,13 +305,15 @@ def test_psi_to_1e8_stays_under_65_mb():
         == PSI_1E8_MOD_30
 
 
-def test_cold_psi_to_1e8_stays_under_50_mb():
-    """A cold psi_ap(1e8) holds Q's store to 2^24 at 10 B per event, its
+def test_cold_psi_to_1e8_stays_under_45_mb():
+    """A cold psi_ap(1e8) grows Q's store to 2^24 one piece of READ_PIECE
+    norms at a time, at 6 B per event, and copies no earlier piece, its
     weights made one read at a time as they are summed: the child peaks
-    under 50 MB (48.3 MB on a 2-core host), where a store that kept a
-    weights column, 18 B per event, peaked at 52 MB."""
+    under 45 MB (40.4 MB on a 2-core host), where one store at 10 B per
+    event, grown in one build and by concatenation, peaked at 48 MB, and
+    one that kept a weights column, 18 B per event, at 52 MB."""
     proc = run_within_rss(
-        "from primelab import psi_ap\nprint(repr(psi_ap(1e8)))", 50)
+        "from primelab import psi_ap\nprint(repr(psi_ap(1e8)))", 45)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["99998242.79662678"]
 
