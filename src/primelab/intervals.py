@@ -325,11 +325,12 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
         below[done:j] = seen + pos.searchsorted(edges[done:j], side="right")
         done, seen = j, seen + len(pos)
         i, k = pos.searchsorted(x_lo), pos.searchsorted(x_hi, side="right")
-        inside = np.concatenate((last, pos[i:k]))
-        del pos                         # before the gaps are normalized
-        c1_emp = max(c1_emp, _largest_gap(inside, law))
-        last = inside[-1:].copy()
-        del inside                      # before the next read is built
+        c1_emp = max(c1_emp,
+                     _largest_gap(np.concatenate((last, pos[i:k][:1])), law),
+                     _largest_gap(pos[i:k], law))
+        if k > i:
+            last = pos[k - 1:k].copy()
+        del pos                         # before the next read is built
     below[order] = below.copy()         # back in the order of the edges
     counts = (below[len(starts):] - below[:len(starts)]).tolist()
     windows = [(x, h, count, count * density * math.log(x) / h)

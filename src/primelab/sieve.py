@@ -149,9 +149,14 @@ def sieve_primes(lo: float, hi: float,
                 off = first - s0
                 for p, i in zip(plist, np.maximum(off, off % base).tolist()):
                     mask[i::p] = False
-                chunks.append(np.flatnonzero(mask) * step + (r + step * s0))
+                idx = np.flatnonzero(mask)      # in place: no temporaries
+                idx *= step
+                idx += r + step * s0
+                chunks.append(idx)
     head = [n for n in few if lo < n <= hi
             and np.all(n % base_primes(math.isqrt(n)))]
+    if not head and len(chunks) == 1:
+        return chunks[0]
     return np.concatenate([np.array(head, dtype=np.int64), *chunks])
 
 
