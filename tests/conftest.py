@@ -66,6 +66,28 @@ def run_within_rss(code, budget_mb, *args):
                        *args])
 
 
+# Linux counts each process's minor page faults in ru_minflt; other
+# systems may leave it 0
+LINUX_ONLY = pytest.mark.skipif(
+    sys.platform != "linux", reason="counts Linux minor page faults")
+
+
+def run_counting_faults(setup, measured):
+    """Run `setup`, then `measured`, in a run_python child: (the child's
+    process, the minor page faults it took while `measured` ran, from its
+    own getrusage before and after, or None if it failed).  A warm call
+    that takes few faults reuses the memory it freed, where one that
+    takes hundreds per read maps and faults in fresh pages."""
+    proc = run_python(["-c", "import resource, sys\n" + setup
+                       + "\nbefore = resource.getrusage("
+                       "resource.RUSAGE_SELF).ru_minflt\n" + measured
+                       + "\nfaults = resource.getrusage("
+                       "resource.RUSAGE_SELF).ru_minflt - before\n"
+                       "print(f'faults {faults}', file=sys.stderr)\n"])
+    faults = int(proc.stderr.split()[-1]) if proc.returncode == 0 else None
+    return proc, faults
+
+
 def traced_peak(fn):
     """(fn(), the peak in bytes of what it allocated while it ran), by
     tracemalloc: numpy reports its buffers there, so unlike a child's peak

@@ -11,7 +11,8 @@ from primelab.numfield import ideal_event_arrays
 from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
                             event_arrays)
 
-from conftest import run_within_rss, sieve_ceiling, weighed
+from conftest import (LINUX_ONLY, run_counting_faults, run_within_rss,
+                      sieve_ceiling, weighed)
 from oracles import trial_prime_power, trial_primes
 
 
@@ -161,6 +162,32 @@ def test_steps_wider_than_the_window_are_tested_alone(q):
     assert pi_ap(3e7, ResidueClass(q, 101)) == 1
 
 
+@pytest.mark.parametrize("segment, cls, lo, hi", [
+    (None, EVERYTHING, 1000, 30000), (None, ResidueClass(30, 7), 100, 30000),
+    (64, EVERYTHING, 10, 3000), (8, ResidueClass(30, 7), 0, 3000),
+    (64, EVERYTHING, 0, 3000), (None, EVERYTHING, 1, 2),
+    (None, ResidueClass(5, 0), 0, 10), (None, EVERYTHING, 24, 28),
+    (None, ResidueClass(30, 7), 24, 28)],
+    ids=["one-segment", "one-class-segment", "segments", "class-segments",
+         "segments-and-head", "head-2", "head-q", "empty-segment",
+         "empty-one-member"])
+def test_every_return_shape_matches_trial_division(segment, cls, lo, hi,
+                                                   monkeypatch):
+    """The sieve returns one segment with no head number as it was built,
+    and joins the rest: several segments (DEFAULT_SEGMENT patched small),
+    a head number alone (2, or q of a = 0), or none.  Each is int64 and
+    C-contiguous, equals trial division, and owns its buffer or views one
+    of its own size, so no caller keeps a larger buffer alive."""
+    if segment is not None:
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT", segment)
+    primes = sieve_primes(lo, hi, cls)
+    assert primes.dtype == np.int64
+    assert primes.flags.c_contiguous
+    assert primes.base is None or primes.base.nbytes == primes.nbytes
+    assert primes.tolist() == [p for p in trial_primes(lo, hi)
+                               if p % cls.modulus == cls.residue]
+
+
 def columns_in_class(columns, cls):
     keep = columns[0] % cls.modulus == cls.residue
     return [a[keep] for a in columns]
@@ -286,8 +313,10 @@ def test_psi_to_1e8_stays_under_65_mb():
     """psi_ap(1e8) grows Q's store to 2^24 a piece at a time and reads the
     rest in reads of READ_PIECE norms, each built in its final layout,
     weighed and dropped before the next: the child peaks under 65 MB
-    (40.4 MB on a 2-core host, 48.3 MB with int64 norms in one store
-    column, 52 MB while the store kept a weights column), where reads of 2^24 norms took 68 MB, building every
+    (39.2 MB on a 2-core host, 40.7 MB while the sieve built each read
+    through copy-only temporaries, 48.3 MB with int64 norms in one store
+    column, 52 MB while the store kept a weights column), where reads of
+    2^24 norms took 68 MB, building every
     event at once about 460 MB, building each read through wider
     temporaries 128 MB, and keeping a bases column and the previous read
     of pi_ap 89 MB.  Its totals are pinned: pi(10^8) = 5761455, and
@@ -309,12 +338,29 @@ def test_cold_psi_to_1e8_stays_under_45_mb():
     """A cold psi_ap(1e8) grows Q's store to 2^24 one piece of READ_PIECE
     norms at a time, at 6 B per event, and copies no earlier piece, its
     weights made one read at a time as they are summed: the child peaks
-    under 45 MB (40.4 MB on a 2-core host), where one store at 10 B per
+    under 45 MB (39.3 MB on a 2-core host, 40.7 MB while the sieve built
+    each read through copy-only temporaries), where one store at 10 B per
     event, grown in one build and by concatenation, peaked at 48 MB, and
     one that kept a weights column, 18 B per event, at 52 MB."""
     proc = run_within_rss(
         "from primelab import psi_ap\nprint(repr(psi_ap(1e8)))", 45)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["99998242.79662678"]
+
+
+@LINUX_ONLY
+def test_warm_psi_to_1e8_faults_in_no_fresh_pages():
+    """A second psi_ap(1e8) in one process reuses the memory the first
+    freed: under 3,000 minor page faults (577 on a 2-core host), where
+    the sieve's copy-only temporaries, a scaled and a shifted copy of each
+    segment's indices and the join of a read's one segment, were mapped
+    afresh on every read, 27,300 faults (about 680 per read of 2^21
+    norms).  Either copy alone is enough to fault.  The total is unchanged."""
+    proc, faults = run_counting_faults(
+        "from primelab import psi_ap\npsi_ap(1e8)",
+        "print(repr(psi_ap(1e8)))")
+    assert proc.returncode == 0, proc.stderr
+    assert faults < 3000
     assert proc.stdout.split() == ["99998242.79662678"]
 
 
