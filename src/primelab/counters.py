@@ -5,14 +5,16 @@ right-continuous partial sum x -> sum_{n <= x} w_n.  A WindowSource
 bundles one with its density and label; synthetic fixtures pass one
 where a residue class or a field would go.  Every experiment reads its
 own range (lo, hi] through `window_events`, a long one through
-`window_reads` (a `numfield.sweep`), and counts first powers through
-`window_count`, in numfield's layout (positions, exponents, weights):
-a field or a class (Q's events, the class kept) from `numfield`, a
-StepCounter or WindowSource sliced, all of exponent 1; the Cramer scan
-takes only the first powers' positions, read by read and unweighed,
-through `first_power_reads`.  Each refuses lo > hi and a hi past the
-sieve ceiling.  `window_source` still builds
-a whole-prefix counter over (0, hi]; no experiment reads one.
+`window_reads` (its `window_events` read by read), and counts first
+powers through `window_count`, in numfield's layout (positions,
+exponents, weights): a field or a class (Q's events, the class kept)
+from `numfield`, a StepCounter or WindowSource sliced, all of exponent
+1; the Cramer scan takes only the first powers' positions, read by read
+and unweighed, through `first_power_reads`.  Each refuses lo > hi and a
+hi past the sieve ceiling, the two sweeps at each read, so that a sweep
+of fewer than two edges reads and checks nothing.  `window_source`
+still builds a whole-prefix counter over (0, hi]; no experiment reads
+one.
 """
 
 from __future__ import annotations
@@ -101,23 +103,20 @@ def window_count(target, lo: float, hi: float) -> int:
 
 def window_reads(target, edges):
     """window_events over each (edges[i], edges[i + 1]] in turn, edges
-    ascending: a class's or a field's is `numfield.sweep` itself."""
-    src, cls = _reader(target, edges[0], edges[-1])
-    if cls is None:
-        return (window_events(src, lo, hi)
-                for lo, hi in itertools.pairwise(edges))
-    return numfield.sweep(src, [max(e, 1) for e in edges], cls)
+    ascending; each read makes its own checks, and fewer than two edges
+    read nothing."""
+    return (window_events(target, lo, hi)
+            for lo, hi in itertools.pairwise(edges))
 
 
 def first_power_reads(target, edges):
     """The positions of the first powers (exponent 1) of each window_reads
     read in turn, float64, weighing nothing: a class's or a field's are
     `numfield.first_powers`."""
-    src, cls = _reader(target, edges[0], edges[-1])
-    if cls is None:
-        return (read[0] for read in window_reads(src, edges))
-    return (numfield.first_powers(src, max(lo, 1), max(hi, 1), cls)
-            for lo, hi in itertools.pairwise(edges))
+    for lo, hi in itertools.pairwise(edges):
+        src, cls = _reader(target, lo, hi)
+        yield (window_events(src, lo, hi)[0] if cls is None else
+               numfield.first_powers(src, max(lo, 1), max(hi, 1), cls))
 
 
 def _reader(target, lo, hi):

@@ -9,11 +9,12 @@ like 1/gamma and naive left-to-right addition loses digits by T ~ 10^3.
 
 Sources (a class, a field, a StepCounter or a WindowSource) are read
 through `counters.window_events`; `residual_scan` sweeps (0, max x] in
-the reads `numfield.read_edges` cuts (`counters.window_reads`) and
-carries psi(x) across them as a running float sum, the `np.cumsum`
-prefix (not exact, but independent of where the reads end).  Sums of
-array terms go through math.fsum as lists: fsum boxes each element of
-an array as an np.float64, which costs more than the list.
+the reads `numfield.read_edges` cuts (`counters.window_reads`, its
+`window_events` read by read) and carries psi(x) across them as a
+running float sum, the `np.cumsum` prefix (not exact, but independent
+of where the reads end).  Sums of array terms go through math.fsum as
+lists: fsum boxes each element of an array as an np.float64, which
+costs more than the list.
 """
 
 from __future__ import annotations

@@ -13,23 +13,22 @@ Primes dividing the index [O_K : Z[theta]] are rejected with
 UnsupportedPrimeError rather than handled; the shipped presets are all
 monogenic, so this only bites user-supplied polynomials.
 
-Every read makes one store lookup, which checks it and slices one store
-per field, grown by doubling up to STORE_BOUND.  A store is a list of
-pieces cut at the multiples of min(READ_PIECE, STORE_BOUND) norms, the
-edges `read_edges` cuts a sweep at, so a growth builds only its new
-range, a piece at a time, and copies no earlier piece.  A piece keeps
-6 B per event, int32 norms and int16 exponents, and no weights: an
-event's weight is log of its norm, save for the few rows
-`sieve.merge_events` writes (the ideals above the primes up to sqrt(hi)),
-whose slots in the piece and weights it keeps beside.  `_read` returns a
-read unweighed (Q's with a residue class kept), and builds what the
-store does not hold; `ideal_event_arrays` widens its positions to int64
-and weighs it with `sieve.weigh`, while `first_power_count` and
-`first_powers` mask each piece's int32 views, so neither a growth nor a
-count makes weights.  `sweep` reads a long range at most READ_PIECE norms
-at a time, so its peak is the store and one read; the totals `psi_K` and
-`pi_K` sweep (1, x], `psi_K` exactly in integer fixed point and `pi_K`
-by counts alone.
+Every read goes through `_spans`, which checks it and alone chooses
+between building it and slicing one store per field, grown by doubling
+up to STORE_BOUND.  A store is a list of pieces cut at the multiples of
+min(READ_PIECE, STORE_BOUND) norms, the edges `read_edges` cuts a sweep
+at, so a growth builds only its new range, a piece at a time, and
+copies no earlier piece.  A piece keeps 6 B per event, int32 norms and
+int16 exponents, and no weights: an event's weight is log of its norm,
+save for the few rows `sieve.merge_events` writes (the ideals above the
+primes up to sqrt(hi)), whose slots in the piece and weights it keeps
+beside.  `ideal_event_arrays` takes a build as it is or joins the store
+slices (Q's with a residue class kept), widens the positions to int64
+and weighs them with `sieve.weigh`, while `first_power_count` and
+`first_powers` mask each span's int32 views, so neither a growth nor a
+count makes weights.  The totals `psi_K` and `pi_K` read (1, x] at most
+READ_PIECE norms at a time, so their peak is the store and one read,
+`psi_K` exact in integer fixed point and `pi_K` by counts alone.
 """
 
 from __future__ import annotations
@@ -304,12 +303,15 @@ def _store(fld: NumberFieldSpec):
 _top = operator.itemgetter(0)            # a piece's top
 
 
-def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
-    """The checks of every read of (lo, hi] (range, ceiling, bad primes);
-    then lo and hi floored, the field's `_store`, and the read's spans
-    (piece, i, j), its events being piece[1][i:j], in each store piece it
-    meets (found by bisecting the pieces' tops), or None (past the store's
-    bound or STORE_BOUND)."""
+def _spans(fld: NumberFieldSpec, lo: float, hi: float, cls) -> list:
+    """The checks of every read of (lo, hi] (range, ceiling, bad primes),
+    and the one choice between store and build.  A read that starts past
+    the field's store (lo > its bound) or ends past STORE_BOUND gets one
+    span ((hi, *build), 0, None) of (lo, hi] built alone, in class cls,
+    which keeps nothing; any other first grows the store to hi (`_grow`)
+    if it must, and gets its spans (piece, i, j), its events being
+    piece[1][i:j], in each store piece it meets (found by bisecting the
+    pieces' tops)."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     sieve.check_capacity(hi)
@@ -319,9 +321,11 @@ def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
         for p in sorted(fld.bad_primes):  # p^k <= hi needs k < bit_length
             if any(lo < p**k <= hi for k in range(1, hi.bit_length())):
                 raise UnsupportedPrimeError(p, fld.name)
-    store = bound, pieces = _store(fld)
-    if not pieces or hi > min(bound, STORE_BOUND):
-        return lo, hi, store, None
+    bound, pieces = _store(fld)
+    if hi > STORE_BOUND or lo > bound:
+        return [((hi, *_build_events(fld, lo, hi, cls)), 0, None)]
+    if hi > bound or not pieces:
+        bound, pieces = _grow(fld, bound, pieces, hi)
     # the pieces that (lo, hi] meets, by their tops; an empty read gets one
     last = bisect.bisect_left(pieces, hi, key=_top)
     keys = np.array((lo, hi), np.int32)     # int64 keys would copy a piece
@@ -330,7 +334,7 @@ def _lookup(fld: NumberFieldSpec, lo: float, hi: float):
                         last + 1]:
         i, j = piece[1].searchsorted(keys, side="right").tolist()
         spans.append((piece, i, j))
-    return lo, hi, store, spans
+    return spans
 
 
 def _slice(piece, i: int, j: int):
@@ -367,7 +371,8 @@ def _grow(fld: NumberFieldSpec, bound: int, pieces: list, hi: int):
     hi (at least 1024, at most the sieve ceiling and STORE_BOUND): each
     new range between the edges `read_edges` cuts is built alone, its
     norms made int32, and joins the last piece if that ends off an edge;
-    every earlier piece is kept as it is."""
+    every earlier piece is kept as it is.  Returns the new (bound,
+    pieces)."""
     new_bound = int(min(max(1024, 1 << (hi - 1).bit_length()),
                         sieve.CEILING.get(), STORE_BOUND))
     step, pieces = min(READ_PIECE, STORE_BOUND), list(pieces)
@@ -378,30 +383,7 @@ def _grow(fld: NumberFieldSpec, bound: int, pieces: list, hi: int):
             part = _join([pieces.pop()[1:], part])
         pieces.append((top, *part))
     _stores[fld.coefficients, fld.field_disc] = new_bound, pieces
-
-
-def _read(fld: NumberFieldSpec, lo: float, hi: float, cls=sieve.EVERYTHING):
-    """(positions, exponents, slots, row weights) of the events with norm
-    in (lo, hi] and in class cls, unweighed (`sieve.weigh` gives their
-    weights); positions are int32 from the store, int64 from a build.
-
-    A read that starts inside the field's store (lo <= its bound) and
-    ends below STORE_BOUND slices the store's pieces, first growing it
-    (`_grow`); any other read builds (lo, hi] alone, in class cls, and
-    keeps nothing: every build is made here.  A read inside one piece
-    is views of its norms and exponents, one across a piece's edge joins
-    its slices, and a class keeps, in each slice before the join, the
-    events and the rows in it."""
-    lo, hi, (bound, pieces), spans = _lookup(fld, lo, hi)
-    if spans is None:
-        if hi > STORE_BOUND or lo > bound:
-            return _build_events(fld, lo, hi, cls)
-        _grow(fld, bound, pieces, hi)
-        spans = _lookup(fld, lo, hi)[3]
-    reads = [_slice(*span) for span in spans]
-    if cls.modulus != 1:
-        reads = [_keep(read, cls) for read in reads]
-    return _join(reads)
+    return new_bound, pieces
 
 
 def _keep(read, cls):
@@ -417,23 +399,23 @@ def ideal_event_arrays(fld: NumberFieldSpec, lo: float, hi: float,
                        cls=sieve.EVERYTHING):
     """(positions, exponents, weights) of the events with norm in (lo, hi]
     and in residue class cls, int64, int16 and float64; the weight of P^m
-    is log N(P).  The events of `_read`, their positions widened to int64
-    and weighed: a read inside one store piece returns a view of its
-    exponents.  A bad prime raises UnsupportedPrimeError if one of its
-    powers, the norms of the ideals above it, lies in (lo, hi]."""
-    pos, expo, slots, row_weights = _read(fld, lo, hi, cls)
+    is log N(P).  A build (`_spans`) is taken as it is; store slices keep
+    the class's events and rows (`_keep`) and are joined, so a read inside
+    one piece returns a view of its exponents.  The positions are widened
+    to int64 and weighed (`sieve.weigh`).  A bad prime raises
+    UnsupportedPrimeError if one of its powers, the norms of the ideals
+    above it, lies in (lo, hi]."""
+    spans = _spans(fld, lo, hi, cls)
+    if spans[0][2] is None:             # built alone, in class cls
+        reads = [spans[0][0][1:]]
+    else:
+        reads = [_slice(*span) for span in spans]
+        if cls.modulus != 1:
+            reads = [_keep(read, cls) for read in reads]
+    pos, expo, slots, row_weights = _join(reads)
+    del spans, reads                    # before the weights are made
     pos = pos.astype(np.int64, copy=False)
     return pos, expo, sieve.weigh(pos, slots, row_weights)
-
-
-def _spans(fld: NumberFieldSpec, lo: float, hi: float, cls) -> list:
-    """`_lookup`'s spans (piece, i, j) of the read of (lo, hi], or, if the
-    store does not hold it, one span of the whole unweighed `_read` of the
-    checked bounds, in class cls."""
-    lo, hi, _, spans = _lookup(fld, lo, hi)
-    if spans is None:
-        return [((hi, *_read(fld, lo, hi, cls)), 0, None)]
-    return spans
 
 
 def _first(pos, expo, cls):
@@ -447,8 +429,7 @@ def _first(pos, expo, cls):
 def first_power_count(fld: NumberFieldSpec, lo: float, hi: float,
                       cls=sieve.EVERYTHING) -> int:
     """The exponents 1 (prime ideals) `ideal_event_arrays` would read,
-    counted in one mask over each store piece's views, weighing
-    nothing."""
+    counted in one mask over each span's views, weighing nothing."""
     count = 0
     for piece, i, j in _spans(fld, lo, hi, cls):
         count += int(np.count_nonzero(_first(piece[1][i:j], piece[2][i:j],
@@ -476,15 +457,6 @@ def read_edges(lo: float, hi: float) -> list:
                        step), hi]
 
 
-def sweep(fld: NumberFieldSpec, edges, cls=sieve.EVERYTHING):
-    """ideal_event_arrays over each (edges[i], edges[i + 1]] in turn, the
-    edges ascending from 1 on, so that a sweep holds one read and the
-    store at a time; a read from inside the store past its bound grows
-    it, a piece at a time."""
-    for lo, hi in itertools.pairwise(edges):
-        yield ideal_event_arrays(fld, lo, hi, cls)
-
-
 def _edges_to(x: float) -> list:
     """`read_edges` of (1, x], or none if x < 2 (no norm lies below 2)."""
     if not x >= 0:
@@ -493,10 +465,11 @@ def _edges_to(x: float) -> list:
 
 
 def _reads_to(fld: NumberFieldSpec, x: float, cls):
-    """The weights of each read of the `sweep` of (1, x] (for Q, in class
-    cls); as only they are kept (map holds no read), each read is dropped
-    before the next is built."""
-    return map(operator.itemgetter(2), sweep(fld, _edges_to(x), cls))
+    """The weights of each read of (1, x] that `read_edges` cuts (for Q, in
+    class cls); as only they are kept, each read is dropped before the
+    next is built."""
+    return (ideal_event_arrays(fld, lo, hi, cls)[2]
+            for lo, hi in itertools.pairwise(_edges_to(x)))
 
 
 def psi_K(fld: NumberFieldSpec, x: float, cls=sieve.EVERYTHING) -> float:

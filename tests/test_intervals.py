@@ -576,7 +576,7 @@ def test_every_read_has_numfield_layout(name):
     """window_events returns (positions, exponents, weights) as int64,
     int16 and float64 arrays (float64 positions for a synthetic source):
     a class's or a field's are ideal_event_arrays' byte for byte, and
-    window_reads yields numfield.sweep's reads over the same edges; a
+    window_reads yields ideal_event_arrays' read of each pair of edges; a
     synthetic source's events all have exponent 1.  first_power_reads
     yields the float64 positions of each read's exponents 1.  The
     windows miss every power of BAD_TWO's bad prime 2."""
@@ -600,7 +600,8 @@ def test_every_read_has_numfield_layout(name):
         fld, cls = (preset("Q"), target) if isinstance(
             target, ResidueClass) else (target, EVERYTHING)
         same(got, ideal_event_arrays(fld, edges[0], edges[-1], cls))
-        wants = list(numfield.sweep(fld, edges, cls))
+        wants = [ideal_event_arrays(fld, lo, hi, cls)
+                 for lo, hi in zip(edges, edges[1:])]
     assert len(reads) == len(wants) == len(edges) - 1
     for read, want in zip(reads, wants):
         same(read, want)
@@ -608,6 +609,33 @@ def test_every_read_has_numfield_layout(name):
     assert len(firsts) == len(reads)
     for got, (pos, expo, _) in zip(firsts, reads):
         same([got], [pos[expo == 1].astype(np.float64)])
+
+
+@pytest.mark.parametrize("target", [ResidueClass(4, 1), preset("Q(i)"),
+                                    SYNTHETIC],
+                         ids=["class", "field", "source"])
+def test_a_sweep_of_fewer_than_two_edges_reads_nothing(target, empty_stores,
+                                                       monkeypatch):
+    """window_reads and first_power_reads of no edge or of one edge yield
+    nothing, build nothing and grow no store."""
+    def refused(*args):
+        raise AssertionError("a sweep without a read built events")
+
+    monkeypatch.setattr(numfield, "_build_events", refused)
+    for edges in ([], [5]):
+        assert list(window_reads(target, edges)) == []
+        assert list(first_power_reads(target, edges)) == []
+    assert numfield._stores == {}
+
+
+@pytest.mark.parametrize("target", ["Q(i)", 4])
+def test_a_sweep_of_a_non_target_raises_at_its_first_read(target):
+    """window_reads and first_power_reads make every check at each read:
+    a non-target raises TypeError once the reads are consumed."""
+    for sweep in (window_reads, first_power_reads):
+        reads = sweep(target, [1, 10])
+        with pytest.raises(TypeError, match="cannot read events"):
+            next(reads)
 
 
 def test_warm_bt_checks_build_nothing(monkeypatch):

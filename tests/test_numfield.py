@@ -628,6 +628,54 @@ def test_growth_keeps_every_earlier_piece(name, piece, tops, empty_stores,
         assert len(pieces) > len(before)
 
 
+@pytest.mark.parametrize("start", ["first_power_count", "first_powers"])
+@pytest.mark.parametrize("name, cls", [("Q", ResidueClass(30, 7)),
+                                       ("Q(i)", EVERYTHING)],
+                         ids=["Q-mod30", "Q(i)"])
+def test_growth_started_by_a_count_matches_a_weighed_read(
+        start, name, cls, empty_stores, monkeypatch):
+    """With STORE_BOUND lowered to 2^12 and READ_PIECE to 1000, a growth
+    of an empty store that a first-power read of (1, 3000] starts leaves
+    the same store, its bound and every piece byte for byte, as one that
+    ideal_event_arrays starts; each builds every new range once and
+    nothing else, and the count is that of the weighed read's first
+    powers, first_powers their positions."""
+    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
+    monkeypatch.setattr(numfield, "READ_PIECE", 1000)
+    fld = preset(name)
+    built = []
+    build = numfield._build_events
+
+    def recorded(f, lo, hi, *rest):
+        built.append((lo, hi))
+        return build(f, lo, hi, *rest)
+
+    monkeypatch.setattr(numfield, "_build_events", recorded)
+    edges = numfield.read_edges(1, 2**12)
+
+    def grown(read):
+        numfield._stores.clear()
+        built.clear()
+        got = read(fld, 1, 3000, cls)
+        assert built == list(zip(edges, edges[1:]))
+        return got, numfield._store(fld)
+
+    (pos, expo, _), (want_bound, want) = grown(ideal_event_arrays)
+    got, (bound, pieces) = grown(getattr(numfield, start))
+    assert bound == want_bound == 2**12
+    assert len(pieces) == len(want) == len(edges) - 1
+    for piece, other in zip(pieces, want):
+        assert piece[0] == other[0]
+        for a, b in zip(piece[1:], other[1:], strict=True):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    first = expo == 1
+    if start == "first_power_count":
+        assert got == np.count_nonzero(first) > 0
+    else:
+        assert (got.dtype, got.tobytes()) == \
+            (np.float64, pos[first].astype(np.float64).tobytes())
+
+
 def test_ten_preset_stores_stay_under_110_mb():
     """The ten presets' stores grown to 2^24 in one process hold 65 MB of
     pieces at 6 B per event and the child peaks under 110 MB (97.8 MB on
@@ -964,8 +1012,10 @@ def test_weights_agree_on_every_path(target, cls, monkeypatch):
     assert fresh_store(2000, 4000, 8000) == [8192]
     reads["doubled"] = ideal_event_arrays(fld, lo, hi, cls)
     fresh_store()
+    edges = [lo, 2000, 2**12, 5000, hi]
     reads["sweep"] = [np.concatenate(column) for column in zip(
-        *numfield.sweep(fld, [lo, 2000, 2**12, 5000, hi], cls))]
+        *(ideal_event_arrays(fld, a, b, cls)
+          for a, b in zip(edges, edges[1:])))]
     assert numfield._stores[key][0] == 8192
     reads["reference"] = reference_build_events(
         fld, math.floor(lo), math.floor(hi), cls)

@@ -20,8 +20,14 @@ The file holds the commits, the host, the pairing, every run's last
 line, and per workload and seed: the failed and attempted operations
 and, for each end-to-end metric, the median and quartiles (numpy's
 linear percentiles 25 and 75) of each side, the number of pairs in
-which the change read lower, and the ratio of the medians.  Nothing
-under `perfbench/` and nothing in `BENCHMARK.json` is changed.
+which the change read lower, and the ratio of the medians.  Each such
+metric is then ruled on against the bound `BENCHMARK.json` gives it:
+`within_bound` if the change's median is at most the parent's times
+(1 + bound), and `unresolved` if the parent's interquartile spread is
+wider than the bound times its median, unless every run of the change
+read lower than every run of the parent.  Every end-to-end metric is
+lower-better; another is refused before any run.  Nothing under
+`perfbench/` and nothing in `BENCHMARK.json` is changed.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float):
     return json.loads(out.strip().splitlines()[-1])
 
 
-def summarize(runs, workload: str, seed: int) -> dict:
-    """Medians, quartiles and per-pair wins of one workload and seed."""
+def summarize(runs, workload: str, seed: int, bounds: dict) -> dict:
+    """Medians, quartiles and per-pair wins of one workload and seed, and
+    each metric's ruling against its bound in bounds."""
     mine = [r for r in runs if (r["workload"], r["seed"]) == (workload,
                                                               seed)]
     by_pair = {}
@@ -97,16 +104,23 @@ def summarize(runs, workload: str, seed: int) -> dict:
         values = {s: np.array([p[s]["metrics"][name]["value"]
                                for p in pairs]) for s in SIDES}
         medians = {s: float(np.median(values[s])) for s in SIDES}
+        low, high = np.percentile(values["parent"], [25, 75]).tolist()
+        bound = bounds[name]
         out["metrics"][name] = {
             "parent_median": medians["parent"],
-            "parent_quartiles": np.percentile(values["parent"],
-                                              [25, 75]).tolist(),
+            "parent_quartiles": [low, high],
             "change_median": medians["change"],
             "change_quartiles": np.percentile(values["change"],
                                               [25, 75]).tolist(),
             "change_lower_in_pairs": int(np.sum(values["change"]
                                                 < values["parent"])),
             "change_over_parent": medians["change"] / medians["parent"],
+            "bound": bound,
+            "within_bound": medians["change"]
+                            <= medians["parent"] * (1 + bound),
+            "unresolved": bool(high - low > bound * medians["parent"]
+                               and values["change"].max()
+                               >= values["parent"].min()),
         }
     return out
 
@@ -133,6 +147,9 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
+    if any(m["better"] != "lower" for m in bench["end_to_end"]):
+        raise SystemExit("bench_pairs rules only on lower-better metrics")
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
@@ -162,7 +179,7 @@ def main(argv=None) -> int:
                 "round": 1, "workload": workload, "seed": seed,
                 "pair": pair, "side": side, "commit": commits[side],
                 "last_line": line})
-            doc["summary"] = [summarize(doc["runs"], w, s)
+            doc["summary"] = [summarize(doc["runs"], w, s, bounds)
                               for s, _ in SEEDS for w in workloads]
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
