@@ -49,6 +49,10 @@ class TruncationSpec:
     def __post_init__(self):
         if not self.height >= 2:              # NaN fails too
             raise ValueError(f"height must be >= 2, got {self.height}")
+        if not self.degree >= 1:
+            raise ValueError(f"degree n_K must be >= 1, got {self.degree}")
+        if not self.disc >= 1:
+            raise ValueError(f"disc d_K must be >= 1, got {self.disc}")
         if self.height > self.zeros.completeness_height:
             raise ZeroTableError(
                 f"truncation height {self.height} beyond table height "

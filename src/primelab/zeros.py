@@ -101,9 +101,14 @@ def count_zeros(table: ZeroTable, T: float) -> int:
 
 def predicted_count(n_K: int, d_K: int, T: float) -> float:
     """Main terms of the zero-counting formula:
-    (n_K/pi) T log T + (T/pi) log(d_K / (2 pi e)^n_K)."""
+    (n_K/pi) T log T + (T/pi) log(d_K / (2 pi e)^n_K), for a degree
+    n_K >= 1 and an absolute discriminant d_K >= 1."""
     if not 2 <= T < math.inf:           # NaN fails too
         raise ValueError(f"T must be >= 2 and finite, got {T}")
+    if not n_K >= 1:
+        raise ValueError(f"n_K must be >= 1, got {n_K}")
+    if not d_K >= 1:
+        raise ValueError(f"d_K must be >= 1, got {d_K}")
     return (n_K / math.pi) * T * math.log(T) \
         + (T / math.pi) * math.log(d_K / (2 * math.pi * math.e) ** n_K)
 

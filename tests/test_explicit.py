@@ -268,14 +268,26 @@ def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
      "need x - h >= 2 and x \\+ h finite, got x=inf, h=10"),
     (lambda spec: predicted_count(1, 1, math.inf),
      "T must be >= 2 and finite, got inf"),
+    (lambda spec: TruncationSpec(100.0, spec.zeros, degree=0),
+     "degree n_K must be >= 1, got 0"),
+    (lambda spec: TruncationSpec(100.0, spec.zeros, 2, -4),
+     "disc d_K must be >= 1, got -4"),
+    (lambda spec: TruncationSpec(100.0, spec.zeros, 2, 0),
+     "disc d_K must be >= 1, got 0"),
+    (lambda spec: predicted_count(0, 1, 50), "n_K must be >= 1, got 0"),
+    (lambda spec: predicted_count(2, -4, 50), "d_K must be >= 1, got -4"),
+    (lambda spec: predicted_count(2, 0, 50), "d_K must be >= 1, got 0"),
 ], ids=["count-zeros-nan", "height-nan", "psi-nan", "prediction-x-nan",
         "prediction-h-nan", "prediction-h-zero", "prediction-h-negative",
         "predicted-count-nan", "psi-inf", "prediction-x-inf",
-        "predicted-count-inf"])
+        "predicted-count-inf", "spec-degree-zero", "spec-disc-signed",
+        "spec-disc-zero", "predicted-count-degree-zero",
+        "predicted-count-disc-signed", "predicted-count-disc-zero"])
 def test_explicit_and_zero_counts_refuse_nan_and_nonpositive_h(
         call, match, zeta_spec):
-    """A NaN, an infinite argument or a window h <= 0 raises ValueError,
-    not a NaN, a count of every zero or a ZeroDivisionError."""
+    """A NaN, an infinite argument, a window h <= 0, a degree n_K < 1 or
+    a discriminant d_K < 1 raises ValueError naming it, not a NaN, a
+    count of every zero, a ZeroDivisionError or a math domain error."""
     with pytest.raises(ValueError, match=match):
         call(zeta_spec)
 

@@ -597,6 +597,47 @@ def test_int32_norms_need_store_bound_below_2_to_31():
     assert numfield.READ_PIECE <= numfield.STORE_BOUND
 
 
+CROSSOVER = numfield.RESIDUE_CROSSOVER
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide=st.booleans(),
+       n=st.one_of(st.integers(0, 8), st.integers(CROSSOVER - 2,
+                                                  CROSSOVER + 2),
+                   st.integers(0, 4 * CROSSOVER)),
+       top=st.one_of(st.integers(1, 2**12), st.integers(1, 2**31 - 1),
+                     st.integers(1, 2**63 - 1)),
+       q=st.one_of(st.integers(1, 60), st.integers(2**31 - 2, 2**31 + 2),
+                   st.integers(1, 2**63 - 1)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(wide=False, n=CROSSOVER, top=2**24, q=22, seed=0, data=None)
+@example(wide=False, n=CROSSOVER, top=2**24, q=2**40, seed=1, data=None)
+@example(wide=True, n=CROSSOVER + 7, top=2**63 - 1, q=2**63 - 1, seed=2,
+         data=None)
+@example(wide=True, n=3, top=2**63 - 1, q=2**63 - 1, seed=3, data=None)
+def test_residues_equal_the_remainder_on_both_sides_of_the_crossover(
+        wide, n, top, q, seed, data):
+    """`_residues` and `_in_class` equal Python's %, taken value by value,
+    on int64 builds and on int32 views into a store piece, below and at
+    or above RESIDUE_CROSSOVER values, for q past int32 on int32 norms
+    and q = 2^63 - 1 on int64 positions; the class residue a is 0 when
+    no draw picks it."""
+    dtype = np.int64 if wide else np.int32
+    top = min(top, np.iinfo(dtype).max)
+    piece = np.random.default_rng(seed).integers(0, top, n + 2,
+                                                 dtype=dtype, endpoint=True)
+    values = piece[1:-1]                  # a view, as a store slice is
+    before = values.copy()
+    a = data.draw(st.integers(0, q - 1), label="a") if data else 0
+    want = [v % q for v in values.tolist()]
+    got = numfield._residues(values, q)
+    assert got.dtype == dtype
+    assert got.tolist() == want
+    assert numfield._in_class(values, ResidueClass(q, a)).tolist() \
+        == [r == a for r in want]
+    assert np.array_equal(values, before)           # values untouched
+
+
 def whole_pieces(fld, step):
     """The store's pieces that end on a read edge (a multiple of step),
     which no growth extends."""

@@ -193,16 +193,24 @@ def columns_in_class(columns, cls):
     return [a[keep] for a in columns]
 
 
-@pytest.mark.parametrize("lo,hi", [(100, 900), (2500.5, 3900), (3000, 9000.5),
-                                   (5000, 5000.5)],
-                         ids=["store", "past-store", "above-cap", "empty"])
-def test_class_reads_equal_the_filtered_whole_read(lo, hi, empty_stores,
+@pytest.mark.parametrize("cap,stored,lo,hi", [
+    (2**12, 1024, 100, 900), (2**12, 1024, 2500.5, 3900),
+    (2**12, 1024, 3000, 9000.5), (2**12, 1024, 5000, 5000.5),
+    (2**16, 2**14, 100, 14000), (2**16, 2**14, 20000.5, 60000),
+    (2**16, 2**14, 30000, 90000.5), (2**16, 2**14, 70000, 70000.5)],
+    ids=["store", "past-store", "above-cap", "empty", "store-2^16",
+         "past-store-2^16", "above-cap-2^16", "empty-2^16"])
+def test_class_reads_equal_the_filtered_whole_read(cap, stored, lo, hi,
+                                                   empty_stores,
                                                    monkeypatch):
-    """Under a cap of 2^12, a class read that slices the store, starts
-    past it or ends above the cap gives, column for column, the dtypes
-    and bytes of Q's whole read with the class kept."""
-    monkeypatch.setattr(numfield, "STORE_BOUND", 2**12)
-    psi_ap(1024)                        # the store holds (1, 1024]
+    """Under a cap of 2^12 or 2^16, a class read that slices the store,
+    starts past it or ends above the cap gives, column for column, the
+    dtypes and bytes of Q's whole read with the class kept.  Under 2^12
+    every read holds fewer events than RESIDUE_CROSSOVER, so its class
+    masks take `%`; the store read under 2^16 holds about 1,600, which
+    take the floor-division form."""
+    monkeypatch.setattr(numfield, "STORE_BOUND", cap)
+    psi_ap(stored)                      # the store holds (1, stored]
     for q in (1, 2, 3, 4, 6, 30, 49):
         for a in range(min(q, 8)):
             cls = ResidueClass(q, a)
@@ -213,7 +221,7 @@ def test_class_reads_equal_the_filtered_whole_read(lo, hi, empty_stores,
                 == [(c.dtype, c.tobytes()) for c in want]
     q_field = preset("Q")
     assert numfield._stores[(q_field.coefficients, q_field.field_disc)][0] \
-        == 1024
+        == stored
 
 
 def test_class_reads_above_the_cap_sieve_only_their_class(empty_stores,

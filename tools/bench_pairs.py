@@ -17,23 +17,30 @@ rewritten after every run, so an interrupted session keeps the runs it
 finished.
 
 The file holds the commits, the host, the pairing, every run's last
-line, and per workload and seed: the failed and attempted operations
-and, for each end-to-end metric, the median and quartiles (numpy's
-linear percentiles 25 and 75) of each side, the number of pairs in
-which the change read lower, and the ratio of the medians.  Each such
-metric is then ruled on against the bound `BENCHMARK.json` gives it:
-`within_bound` if the change's median is at most the parent's times
-(1 + bound), and `unresolved` if the parent's interquartile spread is
-wider than the bound times its median, unless every run of the change
-read lower than every run of the parent.  Every end-to-end metric is
-lower-better; another is refused before any run.  Nothing under
-`perfbench/` and nothing in `BENCHMARK.json` is changed.
+line and its "at the median: ...; the 11 slowest: ..." line (which
+operation kinds set op_p50_ms and op_tail_ms), and per workload and
+seed: the failed and attempted operations and, for each end-to-end
+metric, the median and quartiles (numpy's linear percentiles 25 and 75)
+of each side, the number of pairs in which the change read lower, and
+the ratio of the medians.  Each such metric is then ruled on against
+the bound `BENCHMARK.json` gives it: `within_bound` if the change's
+median is at most the parent's times (1 + bound), and `unresolved` if
+the parent's interquartile spread is wider than the bound times its
+median, unless every run of the change read lower than every run of
+the parent.  A --claim that names one workload and one end-to-end
+metric of `BENCHMARK.json` ("ap-sieve op_tail_ms") is ruled on per
+seed of that workload: `claim_met` if the change read lower in at
+least 9 of 10 pairs (all 3 of 3) and its median lies below the
+parent's by more than the parent's interquartile spread.  Every
+end-to-end metric is lower-better; another is refused before any run.
+Nothing under `perfbench/` and nothing in `BENCHMARK.json` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -75,17 +82,43 @@ def host() -> str:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float):
-    """The last line of one benchmark run, as a dict."""
-    out = subprocess.run(
+    """The last line of one benchmark run, as a dict, and its line naming
+    the operation kinds at the median and in the tail."""
+    lines = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, text=True, capture_output=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, check=True, text=True,
+        capture_output=True).stdout.strip().splitlines()
+    where = next((ln for ln in lines if ln.startswith("at the median:")),
+                 None)
+    return json.loads(lines[-1]), where
 
 
-def summarize(runs, workload: str, seed: int, bounds: dict) -> dict:
-    """Medians, quartiles and per-pair wins of one workload and seed, and
-    each metric's ruling against its bound in bounds."""
+def claimed(claim: str, workloads, metrics):
+    """(workload, metric) if the claim names exactly one of each, else
+    None: a claim in other words is kept as text and not ruled on."""
+    words = claim.split()
+    named = ([w for w in workloads if w in words],
+             [m for m in metrics if m in words])
+    return (named[0][0], named[1][0]) if all(len(n) == 1 for n in named) \
+        else None
+
+
+def claim_met(metric: dict, pairs: int) -> bool:
+    """The change read lower in at least 9 pairs in 10 (all 3 of 3), and
+    its median lies below the parent's by more than the parent's
+    interquartile spread."""
+    low, high = metric["parent_quartiles"]
+    return (metric["change_lower_in_pairs"] >= math.ceil(0.9 * pairs)
+            and metric["parent_median"] - metric["change_median"]
+            > high - low)
+
+
+def summarize(runs, workload: str, seed: int, bounds: dict,
+              claim=None) -> dict:
+    """Medians, quartiles and per-pair wins of one workload and seed, each
+    metric's ruling against its bound in bounds, and `claim_met` if claim
+    is (workload, metric) of this workload."""
     mine = [r for r in runs if (r["workload"], r["seed"]) == (workload,
                                                               seed)]
     by_pair = {}
@@ -122,6 +155,8 @@ def summarize(runs, workload: str, seed: int, bounds: dict) -> dict:
                                and values["change"].max()
                                >= values["parent"].min()),
         }
+    if claim is not None and claim[0] == workload:
+        out["claim_met"] = claim_met(out["metrics"][claim[1]], len(pairs))
     return out
 
 
@@ -150,6 +185,7 @@ def main(argv=None) -> int:
     if any(m["better"] != "lower" for m in bench["end_to_end"]):
         raise SystemExit("bench_pairs rules only on lower-better metrics")
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    claim = claimed(args.claim, workloads, bounds)
     seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
@@ -174,12 +210,13 @@ def main(argv=None) -> int:
         checkouts = {s: export(commits[s], os.path.join(work, s))
                      for s in SIDES}
         for seed, workload, pair, side in schedule(workloads):
-            line = run_once(checkouts[side], workload, seed, seconds)
+            line, where = run_once(checkouts[side], workload, seed,
+                                   seconds)
             doc["runs"].append({
                 "round": 1, "workload": workload, "seed": seed,
                 "pair": pair, "side": side, "commit": commits[side],
-                "last_line": line})
-            doc["summary"] = [summarize(doc["runs"], w, s, bounds)
+                "where": where, "last_line": line})
+            doc["summary"] = [summarize(doc["runs"], w, s, bounds, claim)
                               for s, _ in SEEDS for w in workloads]
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
