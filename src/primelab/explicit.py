@@ -158,7 +158,7 @@ def residual_scan(source, spec: TruncationSpec, xs) -> ResidualScan:
 def smoothed_sum(x: float, h: float, source) -> float:
     """W(x, h) = sum of Lambda-type weights times the triangle weight
     over the open window (x-h, x+h); exact event sum."""
-    if h <= 0:
+    if not h > 0:                       # NaN fails too
         raise ValueError(f"h must be positive, got {h}")
     pos, _, w = window_events(source, x - h, x + h)
     j = np.searchsorted(pos, x + h)         # the window is open at x + h

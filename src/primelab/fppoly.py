@@ -5,8 +5,8 @@ their conductor instead.
 `degree_counts` reads the residue-degree pattern of one monic f modulo
 many primes at once, one numpy lane per prime, and is the splitting path
 of every such field's event build.  The few primes where f is not
-squarefree go through `factor_degree_multiset`, which takes the
-squarefree decomposition from `sympy.polys.galoistools`.
+squarefree, which divide disc f, go through `factor_degree_multiset`:
+sympy's own factorization over F_p (`galoistools.gf_factor`).
 """
 
 from __future__ import annotations
@@ -19,16 +19,12 @@ CHUNK = 4096    # lanes per pass; temporaries stay O(CHUNK * n^2)
 
 def factor_degree_multiset(f, p):
     """Multiset of (degree, multiplicity), one entry per irreducible
-    factor of monic f over F_p; each squarefree part (sympy's) is one
-    lane of `degree_counts`."""
+    factor of monic f over F_p, from sympy's factorization."""
     from sympy.polys.domains import ZZ   # heavyweight; imported on demand
-    from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_list
-    out = []
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
     # galoistools lists coefficients leading term first
-    for part, mult in gf_sqf_list(gf_from_int_poly(f[::-1], p), p, ZZ)[1]:
-        counts = degree_counts(part[::-1], [p], len(part) - 1)[0]
-        out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
-    return sorted(out)
+    return sorted((len(g) - 1, k) for g, k in
+                  gf_factor(gf_from_int_poly(f[::-1], p), p, ZZ)[1])
 
 
 def count_roots(f, primes):

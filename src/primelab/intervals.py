@@ -135,7 +135,6 @@ class InertiaReport:
     persistence_level: float
     exceedance_intervals: list       # maximal [lo, hi) with |Delta| > thr
     persistence: list                # (x_bar, radius) per interval
-    series: DeltaSeries
 
 
 def inertia_scan(X: float, h: float, target, *,
@@ -180,7 +179,7 @@ def inertia_scan(X: float, h: float, target, *,
     intervals = list(zip(edges[first].tolist(), edges[last + 1].tolist()))
     persistence = list(zip(x_bar.tolist(), radius.tolist()))
     return InertiaReport(float(threshold), float(level), intervals,
-                         persistence, series)
+                         persistence)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
 
     Reports the minimum normalized count (the empirical c2) and the
     largest normalized gap between consecutive events (the smallest c1
-    that would keep every window nonempty).  Needs x_lo < x_hi and
+    that would keep every window nonempty).  Needs 0 < x_lo < x_hi and
     c1 > 0 with h(x_lo) > 0, so that h stays positive, and at most
     MAX_WINDOWS windows.  The events are swept in the reads
     `read_edges` cuts, so the scan holds one read whatever its range, and
@@ -293,7 +292,7 @@ def cramer_window_scan(x_lo: float, x_hi: float, c1: float,
     if isinstance(target, ResidueClass) and not target.is_unit:
         raise ValueError("theorem-level scan requires gcd(a, q) = 1")
     law, density = _window_law(target)
-    if not (x_lo < x_hi and c1 > 0 and law(c1, x_lo) > 0):
+    if not (0 < x_lo < x_hi and c1 > 0 and law(c1, x_lo) > 0):
         raise ValueError(f"need x_lo < x_hi and a positive window at x_lo, "
                          f"got x_lo={x_lo}, x_hi={x_hi}, c1={c1}")
     # positions are integers: reads from ceil(x_lo) - 1 hold every one

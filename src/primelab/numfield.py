@@ -57,7 +57,7 @@ def _sympy_poly(coeffs):
 
 def poly_discriminant(coefficients) -> int:
     """disc(f) = (-1)^(n(n-1)/2) * res(f, f') for monic integer f."""
-    coeffs = [int(c) for c in coefficients]
+    coeffs = [operator.index(c) for c in coefficients]
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
     from sympy import discriminant
@@ -74,13 +74,13 @@ def dedekind_index_test(coefficients, p: int) -> bool:
     """
     from sympy.polys.domains import ZZ   # heavyweight; imported on demand
     from sympy.polys.galoistools import (gf_from_int_poly, gf_gcd, gf_mul,
-                                         gf_sqf_list, gf_sub)
-    f = [int(c) for c in reversed(coefficients)]    # leading term first
+                                         gf_pow, gf_sqf_list, gf_sub)
+    p = operator.index(p)
+    f = list(map(operator.index, reversed(coefficients)))  # leading first
     g = h = [1]
     for part, mult in gf_sqf_list(gf_from_int_poly(f, p), p, ZZ)[1]:
         g = gf_mul(g, part, p, ZZ)
-        for _ in range(mult - 1):
-            h = gf_mul(h, part, p, ZZ)
+        h = gf_mul(h, gf_pow(part, mult - 1, p, ZZ), p, ZZ)
     # g*h - f is needed only mod p^2: its quotient by p is read mod p
     q = p * p
     diff = gf_sub(gf_mul(g, h, q, ZZ), gf_from_int_poly(f, q), q, ZZ)
@@ -118,7 +118,7 @@ class NumberFieldSpec:
     @classmethod
     def from_poly(cls, coefficients, field_disc=None,
                   name="") -> "NumberFieldSpec":
-        coeffs = tuple(int(c) for c in coefficients)
+        coeffs = tuple(map(operator.index, coefficients))
         n = len(coeffs) - 1
         if n < 1 or coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic, deg >= 1")
@@ -126,21 +126,32 @@ class NumberFieldSpec:
             raise ValueError(f"{list(coeffs)} is reducible over Q")
         disc = poly_discriminant(coeffs)     # nonzero: f is irreducible
         from sympy import factorint
-        bad = frozenset(p for p, k in factorint(abs(disc)).items()
-                        if k >= 2 and not dedekind_index_test(coeffs, p))
+        # the primes that may divide the index, whose square divides disc
+        square = [p for p, k in factorint(abs(disc)).items() if k >= 2]
+        bad = frozenset(p for p in square
+                        if not dedekind_index_test(coeffs, p))
         if field_disc is None:
             if bad:
                 raise ValueError(
                     f"index divisible by {sorted(bad)}; supply field_disc")
             field_disc = abs(disc)
-        field_disc = int(field_disc)
+        field_disc = operator.index(field_disc)
         if field_disc < 1 or abs(disc) % field_disc != 0:
             raise ValueError(f"field_disc {field_disc} does not divide "
                              f"|disc(f)| = {abs(disc)}")
         quot = abs(disc) // field_disc
-        if math.isqrt(quot) ** 2 != quot:
+        index = math.isqrt(quot)            # disc(f) = index^2 d_K
+        if index ** 2 != quot:
             raise ValueError(
                 f"|disc(f)|/field_disc = {quot} is not a perfect square")
+        if {p for p in square if index % p == 0} != bad:
+            raise ValueError(
+                f"field_disc {field_disc} gives the index {index}, but "
+                f"Dedekind's criterion finds the index primes {sorted(bad)}")
+        if disc // quot % 4 > 1:
+            raise ValueError(f"field_disc {field_disc} gives d_K = "
+                             f"{disc // quot}, not 0 or 1 mod 4 "
+                             f"(Stickelberger)")
         return cls(coeffs, n, disc, field_disc, bad, name)
 
     @property
@@ -149,8 +160,12 @@ class NumberFieldSpec:
 
 
 def splitting_type(fld: NumberFieldSpec, p: int) -> SplittingType:
-    """Splitting of the rational prime p.  For a field from from_poly one
-    prime costs a whole kernel pass; split many with splitting_types."""
+    """Splitting of the rational prime p, an integer (else TypeError) that
+    is prime (else ValueError).  For a field from from_poly one prime
+    costs a whole kernel pass; split many with splitting_types."""
+    from sympy import isprime   # heavyweight; imported on demand
+    if not isprime(p := operator.index(p)):
+        raise ValueError(f"p must be prime, got {p}")
     return splitting_types(fld, [p])[0]
 
 
@@ -159,7 +174,7 @@ def splitting_types(fld: NumberFieldSpec, primes) -> list:
     p mod m; otherwise via Dedekind's theorem, where f is squarefree mod
     the primes not dividing disc f, which go through the Frobenius kernel
     as one batch."""
-    primes = [int(p) for p in primes]
+    primes = list(map(operator.index, primes))
     for p in primes:
         if p in fld.bad_primes:
             raise UnsupportedPrimeError(p, fld.name)

@@ -1,5 +1,6 @@
-"""Ingestion of nontrivial-zero ordinate tables and the zero-counting
-prediction.
+"""Ingestion of nontrivial-zero ordinate tables, by one cached path
+from any manifest (vendored, or named by `--zero-manifest` or
+$PRIMELAB_ZERO_MANIFEST), and the zero-counting prediction.
 
 Tables store positive ordinates only; every zero is taken on the
 half-line (rho = 1/2 + i*gamma) and counted with both signs.  Queries
@@ -9,11 +10,13 @@ undercounting.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -35,20 +38,15 @@ class ZeroTable:
 def load_zeros(source, completeness_height: float, label: str) -> ZeroTable:
     """Parse one ordinate per line; `#` comments and blank lines allowed.
 
-    source may be a filesystem path, a text/byte stream, or a bytes blob.
+    source may be a filesystem path, a text stream, or a bytes blob.
     """
-    if isinstance(source, (str, os.PathLike)):
-        fh = open(source)
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode())
-    else:
-        fh = source
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode())
+    fh = open(source) if isinstance(source, (str, os.PathLike)) else source
     ordinates = []
     prev = 0.0
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            if isinstance(raw, bytes):
-                raw = raw.decode()
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -80,8 +78,6 @@ def combine(tables) -> ZeroTable:
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one table")
-    if len(tables) == 1:
-        return tables[0]
     merged = np.sort(np.concatenate([t.ordinates for t in tables]))
     height = min(t.completeness_height for t in tables)
     label = "+".join(t.label for t in tables)
@@ -125,14 +121,14 @@ def _resolve_manifest(path):
 
 
 def load_manifest(path=None) -> dict:
-    """Manifest lines `label; filename; completeness_height`; file paths
-    are resolved relative to the manifest."""
+    """Manifest lines `label; filename; completeness_height`, as
+    label -> (file, height), each file resolved against the manifest's
+    own directory (the package's data directory for the vendored one)."""
     path = _resolve_manifest(path)
-    handle = open(path) if path is not None else \
-        (resources.files("primelab") / "data" / "manifest.txt").open()
-    base = os.path.dirname(str(path)) if path is not None else None
+    manifest = resources.files("primelab") / "data" / "manifest.txt" \
+        if path is None else Path(path)
     entries = {}
-    with handle as fh:
+    with manifest.open() as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -142,31 +138,24 @@ def load_manifest(path=None) -> dict:
                 raise ZeroTableError(
                     f"manifest line {lineno}: expected `label; file; height`")
             label, fname, height = parts
-            entries[label] = (fname, float(height), base)
+            entries[label] = (manifest.parent / fname, float(height))
     return entries
-
-
-_table_cache: dict = {}
 
 
 def component_table(label: str, manifest_path=None) -> ZeroTable:
     """One component's table, cached per resolved manifest path."""
-    path = _resolve_manifest(manifest_path)
-    key = (label, path)
-    if key in _table_cache:
-        return _table_cache[key]
+    return _component_table(label, _resolve_manifest(manifest_path))
+
+
+@functools.cache
+def _component_table(label: str, path) -> ZeroTable:
     entries = load_manifest(path)
     if label not in entries:
         raise ZeroTableError(f"no component {label!r} in manifest; have "
                              f"{sorted(entries)}")
-    fname, height, base = entries[label]
-    if base is not None:
-        table = load_zeros(os.path.join(base, fname), height, label)
-    else:
-        with (resources.files("primelab") / "data" / fname).open() as fh:
-            table = load_zeros(fh, height, label)
-    _table_cache[key] = table
-    return table
+    file, height = entries[label]
+    with file.open() as fh:
+        return load_zeros(fh, height, label)
 
 
 # single-component tables: label -> (n_K-equivalent, conductor)

@@ -434,6 +434,19 @@ def test_unusable_numbers_exit_with_code(argv, exit_code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["ap-scan", "--q", "4", "--a", "1", "--x-lo", "-5", "--x-hi", "100"],
+    ["field-scan", "--field", "Q(i)", "--x-lo", "0", "--x-hi", "100"],
+], ids=["ap-scan", "field-scan"])
+def test_scan_from_x_lo_at_or_below_zero_names_the_window(capsys, argv):
+    """Exit 2 with the scan's documented message, not a math domain
+    error from the window law's log x_lo."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("primelab: need x_lo < x_hi and a positive window "
+                          "at x_lo, got x_lo=")
+
+
 def test_prime_modulus_near_2_to_62_answers_at_once():
     # phi(q) by trial division to sqrt(q) would take minutes
     proc = run_python(["-m", "primelab.cli", "meansq", "--X", "100",

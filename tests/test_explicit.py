@@ -277,12 +277,17 @@ def test_residual_scan_rejects_probes_it_cannot_read(psi_counter,
     (lambda spec: predicted_count(0, 1, 50), "n_K must be >= 1, got 0"),
     (lambda spec: predicted_count(2, -4, 50), "d_K must be >= 1, got -4"),
     (lambda spec: predicted_count(2, 0, 50), "d_K must be >= 1, got 0"),
+    (lambda spec: smoothed_sum(100, 0, EVERYTHING), "h must be positive"),
+    (lambda spec: smoothed_sum(100, -5, EVERYTHING), "h must be positive"),
+    (lambda spec: smoothed_sum(100, math.nan, EVERYTHING),
+     "h must be positive, got nan"),
 ], ids=["count-zeros-nan", "height-nan", "psi-nan", "prediction-x-nan",
         "prediction-h-nan", "prediction-h-zero", "prediction-h-negative",
         "predicted-count-nan", "psi-inf", "prediction-x-inf",
         "predicted-count-inf", "spec-degree-zero", "spec-disc-signed",
         "spec-disc-zero", "predicted-count-degree-zero",
-        "predicted-count-disc-signed", "predicted-count-disc-zero"])
+        "predicted-count-disc-signed", "predicted-count-disc-zero",
+        "smoothed-h-zero", "smoothed-h-negative", "smoothed-h-nan"])
 def test_explicit_and_zero_counts_refuse_nan_and_nonpositive_h(
         call, match, zeta_spec):
     """A NaN, an infinite argument, a window h <= 0, a degree n_K < 1 or

@@ -214,6 +214,8 @@ def test_experiments_refuse_what_is_not_a_target():
     Q (drift 1) or failing on a missing attribute; so does any other
     object that is not a class, a field or a WindowSource."""
     counter = StepCounter.from_events([2, 3], [math.log(2), math.log(3)])
+    with pytest.raises(ValueError, match="positions must be ascending"):
+        StepCounter.from_events([3, 2], [math.log(3), math.log(2)])
     for call in (lambda: drift(counter), lambda: target_label(counter),
                  lambda: delta(1, 3, counter),
                  lambda: mean_square(100, 10, counter),
@@ -342,11 +344,12 @@ def test_inertia_persistence_is_honest():
     """The reported radius must be certified by the series itself."""
     src, _, _ = gap_fixture()
     report = inertia_scan(10**4, 200.0, src)
+    series = delta_series(10**4, 200.0, src)
     for x_bar, radius in report.persistence:
         for probe in np.linspace(x_bar - radius * 0.999,
                                  x_bar + radius * 0.999, 11):
-            i = report.series.breakpoints.searchsorted(probe, side="right")
-            assert abs(report.series.values[i]) > report.persistence_level
+            i = series.breakpoints.searchsorted(probe, side="right")
+            assert abs(series.values[i]) > report.persistence_level
 
 
 def test_inertia_empty_for_smooth_fixture():
@@ -437,7 +440,7 @@ def test_inertia_scan_equals_the_piece_walks(positions, weights, h, drift,
                            weights[:len(positions)], drift)
     report = inertia_scan(100, h, src, persist_c=persist_c)
     assert (report.exceedance_intervals, report.persistence) == inertia_walks(
-        report.series, report.threshold, report.persistence_level)
+        delta_series(100, h, src), report.threshold, report.persistence_level)
 
 
 # --- Brun-Titchmarsh ----------------------------------------------------
@@ -557,7 +560,7 @@ def test_synthetic_windows_check_their_range():
     with pytest.raises(ValueError, match="got lo=10, hi=7"):
         delta(10, -3, SYNTHETIC)
     with pytest.raises(ValueError, match="got lo=nan, hi=nan"):
-        smoothed_sum(10, math.nan, SYNTHETIC)
+        smoothed_sum(math.nan, 3, SYNTHETIC)
     for read in (window_events, window_count):
         with pytest.raises(ValueError, match="got lo=10, hi=5"):
             read(COUNTER, 10, 5)
@@ -794,6 +797,17 @@ def test_cramer_scan_counts_against_oracle():
 def test_cramer_scan_requires_unit_class():
     with pytest.raises(ValueError):
         cramer_window_scan(10**3, 10**4, 4.0, ResidueClass(4, 2))
+
+
+@pytest.mark.parametrize("x_lo", [0, -5, 0.0, -math.inf])
+@pytest.mark.parametrize("target", [ResidueClass(4, 1), preset("Q(i)")],
+                         ids=["q=4,a=1", "Q(i)"])
+def test_cramer_scan_refuses_a_start_at_or_below_zero(target, x_lo):
+    """The window law takes log x_lo, so x_lo <= 0 is refused before it
+    is evaluated, with the scan's own message, not a math domain error."""
+    with pytest.raises(ValueError, match="a positive window at x_lo, got "
+                       f"x_lo={x_lo}, x_hi=100"):
+        cramer_window_scan(x_lo, 100, 4.0, target)
 
 
 def test_cramer_window_reports_shape():

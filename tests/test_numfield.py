@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +78,30 @@ def test_discriminant_requires_monic():
         poly_discriminant([1])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: poly_discriminant([1.5, 0, 1]),
+    lambda: dedekind_index_test([1.5, 0, 1], 2),
+    lambda: dedekind_index_test([1, 0, 1], 2.0),
+    lambda: NumberFieldSpec.from_poly([1.5, 0, 1]),
+    lambda: NumberFieldSpec.from_poly([1, 0, 1], field_disc=4.9),
+    lambda: splitting_type(preset("Q(i)"), 3.7),
+], ids=["disc", "index-coefficient", "index-prime", "from-poly",
+        "field-disc", "splitting-type"])
+def test_integers_enter_whole(call):
+    """A float where an integer belongs raises TypeError, where int()
+    would have truncated it (Q(i) from [1.5, 0, 1], d_K 4 from 4.9, the
+    splitting of 3 for 3.7)."""
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_numpy_integers_enter_whole():
+    fld = NumberFieldSpec.from_poly(np.array([1, 0, 1]), np.int64(4), "Q(i)")
+    assert fld == preset("Q(i)")
+    assert dedekind_index_test(np.array([-5, 0, 1]), np.int64(3))
+    assert splitting_type(fld, np.int64(5)).factors == ((1, 1), (1, 1))
+
+
 # --- factorization mod p and the index test ----------------------------
 
 def test_factor_degrees_gaussian_poly():
@@ -135,6 +160,39 @@ def test_reducible_polynomial_rejected():
 def test_field_disc_must_divide():
     with pytest.raises(ValueError):
         NumberFieldSpec.from_poly([1, 0, 1], field_disc=3)
+
+
+@pytest.mark.parametrize("coeffs,field_disc,bad", [
+    ([3, 0, 1], 3, {2}),                # Q(sqrt-3), index 2
+    ([-5, 0, 1], 5, {2}),               # Q(sqrt5), index 2
+    ([1009**2, 0, 1], 4, {1009}),       # Q(i), index 1009
+    ([54, 0, 0, 1], 108, {3}),          # Q(cbrt2), index 27
+    ([4, 0, 1], 4, {2}),                # Q(i), index 2
+], ids=["x2+3", "x2-5", "x2+1009^2", "x3+54", "x2+4"])
+def test_a_true_field_disc_is_accepted(coeffs, field_disc, bad):
+    fld = NumberFieldSpec.from_poly(coeffs, field_disc=field_disc)
+    assert (fld.field_disc, fld.bad_primes) == (field_disc, bad)
+
+
+@pytest.mark.parametrize("coeffs,field_disc,message", [
+    ([4, 0, 1], 16, r"gives the index 1, but Dedekind's criterion finds "
+                    r"the index primes \[2\]"),
+    ([4, 0, 1], 1, r"gives d_K = -1, not 0 or 1 mod 4 \(Stickelberger\)"),
+    ([1, 0, 1], 1, r"gives the index 2, but .* index primes \[\]"),
+    ([3, 0, 1], 12, r"gives the index 1, but .* index primes \[2\]"),
+    ([1009**2, 0, 1], 4 * 1009**2, r"index 1, but .* primes \[1009\]"),
+    ([2, 0, 1], 1, r"\|disc\(f\)\|/field_disc = 8 is not a perfect "
+                   r"square"),
+    ([1, 0, 2], None, "must be monic"),
+], ids=["x2+4-16", "x2+4-1", "x2+1-1", "x2+3-12", "x2+1009^2-whole",
+        "non-square", "non-monic"])
+def test_a_wrong_field_disc_is_refused(coeffs, field_disc, message):
+    """|disc f| / field_disc must be the square of an index whose primes
+    are those Dedekind's criterion finds, and the signed d_K must be 0
+    or 1 mod 4; a field_disc that would pass the square test alone (x^2
+    + 4 with 16 or 1, x^2 + 1 with 1, x^2 + 3 with 12) is refused."""
+    with pytest.raises(ValueError, match=message):
+        NumberFieldSpec.from_poly(coeffs, field_disc=field_disc)
 
 
 # --- presets ------------------------------------------------------------
@@ -203,7 +261,9 @@ def test_presets_and_field_commands_do_not_import_sympy():
                                 "mod 4"),
     ("Q(i); 2; -4; 1 0; 5;", r"line 3: n_K = 2 is not phi\(5\)/\|H\|"),
     ("Q(sqrt5); 2; 5; -1 -1; 5; 2", r"line 3: n_K = 2 is not phi\(5\)/"),
-], ids=["non-unit", "conductor", "subgroup"])
+    ("Q(i); 2; -4; 1 0; 4", "line 3: expected 6 fields"),
+    ("Q(i); 3; -4; 1 0; 4; 3", r"Q\(i\): degree mismatch"),
+], ids=["non-unit", "conductor", "subgroup", "fields", "degree"])
 def test_presets_with_a_wrong_subgroup_are_refused(line, message, tmp_path,
                                                    monkeypatch):
     """A preset line whose generators are not units mod m, or whose
@@ -224,6 +284,14 @@ def test_gaussian_splitting():
     assert splitting_type(qi, 5).factors == ((1, 1), (1, 1))
     assert splitting_type(qi, 3).factors == ((2, 1),)
     assert splitting_type(qi, 2).factors == ((1, 2),)
+
+
+@pytest.mark.parametrize("p", [9, 4, 1, 0, -5])
+def test_splitting_type_refuses_a_number_that_is_not_prime(p):
+    """9 would read as split in Q(i) (9 = 1 mod 4), and 4 as a degree sum
+    of 0; a user's p that is not prime raises ValueError instead."""
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        splitting_type(preset("Q(i)"), p)
 
 
 def test_splitting_invariants_all_presets():
@@ -302,6 +370,50 @@ def _next_prime(n):
     return int(sympy.nextprime(n))
 
 
+def kernel_degree_multiset(f, p):
+    """factor_degree_multiset by the kernel: one degree_counts lane over
+    each of sympy's squarefree parts of f mod p, whose multiplicity each
+    of its factors takes."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_list
+    out = []
+    # galoistools lists coefficients leading term first
+    for part, mult in gf_sqf_list(gf_from_int_poly(f[::-1], p), p, ZZ)[1]:
+        counts = fppoly.degree_counts(part[::-1], [p], len(part) - 1)[0]
+        out += [(d, mult) for d, c in enumerate(counts, 1) for _ in range(c)]
+    return sorted(out)
+
+
+def test_factor_degree_multiset_equals_the_kernel_on_1000_pairs():
+    """sympy's factorisation over F_p (factor_degree_multiset) against
+    the kernel's (kernel_degree_multiset) on 1,000 seeded (f, p): f monic
+    of degree 1-7, every other one g^2 h mod p so that it has a square
+    factor, and p below 2^6, near 2^30 or up to 2^61 - 1 (object lanes),
+    2^61 - 1 itself included."""
+    rng = random.Random(29)
+
+    def monic(degree, p):
+        return [rng.randrange(p) for _ in range(degree)] + [1]
+
+    for i in range(1000):
+        top = (2**6, 2**30 + 10**5, 2**61 - 1)[i % 3]
+        p = 2**61 - 1 if i == 2 else int(sympy.prevprime(rng.randint(3, top)))
+        n = rng.randint(1, 7)
+        if i % 2 and n >= 2:
+            g = monic(rng.randint(1, n // 2), p)
+            f = monic(n - 2 * (len(g) - 1), p)
+            for factor in (g, g):       # f = g^2 h, reduced mod p
+                prod = [0] * (len(f) + len(factor) - 1)
+                for j, a in enumerate(f):
+                    for k, b in enumerate(factor):
+                        prod[j + k] = (prod[j + k] + a * b) % p
+                f = prod
+        else:
+            f = monic(n, p)
+        assert factor_degree_multiset(f, p) == kernel_degree_multiset(f, p), \
+            (f, p)
+
+
 # small primes; primes near 2^30, where from degree 7 or 8 on a sum of
 # n + 1 products overflows int64 and the lanes run on Python ints; primes
 # above 2^31.5, where one product overflows
@@ -320,9 +432,9 @@ PRIMES = st.one_of(st.integers(1, 60).map(_next_prime),
 @example(lower=[1, 1, 0, 1, 0, 0, 7, 1], primes=[2, 4294967311])
 def test_kernel_matches_sympy_factorisation(lower, primes):
     """The Frobenius kernel against sympy's factorisation over F_p, which
-    shares no code with fppoly: factor_degree_multiset per prime, and one
-    batched degree_counts and count_roots call over the primes where f is
-    squarefree."""
+    shares no code with the kernel: `kernel_degree_multiset` per prime,
+    which takes any f through the kernel, and one batched degree_counts
+    and count_roots call over the primes where f is squarefree."""
     f = lower + [1]
     n = len(lower)
     x = sympy.Symbol("x")
@@ -330,7 +442,7 @@ def test_kernel_matches_sympy_factorisation(lower, primes):
     for p in primes:
         factors = sympy.Poly(f[::-1], x, modulus=p).factor_list()[1]
         expected = sorted((g.degree(), mult) for g, mult in factors)
-        assert factor_degree_multiset(f, p) == expected, (f, p)
+        assert kernel_degree_multiset(f, p) == expected, (f, p)
         if all(mult == 1 for _, mult in expected):
             squarefree.append(p)
             expected_counts.append([sum(1 for d, _ in expected if d == k)

@@ -48,6 +48,12 @@ def test_bad_bounds_raise_value_error_quoting_both(lo, hi, cls):
         sieve_primes(lo, hi, cls)
 
 
+@pytest.mark.parametrize("lo", [0, 0.5, -3])
+def test_event_arrays_refuse_lo_below_1(lo):
+    with pytest.raises(ValueError, match=f"lo must be >= 1, got {lo}"):
+        event_arrays(lo, 100)
+
+
 @pytest.mark.parametrize("cls", [EVERYTHING, ResidueClass(30, 7),
                                  ResidueClass(6, 2), ResidueClass(4, 3)])
 def test_minus_infinity_acts_like_minus_five(cls):

@@ -72,6 +72,11 @@ def test_combine_is_multiset_union():
     assert list(c.ordinates) == [5.0, 5.0, 7.0, 10.0]
     assert c.completeness_height == 60.0
     assert c.label == "a+b"
+    # one table comes back as a sorted copy, its label and height kept
+    one = combine([b])
+    assert one.ordinates is not b.ordinates
+    assert (list(one.ordinates), one.completeness_height, one.label) \
+        == ([5.0, 7.0], 60.0, "b")
     with pytest.raises(ValueError):
         combine([])
 
@@ -153,6 +158,8 @@ def test_cache_follows_manifest_env(tmp_path, monkeypatch):
     man.write_text("zeta; two.txt; 20.0\n")
     monkeypatch.setenv(MANIFEST_ENV, str(man))
     assert len(component_table("zeta")) == 2
+    # the same (label, resolved manifest) is the same table, however named
+    assert component_table("zeta") is component_table("zeta", str(man))
     assert count_zeros(field_table("Q"), 20.0) == 4
     monkeypatch.delenv(MANIFEST_ENV)
     assert component_table("zeta") is vendored
