@@ -36,21 +36,11 @@ MAX_X_GRID = 10**5
 MAX_SIEVE_WIDTH = 10**6
 
 
-class _Exit(Exception):
-    """argparse finished the command itself (`--help`) with status args[0]."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors for `main` to report, and `--help`'s exit for
-    `main` to return, instead of exiting."""
+    """Raises usage errors for `main` to report instead of exiting."""
 
     def error(self, message):
         raise ValueError(message)
-
-    def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
-        raise _Exit(status)
 
 
 def _add_target(p):
@@ -110,13 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="key = value file; keys are long flag names")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, text, *required, positions=True, zero_tables=False,
-                **defaults):
-        """A subcommand with the given required float flags, optional
-        flags typed by their defaults (float where None), --format and
-        --output, --ceiling if it reads positions and --zero-manifest if
-        it reads zero tables."""
+    def command(name, run, text, *required, positions=True,
+                zero_tables=False, **defaults):
+        """A subcommand that `run` answers, with the given required float
+        flags, optional flags typed by their defaults (float where None),
+        --format and --output, --ceiling if it reads positions and
+        --zero-manifest if it reads zero tables."""
         p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(run=run)
         for flag in required:
             p.add_argument(f"--{flag}", type=float, required=True)
         for flag, value in defaults.items():
@@ -136,30 +127,34 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"tables)")
         return p
 
-    command("sieve", "list prime-power events in a window (--hi at most "
-            f"{MAX_SIEVE_WIDTH} above --lo)", "lo", "hi", q=1, a=0)
-    p = command("ap-scan", "Cramer windows for a progression (at most "
-                f"{intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi", c1=4.0)
+    command("sieve", _run_sieve, "list prime-power events in a window "
+            f"(--hi at most {MAX_SIEVE_WIDTH} above --lo)", "lo", "hi", q=1,
+            a=0)
+    p = command("ap-scan", _run_scan, "Cramer windows for a progression "
+                f"(at most {intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi",
+                c1=4.0)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p = command("field-scan", "Cramer windows for prime ideals (at most "
-                f"{intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi", c1=4.0)
+    p = command("field-scan", _run_scan, "Cramer windows for prime ideals "
+                f"(at most {intervals.MAX_WINDOWS} windows)", "x-lo", "x-hi",
+                c1=4.0)
     p.add_argument("--field", required=True)
-    for p in (command("meansq", "exact mean-square of Delta(x, h)", "X",
+    for p in (command("meansq", _run_meansq,
+                      "exact mean-square of Delta(x, h)", "X",
                       ratio_ceiling=None),
-              command("inertia", "exceedance/persistence scan", "X",
-                      persist_c=0.125),
-              command("bt", "Brun-Titchmarsh window checks", "x")):
+              command("inertia", _run_inertia, "exceedance/persistence scan",
+                      "X", persist_c=0.125),
+              command("bt", _run_bt, "Brun-Titchmarsh window checks", "x")):
         _add_target(p)
         _add_window(p)
-    command("explicit", "truncated explicit-formula residuals", "T",
-            zero_tables=True, field="Q", x_lo=50.5, x_hi=1000.5,
+    command("explicit", _run_explicit, "truncated explicit-formula residuals",
+            "T", zero_tables=True, field="Q", x_lo=50.5, x_hi=1000.5,
             x_step=50.0)
-    _add_window(command("smoothed", "triangle-smoothed sum, its zero "
-                        "expansion, and the sandwich bounds", "x", "T",
-                        zero_tables=True, field="Q", eps=None))
-    p = command("zeros", "zero counts against the prediction", "T",
-                positions=False, zero_tables=True)
+    _add_window(command("smoothed", _run_smoothed, "triangle-smoothed sum, "
+                        "its zero expansion, and the sandwich bounds", "x",
+                        "T", zero_tables=True, field="Q", eps=None))
+    p = command("zeros", _run_zeros, "zero counts against the prediction",
+                "T", positions=False, zero_tables=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--component", choices=sorted(zeros.COMPONENTS))
     g.add_argument("--field")
@@ -303,19 +298,6 @@ def _run_zeros(args):
         metric=float(counted))]
 
 
-RUNNERS = {
-    "sieve": _run_sieve,
-    "ap-scan": _run_scan,
-    "field-scan": _run_scan,
-    "meansq": _run_meansq,
-    "inertia": _run_inertia,
-    "bt": _run_bt,
-    "explicit": _run_explicit,
-    "smoothed": _run_smoothed,
-    "zeros": _run_zeros,
-}
-
-
 def _load_config(path):
     """Line-oriented `key = value`; keys are long option names."""
     pairs = []
@@ -361,11 +343,11 @@ def main(argv=None) -> int:
             getattr(args, "ceiling", sieve.DEFAULT_CEILING))
         try:
             sieve.check_capacity(1)         # --ceiling in [1, 10^9]
-            reports = RUNNERS[args.command](args)
+            reports = args.run(args)
         finally:
             sieve.CEILING.reset(token)
-    except _Exit as exc:
-        return exc.args[0]
+    except SystemExit as exc:           # argparse's, after --help
+        return exc.code
     except (OSError, ValueError, KeyError, PrimeLabError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc

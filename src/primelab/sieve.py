@@ -90,17 +90,27 @@ def euler_phi(q: int) -> int:
     return result
 
 
-# base-prime cache (primes up to sqrt(ceiling)), grown monotonically
-_base_cache = {"limit": 0, "primes": np.empty(0, dtype=np.int64)}
+# base primes are those below 2^15: every limit a read under the ceiling
+# asks for (sqrt(10^9) < 2^15, rounded up to a power of two by `_inverses`)
+_BASE_LIMIT = 1 << math.isqrt(DEFAULT_CEILING).bit_length()
+
+
+@functools.cache
+def _base_table() -> np.ndarray:
+    """The primes below _BASE_LIMIT, by a sieve of Eratosthenes."""
+    mask = np.ones(_BASE_LIMIT, bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(_BASE_LIMIT) + 1):
+        if mask[p]:
+            mask[p * p::p] = False
+    return np.flatnonzero(mask)
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """Primes up to limit, from a cache that sieve_primes refills; the
-    recursion ends where a window holds one odd number at most."""
-    if limit > _base_cache["limit"]:
-        _base_cache["primes"] = sieve_primes(1, limit)
-        _base_cache["limit"] = limit
-    primes = _base_cache["primes"]
+    """Primes up to limit, for a limit up to 2^15 (else ValueError)."""
+    if limit > _BASE_LIMIT:
+        raise ValueError(f"base primes stop at {_BASE_LIMIT}, not {limit}")
+    primes = _base_table()
     return primes[: np.searchsorted(primes, limit, side="right")]
 
 
@@ -221,9 +231,7 @@ def psi_ap(x: float, cls: ResidueClass = EVERYTHING) -> float:
     partitioning the event set over residue classes cannot change the
     total.  Above Q's store only the class is sieved.  A cold
     psi_ap(1e8) on a 2-core host: 0.2 s and 39 MB peak for q = 1,
-    0.07-0.1 s and 39 MB for q = 30 (0.24 s and 41 MB while each sieve
-    segment was built through copies, 48 MB with int64 norms in one
-    store column).
+    0.07-0.1 s and 39 MB for q = 30.
     """
     from .numfield import preset, psi_K  # numfield imports this module
     return psi_K(preset("Q"), x, cls)

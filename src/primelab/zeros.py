@@ -39,7 +39,12 @@ def load_zeros(source, completeness_height: float, label: str) -> ZeroTable:
     """Parse one ordinate per line; `#` comments and blank lines allowed.
 
     source may be a filesystem path, a text stream, or a bytes blob.
+    The completeness height must be positive and finite.
     """
+    height = float(completeness_height)
+    if not 0 < height < math.inf:       # NaN fails too
+        raise ZeroTableError(f"{label}: completeness height must be "
+                             f"positive and finite, got {height}")
     if isinstance(source, bytes):
         source = io.StringIO(source.decode())
     fh = open(source) if isinstance(source, (str, os.PathLike)) else source
@@ -65,8 +70,7 @@ def load_zeros(source, completeness_height: float, label: str) -> ZeroTable:
                     f"monotonicity (previous {prev})")
             ordinates.append(g)
             prev = g
-    return ZeroTable(np.array(ordinates, dtype=np.float64),
-                     float(completeness_height), label)
+    return ZeroTable(np.array(ordinates, dtype=np.float64), height, label)
 
 
 def combine(tables) -> ZeroTable:
@@ -116,8 +120,10 @@ MANIFEST_ENV = "PRIMELAB_ZERO_MANIFEST"
 
 
 def _resolve_manifest(path):
-    """path, else $PRIMELAB_ZERO_MANIFEST, else None (vendored tables)."""
-    return path if path is not None else os.environ.get(MANIFEST_ENV)
+    """path, else $PRIMELAB_ZERO_MANIFEST, made absolute; else None
+    (vendored tables)."""
+    path = path if path is not None else os.environ.get(MANIFEST_ENV)
+    return None if path is None else Path(path).resolve()
 
 
 def load_manifest(path=None) -> dict:
@@ -133,12 +139,13 @@ def load_manifest(path=None) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = [s.strip() for s in line.split(";")]
-            if len(parts) != 3:
+            try:
+                label, fname, height = (s.strip() for s in line.split(";"))
+                entries[label] = (manifest.parent / fname, float(height))
+            except ValueError:          # not three fields, or no number
                 raise ZeroTableError(
-                    f"manifest line {lineno}: expected `label; file; height`")
-            label, fname, height = parts
-            entries[label] = (manifest.parent / fname, float(height))
+                    f"manifest line {lineno}: expected `label; file; height`"
+                    f" with a numeric height, got {line!r}")
     return entries
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from primelab import ExperimentReport, emit, pi_K, preset
 from primelab.cli import (EXIT_CAPACITY, EXIT_DATA, EXIT_FAIL, EXIT_OK,
-                          EXIT_SINK, EXIT_USAGE, RUNNERS, build_parser, main)
+                          EXIT_SINK, EXIT_USAGE, build_parser, main)
 
 from conftest import run_python, run_within_rss
 from oracles import trial_prime_power
@@ -237,18 +237,20 @@ def test_zeros_reads_no_positions(capsys):
 # all nine, --ceiling on the eight that read positions, --zero-manifest on
 # the three that read zero tables)
 def test_flag_surface():
+    subcommands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(subcommands) == 9
     pairs = {(name, flag)
-             for name, sub in next(
-                 a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices.items()
+             for name, sub in subcommands.items()
              for action in sub._actions for flag in action.option_strings
              if flag.startswith("--") and flag != "--help"}
     assert len(pairs) == 84
     readers = {flag: {name for name, f in pairs if f == flag}
                for flag in ("--format", "--output", "--ceiling",
                             "--zero-manifest")}
-    assert readers["--format"] == readers["--output"] == set(RUNNERS)
-    assert readers["--ceiling"] == set(RUNNERS) - {"zeros"}
+    assert readers["--format"] == readers["--output"] == set(subcommands)
+    assert readers["--ceiling"] == set(subcommands) - {"zeros"}
     assert readers["--zero-manifest"] == {"explicit", "smoothed", "zeros"}
 
 
@@ -591,6 +593,19 @@ def test_config_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "bt", "--config", str(cfg))
     assert code == EXIT_USAGE
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("height", ["nan", "abc"])
+def test_bad_manifest_height_is_a_data_error(tmp_path, capsys, height):
+    """A NaN height used to let --T pass any table; `abc` exited 2 with a
+    message that named no line.  Both are data errors now."""
+    (tmp_path / "z.txt").write_text("5.0\n10.0\n")
+    man = tmp_path / "man.txt"
+    man.write_text(f"zeta; z.txt; {height}\n")
+    code, out, err = run(capsys, "zeros", "--component", "zeta", "--T",
+                         "5000", "--zero-manifest", str(man))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("primelab: ") and "height" in err
 
 
 def test_zero_manifest_env(tmp_path, capsys, monkeypatch):

@@ -998,7 +998,7 @@ def test_a_read_is_built_in_its_final_layout(target, cls, budget):
     column keeps another alive."""
     name, _, kind = target.partition(" ")
     fld = twin(name) if kind else preset(name)
-    base_primes(2**12)                  # grows the cache before the trace
+    base_primes(2**12)                  # fills the table before the trace
     columns, peak = traced_peak(
         lambda: numfield._build_events(fld, 2**22, 2**23, cls))
     assert peak <= budget * len(columns[0])

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from primelab import (CapacityError, ResidueClass, numfield, pi_ap, preset,
                       psi_ap, sieve, sieve_primes)
 from primelab.numfield import ideal_event_arrays
-from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, check_capacity,
-                            event_arrays)
+from primelab.sieve import (DEFAULT_CEILING, EVERYTHING, base_primes,
+                            check_capacity, event_arrays)
 
-from conftest import (LINUX_ONLY, run_counting_faults, run_within_rss,
-                      sieve_ceiling, weighed)
+from conftest import (LINUX_ONLY, run_counting_faults, run_python,
+                      run_within_rss, sieve_ceiling, weighed)
 from oracles import trial_prime_power, trial_primes
 
 
@@ -90,6 +90,40 @@ def test_ceiling_may_only_lower_the_limit(ceiling):
         with pytest.raises(ValueError, match="ceiling"):
             sieve_primes(0, 100)
     assert check_capacity(10) == DEFAULT_CEILING
+
+
+# counts the calls of sieve_primes that one cold sieve makes, through the
+# module attribute that the sieve's own calls would go through
+SIEVE_CALLS = """
+from primelab import sieve
+calls = []
+inner = sieve.sieve_primes
+def counted(*args, **kwargs):
+    calls.append(args)
+    return inner(*args, **kwargs)
+sieve.sieve_primes = counted
+sieve.sieve_primes(1, 100)
+print(len(calls))
+"""
+
+
+def test_a_cold_sieve_is_one_call():
+    """The base primes come from their own table, not from the sieve
+    calling itself, so a tracer of sieve_primes counts one cold call as
+    one."""
+    proc = run_python(["-c", SIEVE_CALLS])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+def test_base_primes_stop_at_their_table():
+    """Every limit up to 2^15, which covers sqrt(10^9) and its power of
+    two, is served in full; a limit past the table raises rather than
+    cutting the list short."""
+    assert base_primes(2**15).tolist() == trial_primes(0, 2**15)
+    assert base_primes(1).tolist() == []
+    with pytest.raises(ValueError, match="base primes"):
+        base_primes(2**15 + 1)
 
 
 def test_modulus_fits_int64():

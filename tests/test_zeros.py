@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_cache_follows_manifest_env(tmp_path, monkeypatch):
     assert count_zeros(field_table("Q"), 20.0) == 4
     monkeypatch.delenv(MANIFEST_ENV)
     assert component_table("zeta") is vendored
+    # a relative, a dotted and an absolute spelling of one manifest are one
+    # table; after a chdir the relative spelling names another manifest
+    (tmp_path / "mf").mkdir()
+    (tmp_path / "mf" / "two.txt").write_text("5.0\n10.0\n")
+    (tmp_path / "mf" / "man.txt").write_text("zeta; two.txt; 20.0\n")
+    monkeypatch.chdir(tmp_path)
+    spellings = ["mf/man.txt", "./mf/man.txt", str(tmp_path / "mf/man.txt")]
+    first = component_table("zeta", spellings[0])
+    assert all(component_table("zeta", s) is first for s in spellings)
+    other = tmp_path / "elsewhere"
+    (other / "mf").mkdir(parents=True)
+    (other / "mf" / "one.txt").write_text("5.0\n")
+    (other / "mf" / "man.txt").write_text("zeta; one.txt; 20.0\n")
+    monkeypatch.chdir(other)
+    assert len(component_table("zeta", "mf/man.txt")) == 1
 
 
 def test_manifest_bad_line(tmp_path):
@@ -170,6 +186,25 @@ def test_manifest_bad_line(tmp_path):
     man.write_text("only-two; fields\n")
     with pytest.raises(ZeroTableError, match="line 1"):
         load_manifest(str(man))
+
+
+@pytest.mark.parametrize("height,message", [
+    ("nan", "positive and finite, got nan"),
+    ("inf", "positive and finite, got inf"),
+    ("0", "positive and finite, got 0.0"),
+    ("-5", "positive and finite, got -5.0"),
+    ("abc", "manifest line 2: expected `label; file; height` with a "
+            "numeric height, got 'zeta; z.txt; abc'"),
+])
+def test_manifest_height_must_be_positive_and_finite(tmp_path, height,
+                                                     message):
+    """A height that is not a positive finite number would let every
+    count pass (NaN, inf) or none; it is a table error, not a count."""
+    (tmp_path / "z.txt").write_text("5.0\n10.0\n")
+    man = tmp_path / "man.txt"
+    man.write_text(f"# label; file; height\nzeta; z.txt; {height}\n")
+    with pytest.raises(ZeroTableError, match=re.escape(message)):
+        component_table("zeta", str(man))
 
 
 def test_unknown_component():
